@@ -4,8 +4,8 @@ A :class:`LinRec` is a monic characteristic polynomial plus matching
 initial conditions; term generation unrolls the recurrence exactly.  The
 five products (termwise sum, Hadamard, Cauchy, Hurwitz, Newton) each
 return a new :class:`LinRec` whose characteristic polynomial comes from
-the polynomial/matrix constructions in :mod:`recseq.polymat` and whose
-initial conditions come from the direct convolution formulas.
+the polynomial product or the composed operations in :mod:`recseq.polymat`
+and whose initial conditions come from the convolution formulas.
 
 >>> from recseq.ring import QQ
 >>> from recseq.polymat import Poly
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .polymat import DegreeZero, NotMonic, Poly, composed_newton, composed_product, composed_sum
-from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
+from .ring import RingElem, RingMismatch, RingSpec, binom, binomial_transform_values, int_scale
 
 DEFAULT_PREFIX = 30
 
@@ -220,16 +220,15 @@ def _conv_hurwitz(ring: RingSpec, xs, ys):
 
 
 def _conv_newton(ring: RingSpec, xs, ys):
-    if _mod_fast(ring):
-        return _conv_kernel("newton", ring, xs, ys)
-    out = []
-    for n in range(len(xs)):
-        acc = ring.zero
-        for i in range(n + 1):
-            for j in range(i + 1):
-                acc = acc + int_scale(binom(n, i) * binom(i, j), xs[i] * ys[n - j])
-        out.append(acc)
-    return out
+    """Newton convolution as B^-1(B(x) . B(y)), B the binomial transform.
+
+    O(len^2) additions on raw values; residues mod m are reduced only when
+    the results are wrapped.
+    """
+    bx = binomial_transform_values([x.value for x in xs])
+    by = binomial_transform_values([y.value for y in ys])
+    raw = binomial_transform_values([u * v for u, v in zip(bx, by)], inverse=True)
+    return [RingElem(ring, v) for v in raw]
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:

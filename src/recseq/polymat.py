@@ -9,14 +9,26 @@ composed operations on monic polynomials:
 * :func:`composed_newton` -- roots combine as a + b + a*b (closes the
   Newton product).
 
+The composed operations never build a matrix.  Newton's identities give
+the power sums of each operand's roots; the root law becomes a termwise
+product, a binomial convolution, or a product of binomial transforms of
+those two sequences; Newton's identities run backwards recover the
+polynomial (Bostan, Flajolet, Salvy, Schost, "Fast computation of
+special resultants", 2006).  That is O(D^2) coefficient operations for
+D = deg p * deg q.  The Kronecker constructions with Berkowitz, and
+:func:`resultant_shift`, compute the same polynomials independently and
+serve as cross-checks.
+
 Everything works over any of the supported commutative rings, including
-Z/m with composite m: no division by ring elements ever happens.
+Z/m with composite m: no division by a ring element ever happens.  The
+composed operations divide only by integers k <= D, in Z, after lifting
+residues (exact) or in Q.
 """
 
 from __future__ import annotations
 
 from . import kernels
-from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
+from .ring import RingElem, RingMismatch, RingSpec, binom, binomial_transform_values, int_scale
 
 NEG_INFINITY = float("-inf")
 
@@ -326,37 +338,99 @@ def _charpoly_generic(m: Matrix) -> Poly:
     return Poly(m.ring, _berkowitz(rows, m.ring.one, m.ring.zero))
 
 
-def composed_product(p: Poly, q: Poly) -> Poly:
-    """Monic polynomial whose roots are the pairwise products of roots.
+def _power_sums(cs, count: int) -> list:
+    """Power sums s_0..s_{count-1} of the roots of a monic polynomial.
 
-    Characteristic polynomial of the Kronecker product of the companion
-    matrices; closes the Hadamard product of sequences.  Identity: t - 1.
+    ``cs`` are the raw coefficient values c_0..c_d low-to-high (c_d = 1).
+    Newton's identities, division-free:
+    s_k = -(k c_{d-k} + sum_{i=1}^{min(k-1,d)} c_{d-i} s_{k-i}), where the
+    first term is dropped once k > d.
+    """
+    d = len(cs) - 1
+    high = cs[-2::-1]  # high[i - 1] = c_{d-i}
+    s = [d]
+    for k in range(1, count):
+        acc = k * high[k - 1] if k <= d else 0
+        acc += sum(high[i - 1] * s[k - i] for i in range(1, min(k - 1, d) + 1))
+        s.append(-acc)
+    return s
+
+
+def _composed(p: Poly, q: Poly, combine) -> Poly:
+    """Monic degree-D polynomial whose root power sums are ``combine(s(p), s(q))``.
+
+    Newton's identities in reverse, k c_{D-k} = -sum_{i=1}^k c_{D-k+i} S_i,
+    recover the coefficients.  Over Q they are Fractions; over Z and Z/m
+    the residues are lifted to Z and the division by k is exact, because
+    the coefficients of the composed polynomial are integer polynomials in
+    those of p and q.  Reducing mod m at the end is therefore exact for
+    every modulus, composite and tiny ones included.
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
-    return charpoly(kron(companion(p), companion(q)))
+    ring = p.ring
+    if ring != q.ring:
+        raise RingMismatch(f"cannot combine polynomials over {ring} and {q.ring}")
+    count = (len(p.coeffs) - 1) * (len(q.coeffs) - 1) + 1
+    sums = combine(
+        _power_sums([c.value for c in p.coeffs], count),
+        _power_sums([c.value for c in q.coeffs], count),
+    )
+    rational = ring.kind == RingSpec.RATIONALS
+    high = [1]  # high[j] = coefficient of t^(D-j)
+    for k in range(1, count):
+        acc = -sum(high[k - i] * sums[i] for i in range(1, k + 1))
+        high.append(acc / k if rational else acc // k)
+    return Poly(ring, [RingElem(ring, c) for c in reversed(high)])
+
+
+def _termwise_product(xs, ys) -> list:
+    return [x * y for x, y in zip(xs, ys)]
+
+
+def _binomial_convolution(xs, ys) -> list:
+    return [sum(binom(k, i) * xs[i] * ys[k - i] for i in range(k + 1)) for k in range(len(xs))]
+
+
+def _newton_power_sums(xs, ys) -> list:
+    # power sums of 1+a, 1+b multiply termwise; the inverse transform then
+    # gives those of (1+a)(1+b) - 1 = a + b + ab
+    shifted = _termwise_product(binomial_transform_values(xs), binomial_transform_values(ys))
+    return binomial_transform_values(shifted, inverse=True)
+
+
+def composed_product(p: Poly, q: Poly) -> Poly:
+    """Monic polynomial whose roots are the pairwise products of roots.
+
+    Its root power sums are the termwise products of those of p and q.
+    Equals the characteristic polynomial of the Kronecker product of the
+    companion matrices; closes the Hadamard product of sequences.
+    Identity: t - 1.
+    """
+    return _composed(p, q, _termwise_product)
 
 
 def composed_sum(p: Poly, q: Poly) -> Poly:
     """Monic polynomial whose roots are the pairwise sums of roots.
 
-    Characteristic polynomial of the Kronecker sum of the companion
-    matrices; closes the Hurwitz product of sequences.  Identity: t.
+    Its root power sums are the binomial convolution
+    S_k = sum_i C(k,i) s_i(p) s_{k-i}(q).  Equals the characteristic
+    polynomial of the Kronecker sum of the companion matrices and
+    :func:`resultant_shift`; closes the Hurwitz product of sequences.
+    Identity: t.
     """
-    _require_charpoly_operand(p)
-    _require_charpoly_operand(q)
-    return charpoly(kron_sum(companion(p), companion(q)))
+    return _composed(p, q, _binomial_convolution)
 
 
 def composed_newton(p: Poly, q: Poly) -> Poly:
     """Monic polynomial with roots a + b + a*b over pairs of roots a, b.
 
-    Characteristic polynomial of A (x) I + I (x) B + A (x) B; closes the
-    Newton product of sequences.  Identity: t.
+    Its root power sums are the inverse binomial transform of the termwise
+    product of the operands' binomially transformed power sums.  Equals
+    the characteristic polynomial of A (x) I + I (x) B + A (x) B; closes
+    the Newton product of sequences.  Identity: t.
     """
-    _require_charpoly_operand(p)
-    _require_charpoly_operand(q)
-    return charpoly(kron_newton(companion(p), companion(q)))
+    return _composed(p, q, _newton_power_sums)
 
 
 def _sylvester_rows(f_desc, g_desc, zero):

@@ -240,3 +240,22 @@ _SHARED_TABLE = BinomialTable()
 def binom(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) from a shared Pascal table."""
     return _SHARED_TABLE.value(n, k)
+
+
+def binomial_transform_values(xs, inverse: bool = False) -> list:
+    """Binomial transform of raw values: y_k = sum_i C(k,i) x_i for k < len(xs).
+
+    With ``inverse`` the signs are (-1)^(k-i), which undoes the forward
+    transform.  Computed as a table of repeated pairwise sums (or forward
+    differences): O(len^2) additions, no multiplication or division, so
+    it works on ints, Fractions and unreduced lifts of residues alike.
+    """
+    row = list(xs)
+    out = []
+    while row:
+        out.append(row[0])
+        if inverse:
+            row = [b - a for a, b in zip(row, row[1:])]
+        else:
+            row = [a + b for a, b in zip(row, row[1:])]
+    return out

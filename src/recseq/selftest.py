@@ -3,9 +3,11 @@
 Ten seeded, deterministic criteria exercising the closure laws, the
 resultant identity, the Newton decomposition and inverses, the rationality
 criterion, the algebra isomorphism, the composed-operation semiring laws,
-and the characteristic-polynomial round trip.  Everything is exact: the
-tolerance is zero throughout.  The pytest acceptance module runs the same
-functions one criterion per test.
+and the characteristic-polynomial round trip with its cross-checks (the
+power-sum composed operations against Berkowitz on the Kronecker
+matrices, Berkowitz against cofactor expansion).  Everything is exact:
+the tolerance is zero throughout.  The pytest acceptance module runs the
+same functions one criterion per test.
 """
 
 from __future__ import annotations
@@ -287,10 +289,18 @@ def criterion_9(seed: int) -> tuple[bool, str]:
     return True, "identities, 20 commutativity pairs and 8 assoc/distrib triples per operation"
 
 
+_COMPOSED_KRON = [
+    (composed_product, kron),
+    (composed_sum, kron_sum),
+    (composed_newton, kron_newton),
+]
+
+
 def criterion_10(seed: int) -> tuple[bool, str]:
-    """charpoly(companion(p)) round trip and Berkowitz vs cofactor expansion."""
+    """Charpoly round trip; Berkowitz vs cofactors; power-sum composed ops vs Berkowitz."""
     rings = [ZZ, QQ, Zmod(10007), Zmod(12)]
     compared = 0
+    composed = 0
     for ring_index, ring in enumerate(rings):
         rng = random.Random(seed * 100 + 10 + ring_index)
         for idx in range(100):
@@ -302,15 +312,25 @@ def criterion_10(seed: int) -> tuple[bool, str]:
                 if _charpoly_generic(mat) != charpoly_cofactor(mat):
                     return False, f"Berkowitz vs cofactor mismatch over {ring} for {p}"
                 compared += 1
-        for idx in range(5):
-            a = companion(_random_monic(rng, ring, 2))
-            b = companion(_random_monic(rng, ring, 2))
-            for build in (kron, kron_sum, kron_newton):
-                mat = build(a, b)
-                if charpoly(mat) != charpoly_cofactor(mat):
-                    return False, f"{build.__name__} charpoly mismatch over {ring}"
-                compared += 1
-    return True, f"100 round trips per ring over 4 rings; {compared} cofactor cross-checks (dim <= 4)"
+        # five 2 x 2 pairs, then ten with degrees 1-3
+        for idx in range(15):
+            da, db = (2, 2) if idx < 5 else (rng.choice([1, 2, 3]), rng.choice([1, 2, 3]))
+            p = _random_monic(rng, ring, da)
+            q = _random_monic(rng, ring, db)
+            for compose, build in _COMPOSED_KRON:
+                mat = build(companion(p), companion(q))
+                berkowitz = charpoly(mat)
+                if mat.n <= 4:
+                    if berkowitz != charpoly_cofactor(mat):
+                        return False, f"{build.__name__} charpoly mismatch over {ring}"
+                    compared += 1
+                if compose(p, q) != berkowitz:
+                    return False, f"{compose.__name__}({p}, {q}) differs from Berkowitz over {ring}"
+                composed += 1
+    return True, (
+        f"100 round trips per ring over 4 rings; {compared} cofactor cross-checks (dim <= 4); "
+        f"{composed} power-sum composed operations vs Berkowitz (dim <= 9)"
+    )
 
 
 _CRITERIA = [

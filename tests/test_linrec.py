@@ -396,6 +396,21 @@ class TestRootLaws:
             assert hadamard(a, b).charpoly == Poly(MOD, [-(u * v), MOD.one])
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(2**61 - 1)], ids=str)
+@pytest.mark.parametrize("product", [hadamard, hurwitz, newton], ids=lambda f: f.__name__)
+def test_composed_closure_at_degree_100(product, ring):
+    # 10 x 10 operands: D = 100, far past what Berkowitz on the D x D
+    # Kronecker matrix finishes in test time
+    rng = random.Random(101)
+    a, b = random_linrec(rng, ring, 10), random_linrec(rng, ring, 10)
+    c = product(a, b)
+    assert c.order == 100
+    length = c.order + 20
+    prefix = c.terms(length)
+    assert prefix == direct_product_oracle(product.__name__, a.terms(length), b.terms(length))
+    assert satisfies_recurrence(prefix, c.charpoly).passed
+
+
 @given(linrecs(max_degree=3))
 @settings(max_examples=40, deadline=None)
 def test_closure_terms_satisfy_their_recurrence(a):

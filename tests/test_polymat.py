@@ -255,6 +255,65 @@ class TestComposedOperations:
                 assert op(p * q, r) == op(p, r) * op(q, r)
 
 
+CROSS_RINGS = [ZZ, QQ, Zmod(2), Zmod(12), Zmod(10007), Zmod(2**61 - 1)]
+COMPOSED_KRON = [(composed_product, kron), (composed_sum, kron_sum), (composed_newton, kron_newton)]
+COMPOSED_IDS = [op.__name__ for op, _ in COMPOSED_KRON]
+# identity element of each composed operation: t - 1, t, t
+COMPOSED_IDENTITY = [(composed_product, [-1, 1]), (composed_sum, [0, 1]), (composed_newton, [0, 1])]
+
+
+def _same_ring_pair(max_degree):
+    return st.sampled_from(CROSS_RINGS).flatmap(
+        lambda r: st.tuples(monic_polys(ring=r, max_degree=max_degree), monic_polys(ring=r, max_degree=max_degree))
+    )
+
+
+class TestPowerSumCrossCheck:
+    """The power-sum composed operations against Kronecker + Berkowitz and cofactors."""
+
+    @pytest.mark.parametrize("op,build", COMPOSED_KRON, ids=COMPOSED_IDS)
+    @given(pq=_same_ring_pair(max_degree=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_berkowitz_on_kronecker(self, op, build, pq):
+        p, q = pq
+        got = op(p, q)
+        mat = build(companion(p), companion(q))
+        assert got == charpoly(mat)
+        if mat.n <= 4:
+            assert got == charpoly_cofactor(mat)
+
+    @pytest.mark.parametrize("ring", CROSS_RINGS, ids=[str(r) for r in CROSS_RINGS])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_degree_one_root_laws(self, ring, data):
+        u, v = data.draw(element_strategy(ring)), data.draw(element_strategy(ring))
+        p, q = Poly(ring, [-u, ring.one]), Poly(ring, [-v, ring.one])
+        assert composed_product(p, q) == Poly(ring, [-(u * v), ring.one])
+        assert composed_sum(p, q) == Poly(ring, [-(u + v), ring.one])
+        assert composed_newton(p, q) == Poly(ring, [-(u + v + u * v), ring.one])
+
+    @pytest.mark.parametrize("op,identity", COMPOSED_IDENTITY, ids=COMPOSED_IDS)
+    @given(p=st.sampled_from(CROSS_RINGS).flatmap(lambda r: monic_polys(ring=r, max_degree=4)))
+    @settings(max_examples=30, deadline=None)
+    def test_identities_over_every_ring(self, op, identity, p):
+        unit = Poly.from_ints(p.ring, identity)
+        assert op(p, unit) == p
+        assert op(unit, p) == p
+
+    @pytest.mark.parametrize("op", [op for op, _ in COMPOSED_KRON], ids=COMPOSED_IDS)
+    def test_operand_errors(self, op):
+        with pytest.raises(RingMismatch):
+            op(FIB_P, Poly.from_ints(QQ, [-1, -1, 1]))
+        with pytest.raises(RingMismatch):
+            op(Poly.from_ints(Zmod(7), [1, 1]), Poly.from_ints(Zmod(12), [1, 1]))
+        with pytest.raises(NotMonic):
+            op(Poly.from_ints(ZZ, [1, 2]), FIB_P)
+        with pytest.raises(NotMonic):
+            op(FIB_P, Poly.from_ints(ZZ, [1, 2]))
+        with pytest.raises(DegreeZero):
+            op(FIB_P, Poly.from_ints(ZZ, [1]))
+
+
 class TestResultant:
     def test_linear_pair(self):
         for a, b in [(5, 3), (-2, 7), (0, 0)]:
