@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
-from . import selftest
 from .linrec import (
     DEFAULT_PREFIX,
     LinRec,
@@ -52,6 +52,16 @@ class ParseError(ValueError):
 # RingMismatch all subclass ValueError; NotAUnit is an ArithmeticError.
 _INPUT_ERRORS = (ValueError, NotAUnit)
 
+# ASCII digits only: int() alone would also take "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(text: str) -> int:
+    """An integer literal; ValueError unless it matches ``[+-]?[0-9]+``."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(text)
+
 
 def parse_ring(text: str) -> RingSpec:
     text = text.strip()
@@ -62,7 +72,7 @@ def parse_ring(text: str) -> RingSpec:
     if text.startswith("Zmod:"):
         body = text[len("Zmod:") :]
         try:
-            m = int(body)
+            m = _parse_integer(body.strip())
         except ValueError:
             raise ParseError(f"bad modulus {body!r}") from None
         if m < 2:
@@ -78,12 +88,12 @@ def parse_element(ring: RingSpec, text: str) -> RingElem:
             raise ParseError(f"fraction literal {text!r} outside Q")
         num, _, den = text.partition("/")
         try:
-            value = Fraction(int(num), int(den))
+            value = Fraction(_parse_integer(num.strip()), _parse_integer(den.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
         return RingElem(ring, value)
     try:
-        n = int(text)
+        n = _parse_integer(text)
     except ValueError:
         raise ParseError(f"bad element literal {text!r}") from None
     return ring.from_int(n)
@@ -360,7 +370,10 @@ def _require(value, flag: str):
 
 
 def _cmd_selftest(args) -> int:
-    results = selftest.run_all(seed=args.seed)
+    from . import selftest  # only this verb needs it; keeps start-up cheap
+
+    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
+    results = selftest.run_all(seed=seed)
     if args.format == "structured":
         payload = [
             {
@@ -465,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)  # None: selftest.DEFAULT_SEED
     add_format(p)
     p.set_defaults(func=_cmd_selftest)
 

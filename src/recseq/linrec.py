@@ -17,10 +17,19 @@ and whose initial conditions come from the convolution formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import kernels
 from .polymat import DegreeZero, NotMonic, Poly, composed_newton, composed_product, composed_sum
-from .ring import RingElem, RingMismatch, RingSpec, binom, binomial_transform_values, int_scale
+from .ring import (
+    RingElem,
+    RingMismatch,
+    RingSpec,
+    binom,
+    binomial_convolution_values,
+    binomial_transform_values,
+    int_scale,
+)
 
 DEFAULT_PREFIX = 30
 
@@ -84,19 +93,16 @@ class LinRec:
         if k <= self.order:
             return list(self.initial[:k])
         ring = self.ring
-        if ring.kind == RingSpec.INTEGERS_MOD and kernels.handles(ring.modulus):
-            hs = [h.value for h in self.recurrence_coeffs()]
-            init = [a.value for a in self.initial]
-            return [RingElem(ring, v) for v in kernels.lin_terms_mod(hs, init, k, ring.modulus)]
-        out = list(self.initial)
-        hs = self.recurrence_coeffs()
-        order = self.order
-        for n in range(order, k):
-            acc = ring.zero
-            for i, h in enumerate(hs):
-                acc = acc + h * out[n - 1 - i]
-            out.append(acc)
-        return out
+        hs = [h.value for h in self.recurrence_coeffs()]
+        vals = [a.value for a in self.initial]
+        if _mod_fast(ring):
+            vals = kernels.lin_terms_mod(hs, vals, k, ring.modulus)
+        else:
+            m = ring.modulus  # None outside Z/m
+            for _ in range(len(vals), k):
+                acc = sum(map(mul, hs, reversed(vals)))
+                vals.append(acc % m if m else acc)
+        return [RingElem(ring, v) for v in vals]
 
     def __add__(self, other):
         if not isinstance(other, LinRec):
@@ -189,34 +195,33 @@ def _mod_fast(ring: RingSpec) -> bool:
     return ring.kind == RingSpec.INTEGERS_MOD and kernels.handles(ring.modulus)
 
 
+def _values(elems) -> list:
+    return [e.value for e in elems]
+
+
 def _conv_kernel(kind: str, ring: RingSpec, xs, ys):
     fn = getattr(kernels, f"conv_{kind}_mod")
-    raw = fn([x.value for x in xs], [y.value for y in ys], ring.modulus)
+    raw = fn(_values(xs), _values(ys), ring.modulus)
     return [RingElem(ring, v) for v in raw]
 
 
 def _conv_cauchy(ring: RingSpec, xs, ys):
     if _mod_fast(ring):
         return _conv_kernel("cauchy", ring, xs, ys)
-    out = []
-    for n in range(len(xs)):
-        acc = ring.zero
-        for i in range(n + 1):
-            acc = acc + xs[i] * ys[n - i]
-        out.append(acc)
-    return out
+    xv, yv = _values(xs), _values(ys)
+    m = ring.modulus  # None outside Z/m
+    raw = []
+    for n in range(len(xv)):
+        acc = sum(map(mul, xv, reversed(yv[: n + 1])))
+        raw.append(acc % m if m else acc)
+    return [RingElem(ring, v) for v in raw]
 
 
 def _conv_hurwitz(ring: RingSpec, xs, ys):
     if _mod_fast(ring):
         return _conv_kernel("hurwitz", ring, xs, ys)
-    out = []
-    for n in range(len(xs)):
-        acc = ring.zero
-        for i in range(n + 1):
-            acc = acc + int_scale(binom(n, i), xs[i] * ys[n - i])
-        out.append(acc)
-    return out
+    raw = binomial_convolution_values(_values(xs), _values(ys), ring.modulus)
+    return [RingElem(ring, v) for v in raw]
 
 
 def _conv_newton(ring: RingSpec, xs, ys):
@@ -225,9 +230,9 @@ def _conv_newton(ring: RingSpec, xs, ys):
     O(len^2) additions on raw values; residues mod m are reduced only when
     the results are wrapped.
     """
-    bx = binomial_transform_values([x.value for x in xs])
-    by = binomial_transform_values([y.value for y in ys])
-    raw = binomial_transform_values([u * v for u, v in zip(bx, by)], inverse=True)
+    bx = binomial_transform_values(_values(xs))
+    by = binomial_transform_values(_values(ys))
+    raw = binomial_transform_values([u * v for u, v in zip(bx, by)], shift=-1)
     return [RingElem(ring, v) for v in raw]
 
 

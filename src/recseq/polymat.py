@@ -21,14 +21,30 @@ serve as cross-checks.
 
 Everything works over any of the supported commutative rings, including
 Z/m with composite m: no division by a ring element ever happens.  The
-composed operations divide only by integers k <= D, in Z, after lifting
-residues (exact) or in Q.
+composed operations run one integer core for every ring, with bounded
+sizes: over Q the roots are scaled to algebraic integers and the result
+scaled back; over Z the division by k <= D is exact; over Z/m the core
+works modulo m times the m-part of D!, so each division by k is exact
+on the part of k that shares primes with m and an inverse on the rest
+(see :func:`_composed`).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial, gcd, lcm
+from operator import mul
+
 from . import kernels
-from .ring import RingElem, RingMismatch, RingSpec, binom, binomial_transform_values, int_scale
+from .ring import (
+    RingElem,
+    RingMismatch,
+    RingSpec,
+    binom,
+    binomial_convolution_values,
+    binomial_transform_values,
+    int_scale,
+)
 
 NEG_INFINITY = float("-inf")
 
@@ -338,33 +354,64 @@ def _charpoly_generic(m: Matrix) -> Poly:
     return Poly(m.ring, _berkowitz(rows, m.ring.one, m.ring.zero))
 
 
-def _power_sums(cs, count: int) -> list:
+def _power_sums(cs, count: int, modulus: int | None) -> list:
     """Power sums s_0..s_{count-1} of the roots of a monic polynomial.
 
-    ``cs`` are the raw coefficient values c_0..c_d low-to-high (c_d = 1).
+    ``cs`` are integer coefficients c_0..c_d low-to-high (c_d = 1).
     Newton's identities, division-free:
     s_k = -(k c_{d-k} + sum_{i=1}^{min(k-1,d)} c_{d-i} s_{k-i}), where the
-    first term is dropped once k > d.
+    first term is dropped once k > d.  With a ``modulus`` every s_k is
+    reduced.
     """
     d = len(cs) - 1
     high = cs[-2::-1]  # high[i - 1] = c_{d-i}
     s = [d]
     for k in range(1, count):
-        acc = k * high[k - 1] if k <= d else 0
-        acc += sum(high[i - 1] * s[k - i] for i in range(1, min(k - 1, d) + 1))
-        s.append(-acc)
+        acc = sum(map(mul, high, reversed(s)))
+        if k <= d:
+            acc += (k - d) * high[k - 1]  # the sum used s_0 = d where k belongs
+        s.append(-acc % modulus if modulus else -acc)
     return s
 
 
-def _composed(p: Poly, q: Poly, combine) -> Poly:
-    """Monic degree-D polynomial whose root power sums are ``combine(s(p), s(q))``.
+def _split_by_modulus(k: int, m: int) -> tuple[int, int]:
+    """k = k2 * k1 where every prime of k2 divides m and gcd(k1, m) = 1."""
+    k2, g = 1, gcd(k, m)
+    while g > 1:
+        k //= g
+        k2 *= g
+        g = gcd(k, m)
+    return k2, k
 
-    Newton's identities in reverse, k c_{D-k} = -sum_{i=1}^k c_{D-k+i} S_i,
-    recover the coefficients.  Over Q they are Fractions; over Z and Z/m
-    the residues are lifted to Z and the division by k is exact, because
-    the coefficients of the composed polynomial are integer polynomials in
-    those of p and q.  Reducing mod m at the end is therefore exact for
-    every modulus, composite and tiny ones included.
+
+def _scaled_values(p: Poly, lam: int) -> list:
+    """Integer coefficients of lam^d p(t / lam); ``lam`` clears every denominator."""
+    d = len(p.coeffs) - 1
+    return [c.value.numerator * (lam ** (d - j) // c.value.denominator) for j, c in enumerate(p.coeffs)]
+
+
+def _composed(p: Poly, q: Poly, combine, scale_power: int) -> Poly:
+    """Monic degree-D polynomial whose root power sums are ``combine`` of the operands'.
+
+    One integer core serves every ring:
+
+    * Over Q the roots are scaled to algebraic integers first: with lam
+      the lcm of all coefficient denominators, the core runs on
+      lam^d p(t/lam) and lam^d q(t/lam), whose roots are lam a and lam b.
+      The combined roots are then mu = lam^scale_power times the wanted
+      ones, so c_{D-k} is the core's coefficient over mu^k.
+    * Over Z, Newton's identities in reverse,
+      k c_{D-k} = -sum_{i=1}^k c_{D-k+i} S_i, divide exactly by k.
+    * Over Z/m the residues are lifted and everything runs modulo
+      M = m * P.  Each k <= D splits as k = k2 k1, where the primes of k2
+      divide m and k1 is a unit mod m; P = prod k2 is the m-part of D!.
+      Dividing by k then drops the factor k2 from the modulus (the
+      division is exact on the lift) and multiplies by the inverse of
+      k1, so the modulus shrinks step by step and ends at m.  For a
+      prime m > D, M = m.
+
+    ``combine(xs, ys, lam, modulus)`` maps the two power-sum sequences to
+    those of the combined roots, reduced by ``modulus`` when it is set.
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
@@ -372,31 +419,50 @@ def _composed(p: Poly, q: Poly, combine) -> Poly:
     if ring != q.ring:
         raise RingMismatch(f"cannot combine polynomials over {ring} and {q.ring}")
     count = (len(p.coeffs) - 1) * (len(q.coeffs) - 1) + 1
+    lam = lcm(*(c.value.denominator for c in p.coeffs + q.coeffs))
+    m = ring.modulus
+    modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
     sums = combine(
-        _power_sums([c.value for c in p.coeffs], count),
-        _power_sums([c.value for c in q.coeffs], count),
+        _power_sums(_scaled_values(p, lam), count, modulus),
+        _power_sums(_scaled_values(q, lam), count, modulus),
+        lam,
+        modulus,
     )
-    rational = ring.kind == RingSpec.RATIONALS
     high = [1]  # high[j] = coefficient of t^(D-j)
+    tail = sums[1:]
     for k in range(1, count):
-        acc = -sum(high[k - i] * sums[i] for i in range(1, k + 1))
-        high.append(acc / k if rational else acc // k)
+        acc = -sum(map(mul, reversed(high), tail))
+        if modulus is None:
+            high.append(acc // k)
+        else:
+            k2, k1 = _split_by_modulus(k, m)
+            acc %= modulus
+            modulus //= k2
+            c = acc // k2
+            high.append(c * pow(k1, -1, modulus) % modulus if k1 > 1 else c)
+    if lam != 1:
+        mu = lam**scale_power
+        high = [Fraction(c, mu**k) for k, c in enumerate(high)]
     return Poly(ring, [RingElem(ring, c) for c in reversed(high)])
 
 
-def _termwise_product(xs, ys) -> list:
-    return [x * y for x, y in zip(xs, ys)]
+def _reduce(xs, modulus):
+    return [x % modulus for x in xs] if modulus else xs
 
 
-def _binomial_convolution(xs, ys) -> list:
-    return [sum(binom(k, i) * xs[i] * ys[k - i] for i in range(k + 1)) for k in range(len(xs))]
+def _termwise_product(xs, ys, lam, modulus) -> list:
+    return _reduce(list(map(mul, xs, ys)), modulus)
 
 
-def _newton_power_sums(xs, ys) -> list:
-    # power sums of 1+a, 1+b multiply termwise; the inverse transform then
-    # gives those of (1+a)(1+b) - 1 = a + b + ab
-    shifted = _termwise_product(binomial_transform_values(xs), binomial_transform_values(ys))
-    return binomial_transform_values(shifted, inverse=True)
+def _binomial_convolution(xs, ys, lam, modulus) -> list:
+    return binomial_convolution_values(xs, ys, modulus)
+
+
+def _newton_power_sums(xs, ys, lam, modulus) -> list:
+    # on the scaled roots, lam^2 (a + b + ab) = (lam a + lam)(lam b + lam) - lam^2:
+    # shift both operands by lam, multiply termwise, shift back by -lam^2
+    shifted = _termwise_product(binomial_transform_values(xs, lam), binomial_transform_values(ys, lam), lam, modulus)
+    return _reduce(binomial_transform_values(shifted, -lam * lam), modulus)
 
 
 def composed_product(p: Poly, q: Poly) -> Poly:
@@ -407,7 +473,7 @@ def composed_product(p: Poly, q: Poly) -> Poly:
     companion matrices; closes the Hadamard product of sequences.
     Identity: t - 1.
     """
-    return _composed(p, q, _termwise_product)
+    return _composed(p, q, _termwise_product, 2)
 
 
 def composed_sum(p: Poly, q: Poly) -> Poly:
@@ -419,18 +485,20 @@ def composed_sum(p: Poly, q: Poly) -> Poly:
     :func:`resultant_shift`; closes the Hurwitz product of sequences.
     Identity: t.
     """
-    return _composed(p, q, _binomial_convolution)
+    return _composed(p, q, _binomial_convolution, 1)
 
 
 def composed_newton(p: Poly, q: Poly) -> Poly:
     """Monic polynomial with roots a + b + a*b over pairs of roots a, b.
 
     Its root power sums are the inverse binomial transform of the termwise
-    product of the operands' binomially transformed power sums.  Equals
-    the characteristic polynomial of A (x) I + I (x) B + A (x) B; closes
-    the Newton product of sequences.  Identity: t.
+    product of the operands' binomially transformed power sums (over Q,
+    with the roots scaled to integers, transforms shifted by lam and
+    -lam^2).  Equals the characteristic polynomial of
+    A (x) I + I (x) B + A (x) B; closes the Newton product of sequences.
+    Identity: t.
     """
-    return _composed(p, q, _newton_power_sums)
+    return _composed(p, q, _newton_power_sums, 2)
 
 
 def _sylvester_rows(f_desc, g_desc, zero):

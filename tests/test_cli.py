@@ -1,6 +1,10 @@
 """CLI parsing, round trips, verbs, exit codes, and structured output."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from recseq import cli, selftest
 from recseq.cli import (
     ParseError,
+    parse_element,
     parse_poly,
     parse_raw_terms,
     parse_ring,
@@ -35,7 +40,7 @@ class TestParsing:
         assert str(parse_ring("Zmod:10007")) == "Zmod:10007"
 
     def test_bad_rings(self):
-        for text in ("Zmod:1", "Zmod:x", "GF:8", ""):
+        for text in ("Zmod:1", "Zmod:x", "GF:8", "", "Zmod:1_0", "Zmod:\u0661\u0660", "Zmod:0x10"):
             with pytest.raises(ParseError):
                 parse_ring(text)
 
@@ -49,6 +54,17 @@ class TestParsing:
         assert parse_poly("[-1/2,1]", QQ).coeffs[0].value.denominator == 2
         with pytest.raises(ParseError):
             parse_poly("[-1/2,1]", ZZ)
+
+    def test_integer_literals_are_ascii_digits_only(self):
+        assert parse_element(ZZ, " -12 ").value == -12
+        assert parse_element(ZZ, "+7").value == 7
+        assert parse_element(QQ, "3 / -4").value == Fraction(-3, 4)
+        for text in ("1_0", "\u0661", "\uff11", "0x1f", "1e3", "", "-", "1/2"):
+            with pytest.raises(ParseError):
+                parse_element(ZZ, text)
+        for text in ("1/_2", "\u0663/4", "3/\u0664", "/4", "3/"):
+            with pytest.raises(ParseError):
+                parse_element(QQ, text)
 
     def test_sequence_round_trip(self):
         seq = parse_sequence(FIB_Q)
@@ -144,6 +160,16 @@ class TestVerbs:
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "terms", "-s", "ring=Zmod:1;p=[-1,1];init=[1]")
         assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "seq",
+        ["ring=Z;p=[-1,-1,1];init=[1_0,\u0661]", "ring=Zmod:1_0;p=[-1,1];init=[1]", "ring=Q;p=[-1/\u0662,1];init=[1]"],
+    )
+    def test_non_ascii_or_underscored_literals_exit_two(self, capsys, seq):
+        code, out, err = run_cli(capsys, "terms", "-s", seq)
+        assert code == 2
+        assert out == ""
         assert "error:" in err
 
     def test_non_monic_exits_two(self, capsys):
@@ -253,6 +279,19 @@ class TestSelftestVerb:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         assert "gamma: FAIL" in out
+
+    def test_default_seed(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(selftest, "_CRITERIA", [(1, "alpha", lambda seed: (seen.append(seed) is None, "ok"))])
+        assert run_cli(capsys, "selftest")[0] == 0
+        assert run_cli(capsys, "selftest", "--seed", "5")[0] == 0
+        assert seen == [20107, 5]
+
+    def test_cli_import_leaves_selftest_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import recseq.cli, sys; assert 'recseq.selftest' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_structured_selftest(self, capsys, monkeypatch):
         monkeypatch.setattr(selftest, "_CRITERIA", [(1, "alpha", lambda seed: (True, "ok"))])

@@ -38,6 +38,7 @@ from recseq import (
     prefix_equal,
     seq_sum,
 )
+from recseq import _kernels_py, kernels
 from recseq.polymat import DegreeZero
 from recseq.verify import direct_product_oracle, satisfies_recurrence
 
@@ -396,11 +397,12 @@ class TestRootLaws:
             assert hadamard(a, b).charpoly == Poly(MOD, [-(u * v), MOD.one])
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(2**61 - 1)], ids=str)
+@pytest.mark.parametrize("ring", [ZZ, Zmod(2**61 - 1), Zmod(2**64)], ids=str)
 @pytest.mark.parametrize("product", [hadamard, hurwitz, newton], ids=lambda f: f.__name__)
 def test_composed_closure_at_degree_100(product, ring):
     # 10 x 10 operands: D = 100, far past what Berkowitz on the D x D
-    # Kronecker matrix finishes in test time
+    # Kronecker matrix finishes in test time; over Zmod(2**64) the power
+    # sums run modulo 2**64 * 2**97 (the 2-part of 100!)
     rng = random.Random(101)
     a, b = random_linrec(rng, ring, 10), random_linrec(rng, ring, 10)
     c = product(a, b)
@@ -418,3 +420,19 @@ def test_closure_terms_satisfy_their_recurrence(a):
     for product in (seq_sum, cauchy, hadamard, hurwitz, newton):
         c = product(a, b)
         assert satisfies_recurrence(c.terms(c.order + 12), c.charpoly).passed
+
+
+@pytest.mark.parametrize("ring", [Zmod(12), Zmod(2**61 - 1), Zmod(2**64)], ids=str)
+def test_generic_loops_over_zmod(ring, monkeypatch):
+    # the compiled backend stops at MOD_LIMIT = 2^31 - 1; above it terms,
+    # cauchy and hurwitz run their raw-value loops, which reduce mod m
+    monkeypatch.setattr(kernels, "MOD_LIMIT", 1)
+    rng = random.Random(17)
+    for _ in range(3):
+        a, b = random_linrec(rng, ring, 3), random_linrec(rng, ring, 4)
+        hs = [h.value for h in a.recurrence_coeffs()]
+        init = [x.value for x in a.initial]
+        assert int_values(a.terms(40)) == _kernels_py.lin_terms_mod(hs, init, 40, ring.modulus)
+        for product in (cauchy, hurwitz):
+            c = product(a, b)
+            assert list(c.initial) == direct_product_oracle(product.__name__, a.terms(c.order), b.terms(c.order))

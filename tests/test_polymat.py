@@ -255,7 +255,9 @@ class TestComposedOperations:
                 assert op(p * q, r) == op(p, r) * op(q, r)
 
 
-CROSS_RINGS = [ZZ, QQ, Zmod(2), Zmod(12), Zmod(10007), Zmod(2**61 - 1)]
+# 720 and 2**64 share primes with the k <= D that Newton's identities
+# divide by, so the power-sum path works modulo m times the m-part of D!
+CROSS_RINGS = [ZZ, QQ, Zmod(2), Zmod(12), Zmod(720), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)]
 COMPOSED_KRON = [(composed_product, kron), (composed_sum, kron_sum), (composed_newton, kron_newton)]
 COMPOSED_IDS = [op.__name__ for op, _ in COMPOSED_KRON]
 # identity element of each composed operation: t - 1, t, t
