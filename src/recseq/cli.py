@@ -57,7 +57,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_integer(text: str) -> int:
-    """An integer literal; ValueError unless it matches ``[+-]?[0-9]+``."""
+    """An integer literal; ValueError unless it matches ``[+-]?[0-9]+``.
+
+    Surrounding whitespace is ignored, as ``int()`` ignores it.
+    """
+    text = text.strip()
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"invalid integer literal {text!r}")
     return int(text)
@@ -72,7 +76,7 @@ def parse_ring(text: str) -> RingSpec:
     if text.startswith("Zmod:"):
         body = text[len("Zmod:") :]
         try:
-            m = _parse_integer(body.strip())
+            m = _parse_integer(body)
         except ValueError:
             raise ParseError(f"bad modulus {body!r}") from None
         if m < 2:
@@ -88,7 +92,7 @@ def parse_element(ring: RingSpec, text: str) -> RingElem:
             raise ParseError(f"fraction literal {text!r} outside Q")
         num, _, den = text.partition("/")
         try:
-            value = Fraction(_parse_integer(num.strip()), _parse_integer(den.strip()))
+            value = Fraction(_parse_integer(num), _parse_integer(den))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
         return RingElem(ring, value)
@@ -184,7 +188,7 @@ def _default_prefix() -> int:
     if not raw:
         return DEFAULT_PREFIX
     try:
-        value = int(raw)
+        value = _parse_integer(raw)
     except ValueError:
         raise ParseError(f"RECSEQ_PREFIX must be an integer, got {raw!r}") from None
     if value < 1:
@@ -394,14 +398,14 @@ def _cmd_selftest(args) -> int:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    value = _parse_integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _parse_integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -478,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=None)  # None: selftest.DEFAULT_SEED
+    p.add_argument("--seed", type=_parse_integer, default=None)  # None: selftest.DEFAULT_SEED
     add_format(p)
     p.set_defaults(func=_cmd_selftest)
 

@@ -7,6 +7,11 @@ return a new :class:`LinRec` whose characteristic polynomial comes from
 the polynomial product or the composed operations in :mod:`recseq.polymat`
 and whose initial conditions come from the convolution formulas.
 
+Term unrolling, the convolutions, the binomial transforms and the Newton
+inverse all run on raw values in :mod:`recseq.kernels`, one loop for
+every ring; results are wrapped as :class:`~recseq.ring.RingElem` once,
+on the way out.
+
 >>> from recseq.ring import QQ
 >>> from recseq.polymat import Poly
 >>> fib = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
@@ -17,19 +22,10 @@ and whose initial conditions come from the convolution formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
-from . import kernels
+from .kernels import binomial_convolution_values, binomial_transform_values, cauchy_values, recurrence_values
 from .polymat import DegreeZero, NotMonic, Poly, composed_newton, composed_product, composed_sum
-from .ring import (
-    RingElem,
-    RingMismatch,
-    RingSpec,
-    binom,
-    binomial_convolution_values,
-    binomial_transform_values,
-    int_scale,
-)
+from .ring import RingElem, RingMismatch, RingSpec
 
 DEFAULT_PREFIX = 30
 
@@ -92,17 +88,8 @@ class LinRec:
             raise ValueError("term count must be >= 0")
         if k <= self.order:
             return list(self.initial[:k])
-        ring = self.ring
-        hs = [h.value for h in self.recurrence_coeffs()]
-        vals = [a.value for a in self.initial]
-        if _mod_fast(ring):
-            vals = kernels.lin_terms_mod(hs, vals, k, ring.modulus)
-        else:
-            m = ring.modulus  # None outside Z/m
-            for _ in range(len(vals), k):
-                acc = sum(map(mul, hs, reversed(vals)))
-                vals.append(acc % m if m else acc)
-        return [RingElem(ring, v) for v in vals]
+        hs = _values(self.recurrence_coeffs())
+        return _wrap(self.ring, recurrence_values(hs, _values(self.initial), k, self.ring.modulus))
 
     def __add__(self, other):
         if not isinstance(other, LinRec):
@@ -191,49 +178,23 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _mod_fast(ring: RingSpec) -> bool:
-    return ring.kind == RingSpec.INTEGERS_MOD and kernels.handles(ring.modulus)
-
-
 def _values(elems) -> list:
     return [e.value for e in elems]
 
 
-def _conv_kernel(kind: str, ring: RingSpec, xs, ys):
-    fn = getattr(kernels, f"conv_{kind}_mod")
-    raw = fn(_values(xs), _values(ys), ring.modulus)
-    return [RingElem(ring, v) for v in raw]
-
-
-def _conv_cauchy(ring: RingSpec, xs, ys):
-    if _mod_fast(ring):
-        return _conv_kernel("cauchy", ring, xs, ys)
-    xv, yv = _values(xs), _values(ys)
-    m = ring.modulus  # None outside Z/m
-    raw = []
-    for n in range(len(xv)):
-        acc = sum(map(mul, xv, reversed(yv[: n + 1])))
-        raw.append(acc % m if m else acc)
-    return [RingElem(ring, v) for v in raw]
-
-
-def _conv_hurwitz(ring: RingSpec, xs, ys):
-    if _mod_fast(ring):
-        return _conv_kernel("hurwitz", ring, xs, ys)
-    raw = binomial_convolution_values(_values(xs), _values(ys), ring.modulus)
+def _wrap(ring: RingSpec, raw) -> list[RingElem]:
     return [RingElem(ring, v) for v in raw]
 
 
 def _conv_newton(ring: RingSpec, xs, ys):
     """Newton convolution as B^-1(B(x) . B(y)), B the binomial transform.
 
-    O(len^2) additions on raw values; residues mod m are reduced only when
-    the results are wrapped.
+    O(len^2) additions on raw values; residues mod m are reduced only at
+    the end.
     """
     bx = binomial_transform_values(_values(xs))
     by = binomial_transform_values(_values(ys))
-    raw = binomial_transform_values([u * v for u, v in zip(bx, by)], shift=-1)
-    return [RingElem(ring, v) for v in raw]
+    return _wrap(ring, binomial_transform_values([u * v for u, v in zip(bx, by)], -1, ring.modulus))
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
@@ -250,7 +211,8 @@ def cauchy(a: LinRec, b: LinRec) -> LinRec:
     _require_same_ring(a, b)
     p = a.charpoly * b.charpoly
     need = len(p.coeffs) - 1
-    return LinRec(p, _conv_cauchy(a.ring, a.terms(need), b.terms(need)))
+    raw = cauchy_values(_values(a.terms(need)), _values(b.terms(need)), a.ring.modulus)
+    return LinRec(p, _wrap(a.ring, raw))
 
 
 def hadamard(a: LinRec, b: LinRec) -> LinRec:
@@ -272,7 +234,8 @@ def hurwitz(a: LinRec, b: LinRec) -> LinRec:
     _require_same_ring(a, b)
     p = composed_sum(a.charpoly, b.charpoly)
     need = len(p.coeffs) - 1
-    return LinRec(p, _conv_hurwitz(a.ring, a.terms(need), b.terms(need)))
+    raw = binomial_convolution_values(_values(a.terms(need)), _values(b.terms(need)), a.ring.modulus)
+    return LinRec(p, _wrap(a.ring, raw))
 
 
 def newton(a: LinRec, b: LinRec) -> LinRec:
@@ -321,16 +284,9 @@ def newton_to_hadamard(a: LinRec) -> LinRec:
 
 
 def _transform_values(a: LinRec, depth: int) -> list[RingElem]:
-    """d_t = sum_s C(t,s) a_s for t < depth."""
-    terms = a.terms(depth)
+    """d_t = sum_s C(t,s) a_s for t < depth: the binomial transform of the terms."""
     ring = a.ring
-    out = []
-    for t in range(depth):
-        acc = ring.zero
-        for s in range(t + 1):
-            acc = acc + int_scale(binom(t, s), terms[s])
-        out.append(acc)
-    return out
+    return _wrap(ring, binomial_transform_values(_values(a.terms(depth)), modulus=ring.modulus))
 
 
 @dataclass(frozen=True)
@@ -415,20 +371,15 @@ def newton_inverse(a: LinRec, k: int) -> TermStream:
     if k < 1:
         raise ValueError("term count must be >= 1")
     ring = a.ring
-    values = _transform_values(a, k)
-    inverses = []
-    for t, d in enumerate(values):
+    signed = []  # (-1)^t / d_t
+    for t, d in enumerate(_transform_values(a, k)):
         if not d.is_unit():
             raise NotInvertible(t, d)
-        inverses.append(d.inv())
-    terms = []
-    for n in range(k):
-        acc = ring.zero
-        for t in range(n + 1):
-            sign = -1 if t % 2 else 1
-            acc = acc + int_scale(sign * binom(n, t), inverses[t])
-        terms.append(acc if n % 2 == 0 else -acc)
-    return TermStream(terms, ring)
+        r = d.inv().value
+        signed.append(-r if t % 2 else r)
+    # the binomial convolution with the all-ones sequence sums C(n,t) (-1)^t / d_t
+    raw = binomial_convolution_values(signed, [1] * k, ring.modulus)
+    return TermStream(_wrap(ring, [-b if n % 2 else b for n, b in enumerate(raw)]), ring)
 
 
 def prefix_terms(x, k: int) -> list[RingElem]:

@@ -35,16 +35,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
-from . import kernels
-from .ring import (
-    RingElem,
-    RingMismatch,
-    RingSpec,
-    binom,
-    binomial_convolution_values,
-    binomial_transform_values,
-    int_scale,
-)
+from .kernels import binomial_convolution_values, binomial_transform_values
+from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
 
 NEG_INFINITY = float("-inf")
 
@@ -340,16 +332,12 @@ def _dot(xs, ys, zero):
 
 
 def charpoly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(tI - M), division-free."""
-    ring = m.ring
-    if ring.kind == RingSpec.INTEGERS_MOD and kernels.handles(ring.modulus):
-        flat = [e.value for row in m.entries for e in row]
-        coeffs = kernels.berkowitz_mod(flat, m.n, ring.modulus)
-        return Poly(ring, [RingElem(ring, c) for c in coeffs])
-    return _charpoly_generic(m)
+    """Monic characteristic polynomial det(tI - M) by Berkowitz, division-free.
 
-
-def _charpoly_generic(m: Matrix) -> Poly:
+    One generic path over ring elements for every ring.  The products no
+    longer need it (see :func:`_composed`); it is the cross-check for the
+    composed operations, on the Kronecker matrices.
+    """
     rows = [list(row) for row in m.entries]
     return Poly(m.ring, _berkowitz(rows, m.ring.one, m.ring.zero))
 
@@ -446,12 +434,9 @@ def _composed(p: Poly, q: Poly, combine, scale_power: int) -> Poly:
     return Poly(ring, [RingElem(ring, c) for c in reversed(high)])
 
 
-def _reduce(xs, modulus):
-    return [x % modulus for x in xs] if modulus else xs
-
-
 def _termwise_product(xs, ys, lam, modulus) -> list:
-    return _reduce(list(map(mul, xs, ys)), modulus)
+    zs = list(map(mul, xs, ys))
+    return [z % modulus for z in zs] if modulus else zs
 
 
 def _binomial_convolution(xs, ys, lam, modulus) -> list:
@@ -462,7 +447,7 @@ def _newton_power_sums(xs, ys, lam, modulus) -> list:
     # on the scaled roots, lam^2 (a + b + ab) = (lam a + lam)(lam b + lam) - lam^2:
     # shift both operands by lam, multiply termwise, shift back by -lam^2
     shifted = _termwise_product(binomial_transform_values(xs, lam), binomial_transform_values(ys, lam), lam, modulus)
-    return _reduce(binomial_transform_values(shifted, -lam * lam), modulus)
+    return binomial_transform_values(shifted, -lam * lam, modulus)
 
 
 def composed_product(p: Poly, q: Poly) -> Poly:

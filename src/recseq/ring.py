@@ -12,7 +12,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd
-from operator import add, mul, sub
 
 
 class RingMismatch(ValueError):
@@ -241,41 +240,3 @@ _SHARED_TABLE = BinomialTable()
 def binom(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) from a shared Pascal table."""
     return _SHARED_TABLE.value(n, k)
-
-
-def binomial_transform_values(xs, shift: int = 1) -> list:
-    """Shifted binomial transform of raw values.
-
-    y_k = sum_i C(k,i) shift^(k-i) x_i for k < len(xs): if the x_k are the
-    power sums of some roots, the y_k are those of the roots plus
-    ``shift``.  ``shift=1`` is the binomial transform and ``shift=-1`` its
-    inverse.  Computed as a table of repeated pairwise combinations:
-    O(len^2) additions, and for shift +-1 no multiplication or division,
-    so it works on ints, Fractions and unreduced lifts of residues alike.
-    """
-    row = list(xs)
-    out = []
-    while row:
-        out.append(row[0])
-        if shift == 1:
-            row = list(map(add, row, row[1:]))
-        elif shift == -1:
-            row = list(map(sub, row[1:], row))
-        else:
-            row = [shift * a + b for a, b in zip(row, row[1:])]
-    return out
-
-
-def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:
-    """z_k = sum_i C(k,i) x_i y_(k-i) for k < len(xs), on raw values.
-
-    The binomial coefficients come from Pascal rows built on the way.
-    With a ``modulus`` every z_k is reduced as soon as it is formed.
-    """
-    out = []
-    row = [1]
-    for k in range(len(xs)):
-        z = sum(map(mul, row, map(mul, xs, reversed(ys[: k + 1]))))
-        out.append(z % modulus if modulus else z)
-        row = [1, *map(add, row, row[1:]), 1]
-    return out

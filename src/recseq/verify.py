@@ -3,8 +3,9 @@
 Everything in this module recomputes results strictly from the defining
 formulas, sharing nothing with the closed-form construction paths beyond
 ring arithmetic and the binomial table.  In particular the convolutions
-here are written out again on purpose (no call into the sequence product
-constructors, no modular fast-path kernels), and the cofactor-expansion
+here are written out again on purpose, over ring elements (no call into
+the sequence product constructors or the raw-value loops of
+:mod:`recseq.kernels`), and the cofactor-expansion
 characteristic polynomial avoids the Berkowitz routine entirely.
 
 Checks are prefix-bounded evidence, not proofs; they are exact, so a

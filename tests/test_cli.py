@@ -31,6 +31,7 @@ def run_cli(capsys, *argv):
 
 
 FIB_Q = "ring=Q;p=[-1,-1,1];init=[0,1]"
+FIB_Z = "ring=Z;p=[-1,-1,1];init=[0,1]"
 
 
 class TestParsing:
@@ -163,14 +164,28 @@ class TestVerbs:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "seq",
-        ["ring=Z;p=[-1,-1,1];init=[1_0,\u0661]", "ring=Zmod:1_0;p=[-1,1];init=[1]", "ring=Q;p=[-1/\u0662,1];init=[1]"],
+        "argv, env",
+        [
+            pytest.param(["terms", "-s", "ring=Z;p=[-1,-1,1];init=[1_0,\u0661]"], {}, id="ring=Z;p=[-1,-1,1];init=[1_0,\u0661]"),
+            pytest.param(["terms", "-s", "ring=Zmod:1_0;p=[-1,1];init=[1]"], {}, id="ring=Zmod:1_0;p=[-1,1];init=[1]"),
+            pytest.param(["terms", "-s", "ring=Q;p=[-1/\u0662,1];init=[1]"], {}, id="ring=Q;p=[-1/\u0662,1];init=[1]"),
+            pytest.param(["terms", "-s", FIB_Z, "-n", "\u0661_\u0660"], {}, id="-n"),
+            pytest.param(["verify", "--check", "inverse", "-s", FIB_Z, "--extra", "\u0665"], {}, id="--extra"),
+            pytest.param(["selftest", "--seed", "\u0663"], {}, id="--seed"),
+            pytest.param(["verify", "--check", "recurrence", "-s", FIB_Z], {"RECSEQ_PREFIX": "\u0663\u0660"}, id="RECSEQ_PREFIX"),
+        ],
     )
-    def test_non_ascii_or_underscored_literals_exit_two(self, capsys, seq):
-        code, out, err = run_cli(capsys, "terms", "-s", seq)
+    def test_non_ascii_or_underscored_literals_exit_two(self, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects option values itself
+            code = exc.code
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
-        assert "error:" in err
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_non_monic_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "terms", "-s", "ring=Z;p=[-1,2];init=[1]")

@@ -38,9 +38,10 @@ from recseq import (
     prefix_equal,
     seq_sum,
 )
-from recseq import _kernels_py, kernels
+import recseq
+from recseq import binom, int_scale, kernels
 from recseq.polymat import DegreeZero
-from recseq.verify import direct_product_oracle, satisfies_recurrence
+from recseq.verify import direct_product_oracle, inverse_check, satisfies_recurrence
 
 from conftest import fib, geometric, int_values, linrecs
 
@@ -423,16 +424,110 @@ def test_closure_terms_satisfy_their_recurrence(a):
 
 
 @pytest.mark.parametrize("ring", [Zmod(12), Zmod(2**61 - 1), Zmod(2**64)], ids=str)
-def test_generic_loops_over_zmod(ring, monkeypatch):
-    # the compiled backend stops at MOD_LIMIT = 2^31 - 1; above it terms,
-    # cauchy and hurwitz run their raw-value loops, which reduce mod m
-    monkeypatch.setattr(kernels, "MOD_LIMIT", 1)
+def test_generic_loops_over_zmod(ring):
+    # terms, cauchy and hurwitz run the raw-value loops, which reduce mod m
     rng = random.Random(17)
     for _ in range(3):
         a, b = random_linrec(rng, ring, 3), random_linrec(rng, ring, 4)
-        hs = [h.value for h in a.recurrence_coeffs()]
-        init = [x.value for x in a.initial]
-        assert int_values(a.terms(40)) == _kernels_py.lin_terms_mod(hs, init, 40, ring.modulus)
+        terms = a.terms(40)
+        assert terms[: a.order] == list(a.initial)
+        assert satisfies_recurrence(terms, a.charpoly).passed
         for product in (cauchy, hurwitz):
             c = product(a, b)
             assert list(c.initial) == direct_product_oracle(product.__name__, a.terms(c.order), b.terms(c.order))
+
+
+def test_backend_is_reported():
+    assert kernels.BACKEND == recseq.BACKEND == "python"
+
+
+def test_fibonacci_mod_2_80():
+    assert int_values(fib(Zmod(2**80)).terms(10)) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+
+
+def test_terms_reduce_across_moduli():
+    # terms mod m * 2^40, reduced mod m, equal the terms mod m
+    rng = random.Random(73)
+    m = 10007
+    coeffs = [rng.randrange(m) for _ in range(4)] + [1]
+    init = [rng.randrange(m) for _ in range(4)]
+    small, big = Zmod(m), Zmod(m * 2**40)
+    a = LinRec(Poly.from_ints(small, coeffs), [small.from_int(v) for v in init])
+    b = LinRec(Poly.from_ints(big, coeffs), [big.from_int(v) for v in init])
+    assert [v % m for v in int_values(b.terms(100))] == int_values(a.terms(100))
+
+
+def test_cauchy_values_accept_any_modulus():
+    m = 2**90 + 1
+    xs = list(range(10))
+    assert kernels.cauchy_values(xs, xs, m)[3] == 0 * 3 + 1 * 2 + 2 * 1 + 3 * 0
+    big = [m - 1 - i for i in range(10)]
+    assert kernels.cauchy_values(big, big, m) == [z % m for z in kernels.cauchy_values(big, big)]
+
+
+def _reference_transform(a, depth):
+    # the former RingElem loop: d_t = sum_s C(t,s) a_s
+    terms = a.terms(depth)
+    out = []
+    for t in range(depth):
+        acc = a.ring.zero
+        for s in range(t + 1):
+            acc = acc + int_scale(binom(t, s), terms[s])
+        out.append(acc)
+    return out
+
+
+def _reference_inverse(a, k):
+    # the former RingElem loop: b_n = (-1)^n sum_t C(n,t) (-1)^t / d_t
+    inverses = [d.inv() for d in _reference_transform(a, k)]
+    terms = []
+    for n in range(k):
+        acc = a.ring.zero
+        for t in range(n + 1):
+            acc = acc + int_scale((-1) ** t * binom(n, t), inverses[t])
+        terms.append(acc if n % 2 == 0 else -acc)
+    return terms
+
+
+def _unit_transform_linrec(ring, u):
+    # d_t = 1, u, -u^2, -u^3, u^4, ... (charpoly t^2 + u^2): all units when u is;
+    # this is its inverse binomial transform
+    one = ring.one
+    return LinRec(Poly(ring, [one + u * u, ring.from_int(2), one]), [one, u - one])
+
+
+INVERSE_RINGS = [ZZ, QQ, Zmod(12), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)]
+
+
+@pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
+def test_raw_value_inverse_matches_oracles(ring):
+    k = 40
+    rng = random.Random(41)
+    u = RingElem(ring, Fraction(3, 2)) if ring == QQ else ring.from_int(1 if ring == ZZ else 5)
+    cases = [_unit_transform_linrec(ring, u)] + [random_linrec(rng, ring, 2) for _ in range(4)]
+    invertible = 0
+    for a in cases:
+        d = _reference_transform(a, k)
+        first = next((t for t, x in enumerate(d) if not x.is_unit()), None)
+        report = is_newton_invertible(a, k)
+        assert (report.invertible, report.first_failure, report.checked) == (first is None, first, k)
+        elements = [x.is_unit() for x in a.terms(k)]
+        transform = [x.is_unit() for x in d]
+        conditions = invertibility_conditions(a, k)
+        assert conditions.transform_first_failure == first
+        assert conditions.elements_first_failure == next((t for t, ok in enumerate(elements) if not ok), None)
+        assert conditions.first_disagreement == next(
+            (t for t, (e, x) in enumerate(zip(elements, transform)) if e != x), None
+        )
+        if first is None:
+            b = newton_inverse(a, k).take(k)
+            assert b == _reference_inverse(a, k)
+            assert inverse_check(a, k).passed
+            invertible += 1
+        else:
+            with pytest.raises(NotInvertible) as exc:
+                newton_inverse(a, k)
+            assert exc.value.index == first
+            assert isinstance(exc.value.value, RingElem)
+            assert exc.value.value == d[first]
+    assert invertible >= 1

@@ -27,7 +27,7 @@ from recseq import (
     resultant,
     resultant_shift,
 )
-from recseq.polymat import NEG_INFINITY, _charpoly_generic
+from recseq.polymat import NEG_INFINITY
 from recseq.verify import charpoly_cofactor
 
 from conftest import RINGS, RING_IDS, monic_polys, rings, element_strategy
@@ -188,8 +188,14 @@ class TestCharpoly:
     def test_berkowitz_matches_cofactor_3x3(self, elems):
         ring = elems[0].ring
         m = Matrix(ring, [elems[0:3], elems[3:6], elems[6:9]])
-        assert _charpoly_generic(m) == charpoly_cofactor(m)
         assert charpoly(m) == charpoly_cofactor(m)
+
+    def test_berkowitz_matches_cofactor_mod_10007(self):
+        ring = Zmod(10007)
+        rng = random.Random(71)
+        for n in (1, 3, 6):
+            m = Matrix(ring, [[ring.from_int(rng.randrange(10007)) for _ in range(n)] for _ in range(n)])
+            assert charpoly(m) == charpoly_cofactor(m)
 
 
 class TestComposedOperations:
