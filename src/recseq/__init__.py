@@ -56,7 +56,6 @@ from .polymat import (
 from .ring import (
     QQ,
     ZZ,
-    BinomialTable,
     NotAUnit,
     RingElem,
     RingMismatch,

@@ -32,7 +32,6 @@ from .linrec import (
     hadamard_to_newton,
     hurwitz,
     inverse_binomial_transform,
-    is_newton_invertible,
     newton,
     newton_inverse,
     newton_to_hadamard,
@@ -276,19 +275,19 @@ def _cmd_charpoly_op(args) -> int:
 
 def _cmd_invert(args) -> int:
     seq = parse_sequence(args.sequence)
-    report = is_newton_invertible(seq, args.count)
-    if not report:
+    try:
+        terms = newton_inverse(seq, args.count).take(args.count)
+    except NotInvertible as exc:
         _emit(
             args,
-            [f"not invertible: binomial-transform value at index {report.first_failure} is not a unit"],
+            [f"not invertible: binomial-transform value at index {exc.index} is not a unit"],
             {
                 "invertible": False,
-                "first_failure_index": str(report.first_failure),
-                "checked": str(report.checked),
+                "first_failure_index": str(exc.index),
+                "checked": str(args.count),
             },
         )
         return 1
-    terms = newton_inverse(seq, args.count).take(args.count)
     _emit(
         args,
         [f"terms: {_format_terms(terms)}"],

@@ -5,8 +5,16 @@ Z/m, ``int`` or ``Fraction`` over Q -- never :class:`~recseq.ring.RingElem`
 objects.  Where a function takes a ``modulus``, each result is reduced
 mod m as soon as it is formed; with ``modulus=None`` the arithmetic is
 exact.  One copy of each loop serves Z, Q and Z/m for every m.
-:mod:`recseq.linrec` and :mod:`recseq.polymat` call these loops and wrap
-the results as ring elements once, at their API boundary.
+
+Each of the five products has one loop here: :func:`termwise_values`
+(sum and Hadamard), :func:`cauchy_values`,
+:func:`binomial_convolution_values` (Hurwitz) and :func:`newton_values`.
+:mod:`recseq.linrec` applies it to the operands' terms to get the initial
+conditions; :mod:`recseq.polymat` applies the Hadamard, Hurwitz and
+Newton loops to the power sums of the roots of two characteristic
+polynomials, which the same loop turns into the power sums of the
+combined roots.  Both wrap the results as ring elements once, at their
+API boundary.
 
 :mod:`recseq.verify` keeps its own, deliberately independent loops over
 ring elements as the oracle.
@@ -30,6 +38,12 @@ def recurrence_values(hs, init, count: int, modulus: int | None = None) -> list:
         acc = sum(map(mul, hs, reversed(vals)))
         vals.append(acc % modulus if modulus else acc)
     return vals
+
+
+def termwise_values(op, xs, ys, modulus: int | None = None) -> list:
+    """z_k = op(x_k, y_k): ``add`` for the sum, ``mul`` for the Hadamard product."""
+    zs = list(map(op, xs, ys))
+    return [z % modulus for z in zs] if modulus else zs
 
 
 def cauchy_values(xs, ys, modulus: int | None = None) -> list:
@@ -80,3 +94,17 @@ def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:
         out.append(z % modulus if modulus else z)
         row = [1, *map(add, row, row[1:]), 1]
     return out
+
+
+def newton_values(xs, ys, modulus: int | None = None, shift: int = 1) -> list:
+    """z = B_(-shift^2)(B_shift(x) . B_shift(y)), B_s the shifted binomial transform.
+
+    With ``shift=1`` this is the Newton convolution
+    z_n = sum_i sum_j C(n,i) C(i,j) x_i y_(n-j).  If x and y are the power
+    sums of roots a and b, z are those of shift a + shift b + a b: the
+    roots a + shift and b + shift multiply, and the product
+    (a + shift)(b + shift) less shift^2 is that root.  O(len^2) additions.
+    """
+    bx = binomial_transform_values(xs, shift, modulus)
+    by = binomial_transform_values(ys, shift, modulus)
+    return binomial_transform_values(termwise_values(mul, bx, by, modulus), -shift * shift, modulus)

@@ -3,11 +3,14 @@
 A :class:`LinRec` is a monic characteristic polynomial plus matching
 initial conditions; term generation unrolls the recurrence exactly.  The
 five products (termwise sum, Hadamard, Cauchy, Hurwitz, Newton) each
-return a new :class:`LinRec` whose characteristic polynomial comes from
-the polynomial product or the composed operations in :mod:`recseq.polymat`
-and whose initial conditions come from the convolution formulas.
+return a new :class:`LinRec`.  A product is two things: a rule for the
+characteristic polynomial (the polynomial product p_a * p_b, or one of
+the composed operations in :mod:`recseq.polymat`) and its loop in
+:mod:`recseq.kernels`, which gives the initial conditions from the
+operands' terms.  The composed operations run the same loop on the power
+sums of the roots.
 
-Term unrolling, the convolutions, the binomial transforms and the Newton
+Term unrolling, the products, the binomial transforms and the Newton
 inverse all run on raw values in :mod:`recseq.kernels`, one loop for
 every ring; results are wrapped as :class:`~recseq.ring.RingElem` once,
 on the way out.
@@ -22,8 +25,17 @@ on the way out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import add, mul
 
-from .kernels import binomial_convolution_values, binomial_transform_values, cauchy_values, recurrence_values
+from .kernels import (
+    binomial_convolution_values,
+    binomial_transform_values,
+    cauchy_values,
+    newton_values,
+    recurrence_values,
+    termwise_values,
+)
 from .polymat import DegreeZero, NotMonic, Poly, composed_newton, composed_product, composed_sum
 from .ring import RingElem, RingMismatch, RingSpec
 
@@ -186,42 +198,32 @@ def _wrap(ring: RingSpec, raw) -> list[RingElem]:
     return [RingElem(ring, v) for v in raw]
 
 
-def _conv_newton(ring: RingSpec, xs, ys):
-    """Newton convolution as B^-1(B(x) . B(y)), B the binomial transform.
+def _product(a: LinRec, b: LinRec, charpoly_rule, kernel) -> LinRec:
+    """The product with charpoly ``charpoly_rule(p_a, p_b)`` and initial terms from ``kernel``.
 
-    O(len^2) additions on raw values; residues mod m are reduced only at
-    the end.
+    ``kernel`` is the product's loop in :mod:`recseq.kernels`, applied to
+    the first D terms of each operand, D the degree of the new charpoly.
     """
-    bx = binomial_transform_values(_values(xs))
-    by = binomial_transform_values(_values(ys))
-    return _wrap(ring, binomial_transform_values([u * v for u, v in zip(bx, by)], -1, ring.modulus))
+    _require_same_ring(a, b)
+    p = charpoly_rule(a.charpoly, b.charpoly)
+    need = len(p.coeffs) - 1
+    raw = kernel(_values(a.terms(need)), _values(b.terms(need)), a.ring.modulus)
+    return LinRec(p, _wrap(a.ring, raw))
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
     """Termwise sum; characteristic polynomial p_a * p_b."""
-    _require_same_ring(a, b)
-    p = a.charpoly * b.charpoly
-    need = len(p.coeffs) - 1
-    ta, tb = a.terms(need), b.terms(need)
-    return LinRec(p, [x + y for x, y in zip(ta, tb)])
+    return _product(a, b, mul, partial(termwise_values, add))
 
 
 def cauchy(a: LinRec, b: LinRec) -> LinRec:
     """Convolution product c_n = sum a_i b_{n-i}; charpoly p_a * p_b."""
-    _require_same_ring(a, b)
-    p = a.charpoly * b.charpoly
-    need = len(p.coeffs) - 1
-    raw = cauchy_values(_values(a.terms(need)), _values(b.terms(need)), a.ring.modulus)
-    return LinRec(p, _wrap(a.ring, raw))
+    return _product(a, b, mul, cauchy_values)
 
 
 def hadamard(a: LinRec, b: LinRec) -> LinRec:
     """Termwise product; charpoly is the composed product of charpolys."""
-    _require_same_ring(a, b)
-    p = composed_product(a.charpoly, b.charpoly)
-    need = len(p.coeffs) - 1
-    ta, tb = a.terms(need), b.terms(need)
-    return LinRec(p, [x * y for x, y in zip(ta, tb)])
+    return _product(a, b, composed_product, partial(termwise_values, mul))
 
 
 def hurwitz(a: LinRec, b: LinRec) -> LinRec:
@@ -229,21 +231,18 @@ def hurwitz(a: LinRec, b: LinRec) -> LinRec:
 
     The characteristic polynomial is the composed sum of the operands'
     characteristic polynomials (equivalently the normalized shifted
-    resultant); the initial conditions come from the direct formula.
+    resultant).
     """
-    _require_same_ring(a, b)
-    p = composed_sum(a.charpoly, b.charpoly)
-    need = len(p.coeffs) - 1
-    raw = binomial_convolution_values(_values(a.terms(need)), _values(b.terms(need)), a.ring.modulus)
-    return LinRec(p, _wrap(a.ring, raw))
+    return _product(a, b, composed_sum, binomial_convolution_values)
 
 
 def newton(a: LinRec, b: LinRec) -> LinRec:
-    """Multinomial convolution c_n = sum C(n,i) C(i,j) a_i b_{n-j}."""
-    _require_same_ring(a, b)
-    p = composed_newton(a.charpoly, b.charpoly)
-    need = len(p.coeffs) - 1
-    return LinRec(p, _conv_newton(a.ring, a.terms(need), b.terms(need)))
+    """Multinomial convolution c_n = sum C(n,i) C(i,j) a_i b_{n-j}.
+
+    The characteristic polynomial is the composed Newton operation of the
+    operands' characteristic polynomials.
+    """
+    return _product(a, b, composed_newton, newton_values)
 
 
 def newton_via_decomposition(a: LinRec, b: LinRec) -> TermStream:

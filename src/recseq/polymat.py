@@ -10,14 +10,17 @@ composed operations on monic polynomials:
   Newton product).
 
 The composed operations never build a matrix.  Newton's identities give
-the power sums of each operand's roots; the root law becomes a termwise
-product, a binomial convolution, or a product of binomial transforms of
-those two sequences; Newton's identities run backwards recover the
-polynomial (Bostan, Flajolet, Salvy, Schost, "Fast computation of
-special resultants", 2006).  That is O(D^2) coefficient operations for
-D = deg p * deg q.  The Kronecker constructions with Berkowitz, and
-:func:`resultant_shift`, compute the same polynomials independently and
-serve as cross-checks.
+the power sums of each operand's roots, and the power sums of the roots
+of p form the linear recurrent sequence with characteristic polynomial p.
+So the product that the composed operation closes, applied to the two
+power-sum sequences, gives the power sums of the combined roots: the
+Hadamard, Hurwitz or Newton loop of :mod:`recseq.kernels`, the same loop
+that gives a product's initial conditions.  Newton's identities run
+backwards recover the polynomial (Bostan, Flajolet, Salvy, Schost, "Fast
+computation of special resultants", 2006).  That is O(D^2) coefficient
+operations for D = deg p * deg q.  The Kronecker constructions with
+Berkowitz, and :func:`resultant_shift`, compute the same polynomials
+independently and serve as cross-checks.
 
 Everything works over any of the supported commutative rings, including
 Z/m with composite m: no division by a ring element ever happens.  The
@@ -26,7 +29,7 @@ sizes: over Q the roots are scaled to algebraic integers and the result
 scaled back; over Z the division by k <= D is exact; over Z/m the core
 works modulo m times the m-part of D!, so each division by k is exact
 on the part of k that shares primes with m and an inverse on the rest
-(see :func:`_composed`).
+(see :func:`_root_power_sums` and :func:`_composed`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .kernels import binomial_convolution_values, binomial_transform_values
+from .kernels import binomial_convolution_values, newton_values, termwise_values
 from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
 
 NEG_INFINITY = float("-inf")
@@ -378,28 +381,21 @@ def _scaled_values(p: Poly, lam: int) -> list:
     return [c.value.numerator * (lam ** (d - j) // c.value.denominator) for j, c in enumerate(p.coeffs)]
 
 
-def _composed(p: Poly, q: Poly, combine, scale_power: int) -> Poly:
-    """Monic degree-D polynomial whose root power sums are ``combine`` of the operands'.
+def _root_power_sums(p: Poly, q: Poly):
+    """``(xs, ys, lam, modulus)``: the power sums s_0..s_D of lam a and of lam b.
 
-    One integer core serves every ring:
+    a runs over the roots of p, b over those of q, D = deg p * deg q.
+    These are what a product's loop in :mod:`recseq.kernels` combines
+    into the power sums of the combined roots; :func:`_composed` turns
+    those back into the polynomial.  One integer core serves every ring:
 
-    * Over Q the roots are scaled to algebraic integers first: with lam
-      the lcm of all coefficient denominators, the core runs on
+    * Over Q the roots are scaled to algebraic integers: with lam the
+      lcm of all coefficient denominators, the power sums are those of
       lam^d p(t/lam) and lam^d q(t/lam), whose roots are lam a and lam b.
-      The combined roots are then mu = lam^scale_power times the wanted
-      ones, so c_{D-k} is the core's coefficient over mu^k.
-    * Over Z, Newton's identities in reverse,
-      k c_{D-k} = -sum_{i=1}^k c_{D-k+i} S_i, divide exactly by k.
+      Over Z and Z/m, lam = 1.
     * Over Z/m the residues are lifted and everything runs modulo
-      M = m * P.  Each k <= D splits as k = k2 k1, where the primes of k2
-      divide m and k1 is a unit mod m; P = prod k2 is the m-part of D!.
-      Dividing by k then drops the factor k2 from the modulus (the
-      division is exact on the lift) and multiplies by the inverse of
-      k1, so the modulus shrinks step by step and ends at m.  For a
-      prime m > D, M = m.
-
-    ``combine(xs, ys, lam, modulus)`` maps the two power-sum sequences to
-    those of the combined roots, reduced by ``modulus`` when it is set.
+      M = m * P, P the m-part of D! (see :func:`_composed`).  For a prime
+      m > D, M = m.  Over Z and Q, ``modulus`` is None.
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
@@ -410,15 +406,30 @@ def _composed(p: Poly, q: Poly, combine, scale_power: int) -> Poly:
     lam = lcm(*(c.value.denominator for c in p.coeffs + q.coeffs))
     m = ring.modulus
     modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
-    sums = combine(
-        _power_sums(_scaled_values(p, lam), count, modulus),
-        _power_sums(_scaled_values(q, lam), count, modulus),
-        lam,
-        modulus,
-    )
+    xs = _power_sums(_scaled_values(p, lam), count, modulus)
+    ys = _power_sums(_scaled_values(q, lam), count, modulus)
+    return xs, ys, lam, modulus
+
+
+def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
+    """Monic polynomial over ``ring`` with root power sums ``sums``, roots divided by ``mu``.
+
+    Newton's identities in reverse, k c_{D-k} = -sum_{i=1}^k c_{D-k+i} S_i:
+
+    * Over Z the division by k is exact.
+    * Over Z/m, ``sums`` are reduced modulo M = m * P (from
+      :func:`_root_power_sums`).  Each k <= D splits as k = k2 k1, where
+      the primes of k2 divide m and k1 is a unit mod m; P = prod k2.
+      Dividing by k then drops the factor k2 from the modulus (the
+      division is exact on the lift) and multiplies by the inverse of
+      k1, so the modulus shrinks step by step and ends at m.
+    * Over Q the combined roots are mu times the wanted ones (mu a power
+      of the scale lam), so c_{D-k} is the core's coefficient over mu^k.
+    """
+    m = ring.modulus
     high = [1]  # high[j] = coefficient of t^(D-j)
     tail = sums[1:]
-    for k in range(1, count):
+    for k in range(1, len(sums)):
         acc = -sum(map(mul, reversed(high), tail))
         if modulus is None:
             high.append(acc // k)
@@ -428,62 +439,47 @@ def _composed(p: Poly, q: Poly, combine, scale_power: int) -> Poly:
             modulus //= k2
             c = acc // k2
             high.append(c * pow(k1, -1, modulus) % modulus if k1 > 1 else c)
-    if lam != 1:
-        mu = lam**scale_power
+    if mu != 1:
         high = [Fraction(c, mu**k) for k, c in enumerate(high)]
     return Poly(ring, [RingElem(ring, c) for c in reversed(high)])
-
-
-def _termwise_product(xs, ys, lam, modulus) -> list:
-    zs = list(map(mul, xs, ys))
-    return [z % modulus for z in zs] if modulus else zs
-
-
-def _binomial_convolution(xs, ys, lam, modulus) -> list:
-    return binomial_convolution_values(xs, ys, modulus)
-
-
-def _newton_power_sums(xs, ys, lam, modulus) -> list:
-    # on the scaled roots, lam^2 (a + b + ab) = (lam a + lam)(lam b + lam) - lam^2:
-    # shift both operands by lam, multiply termwise, shift back by -lam^2
-    shifted = _termwise_product(binomial_transform_values(xs, lam), binomial_transform_values(ys, lam), lam, modulus)
-    return binomial_transform_values(shifted, -lam * lam, modulus)
 
 
 def composed_product(p: Poly, q: Poly) -> Poly:
     """Monic polynomial whose roots are the pairwise products of roots.
 
-    Its root power sums are the termwise products of those of p and q.
-    Equals the characteristic polynomial of the Kronecker product of the
-    companion matrices; closes the Hadamard product of sequences.
-    Identity: t - 1.
+    Its root power sums are the termwise products of those of p and q:
+    the Hadamard loop on the power sums.  Equals the characteristic
+    polynomial of the Kronecker product of the companion matrices; closes
+    the Hadamard product of sequences.  Identity: t - 1.
     """
-    return _composed(p, q, _termwise_product, 2)
+    xs, ys, lam, modulus = _root_power_sums(p, q)
+    return _composed(p.ring, termwise_values(mul, xs, ys, modulus), lam * lam, modulus)
 
 
 def composed_sum(p: Poly, q: Poly) -> Poly:
     """Monic polynomial whose roots are the pairwise sums of roots.
 
     Its root power sums are the binomial convolution
-    S_k = sum_i C(k,i) s_i(p) s_{k-i}(q).  Equals the characteristic
-    polynomial of the Kronecker sum of the companion matrices and
-    :func:`resultant_shift`; closes the Hurwitz product of sequences.
-    Identity: t.
+    S_k = sum_i C(k,i) s_i(p) s_{k-i}(q): the Hurwitz loop on the power
+    sums.  Equals the characteristic polynomial of the Kronecker sum of
+    the companion matrices and :func:`resultant_shift`; closes the Hurwitz
+    product of sequences.  Identity: t.
     """
-    return _composed(p, q, _binomial_convolution, 1)
+    xs, ys, lam, modulus = _root_power_sums(p, q)
+    return _composed(p.ring, binomial_convolution_values(xs, ys, modulus), lam, modulus)
 
 
 def composed_newton(p: Poly, q: Poly) -> Poly:
     """Monic polynomial with roots a + b + a*b over pairs of roots a, b.
 
-    Its root power sums are the inverse binomial transform of the termwise
-    product of the operands' binomially transformed power sums (over Q,
-    with the roots scaled to integers, transforms shifted by lam and
-    -lam^2).  Equals the characteristic polynomial of
-    A (x) I + I (x) B + A (x) B; closes the Newton product of sequences.
-    Identity: t.
+    Its root power sums come from the Newton loop on the power sums.  On
+    the scaled roots lam a, lam b it runs with root shift lam, which gives
+    the power sums of lam^2 (a + b + a*b).  Equals the characteristic
+    polynomial of A (x) I + I (x) B + A (x) B; closes the Newton product
+    of sequences.  Identity: t.
     """
-    return _composed(p, q, _newton_power_sums, 2)
+    xs, ys, lam, modulus = _root_power_sums(p, q)
+    return _composed(p.ring, newton_values(xs, ys, modulus, lam), lam * lam, modulus)
 
 
 def _sylvester_rows(f_desc, g_desc, zero):

@@ -9,9 +9,8 @@ reduced into ``[0, m)``, so equality is structural everywhere.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 
 class RingMismatch(ValueError):
@@ -78,10 +77,6 @@ class RingSpec:
         if self.kind == self.RATIONALS:
             return RingElem(self, Fraction(n))
         return RingElem(self, n)
-
-    def element(self, value) -> "RingElem":
-        """Wrap a raw value (int, or Fraction for Q) as an element."""
-        return RingElem(self, value)
 
 
 ZZ = RingSpec(RingSpec.INTEGERS)
@@ -197,46 +192,5 @@ def int_scale(n: int, x: RingElem) -> RingElem:
     return x.ring.from_int(n) * x
 
 
-class BinomialTable:
-    """Grow-on-demand Pascal triangle of exact integer binomial coefficients.
-
-    Rows are appended under a lock and never mutated afterwards, so the
-    table can be shared between threads.
-    """
-
-    def __init__(self):
-        self._rows = [[1]]
-        self._lock = threading.Lock()
-
-    def value(self, n: int, k: int) -> int:
-        """C(n, k); zero when k > n, error on negative arguments."""
-        if n < 0 or k < 0:
-            raise ValueError("binomial arguments must be nonnegative")
-        if k > n:
-            return 0
-        if n >= len(self._rows):
-            self._grow(n)
-        return self._rows[n][k]
-
-    def _grow(self, n: int) -> None:
-        with self._lock:
-            rows = self._rows
-            while len(rows) <= n:
-                prev = rows[-1]
-                row = [1]
-                row.extend(prev[i - 1] + prev[i] for i in range(1, len(prev)))
-                row.append(1)
-                rows.append(row)
-
-    def row(self, n: int) -> list[int]:
-        """The full row [C(n,0), ..., C(n,n)]."""
-        self.value(n, 0)
-        return list(self._rows[n])
-
-
-_SHARED_TABLE = BinomialTable()
-
-
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) from a shared Pascal table."""
-    return _SHARED_TABLE.value(n, k)
+# C(n, k) exactly: zero when k > n, ValueError on negative arguments
+binom = comb

@@ -44,11 +44,11 @@ from .polymat import (
 )
 from .ring import QQ, RingElem, RingSpec, ZZ, Zmod
 from .verify import (
-    _morphism_impl,
     charpoly_cofactor,
     direct_product_oracle,
     inverse_check,
     morphism_check,
+    morphism_laws,
     ogf_poly_check,
     satisfies_recurrence,
 )
@@ -253,7 +253,7 @@ def criterion_8(seed: int) -> tuple[bool, str]:
     def bad_map(ts):
         return direct_product_oracle("hurwitz", ts, mate)
 
-    report = _morphism_impl(bad_map, "hadamard", "newton", control, prefix, "corrupted")
+    report = morphism_laws(bad_map, "hadamard", "newton", control, prefix, "corrupted")
     if report.passed:
         return False, "negative control passed but should fail"
     return True, "50 pairs over Q and 50 over Zmod:10007, prefix 30, negative control fails"

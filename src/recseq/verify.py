@@ -2,7 +2,7 @@
 
 Everything in this module recomputes results strictly from the defining
 formulas, sharing nothing with the closed-form construction paths beyond
-ring arithmetic and the binomial table.  In particular the convolutions
+ring arithmetic and ``math.comb`` (as ``binom``).  In particular the convolutions
 here are written out again on purpose, over ring elements (no call into
 the sequence product constructors or the raw-value loops of
 :mod:`recseq.kernels`), and the cofactor-expansion
@@ -193,8 +193,14 @@ def _delta_terms(ring: RingSpec, k: int) -> list[RingElem]:
     return out
 
 
-def _morphism_impl(map_terms, source_kind: str, target_kind: str, pairs, prefix: int, name: str) -> CheckReport:
-    """Check additivity and product laws of a termwise map via the oracles."""
+def morphism_laws(map_terms, source_kind: str, target_kind: str, pairs, prefix: int, name: str) -> CheckReport:
+    """Check the additivity and product laws of a map on term prefixes via the oracles.
+
+    ``map_terms`` maps a term list to a term list; on every pair (a, b) it
+    must carry the termwise sum to the termwise sum and the
+    ``source_kind`` product to the ``target_kind`` product.  The report
+    is named ``name``; :func:`morphism_check` runs it on the named maps.
+    """
     failure = None
     for a, b in pairs:
         ta, tb = a.terms(prefix), b.terms(prefix)
@@ -232,7 +238,7 @@ def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     if map_name == "psi":
         mate = _alternating_terms(ring, prefix)
         source_kind, target_kind = "hadamard", "newton"
-    elif map_name in ("psi-inverse", "psi_inverse"):
+    elif map_name == "psi-inverse":
         mate = _ones_terms(ring, prefix)
         source_kind, target_kind = "newton", "hadamard"
     else:
@@ -241,7 +247,7 @@ def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     def map_terms(ts):
         return direct_product_oracle("hurwitz", ts, mate)
 
-    return _morphism_impl(map_terms, source_kind, target_kind, pairs, prefix, f"morphism-{map_name}")
+    return morphism_laws(map_terms, source_kind, target_kind, pairs, prefix, f"morphism-{map_name}")
 
 
 def inverse_check(a: LinRec, k: int) -> CheckReport:

@@ -143,9 +143,13 @@ class TestSum:
         s = seq_sum(ones(ZZ), alternating_ones(ZZ))
         assert int_values(s.terms(6)) == [2, 0, 2, 0, 2, 0]
 
-    def test_ring_mismatch(self, fib_z):
-        with pytest.raises(RingMismatch):
-            seq_sum(fib_z, ones(QQ))
+
+@pytest.mark.parametrize("product", [seq_sum, hadamard, cauchy, hurwitz, newton], ids=lambda f: f.__name__)
+def test_ring_mismatch(product, fib_z):
+    # the sequences' rings are checked before the characteristic-polynomial
+    # rule runs, whose own error would speak of polynomials
+    with pytest.raises(RingMismatch, match="cannot combine sequences"):
+        product(fib_z, ones(QQ))
 
 
 class TestCauchy:
@@ -463,6 +467,23 @@ def test_cauchy_values_accept_any_modulus():
     assert kernels.cauchy_values(xs, xs, m)[3] == 0 * 3 + 1 * 2 + 2 * 1 + 3 * 0
     big = [m - 1 - i for i in range(10)]
     assert kernels.cauchy_values(big, big, m) == [z % m for z in kernels.cauchy_values(big, big)]
+
+
+@pytest.mark.parametrize("modulus", [None, 12, 2**61 - 1], ids=str)
+@pytest.mark.parametrize("shift", [1, 2, 3, 5])
+def test_newton_values_combine_root_power_sums(shift, modulus):
+    # on power sums of roots a and b, the Newton loop with root shift s
+    # gives those of s a + s b + a b; the reference is built from the roots
+    rng = random.Random(31 * shift + 7)
+    count = 12
+    for _ in range(5):
+        roots_a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        roots_b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        combined = [shift * a + shift * b + a * b for a in roots_a for b in roots_b]
+        xs, ys, want = ([sum(r**k for r in roots) for k in range(count)] for roots in (roots_a, roots_b, combined))
+        if modulus:
+            xs, ys, want = ([v % modulus for v in vals] for vals in (xs, ys, want))
+        assert kernels.newton_values(xs, ys, modulus, shift) == want
 
 
 def _reference_transform(a, depth):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from recseq import (
     QQ,
     ZZ,
-    BinomialTable,
     NotAUnit,
     RingElem,
     RingMismatch,
@@ -179,31 +178,6 @@ class TestBinomials:
         if s > n:
             n, s = s, n
         assert sum(binom(n - s, t - m) * binom(s, m) for m in range(t + 1)) == binom(n, t)
-
-    def test_table_grows_on_demand(self):
-        table = BinomialTable()
-        assert table.value(30, 15) == 155117520
-        assert table.row(4) == [1, 4, 6, 4, 1]
-
-    def test_concurrent_growth_is_consistent(self):
-        import threading
-
-        table = BinomialTable()
-        errors = []
-
-        def worker(n):
-            try:
-                for k in range(n + 1):
-                    assert table.value(n, k) == binom(n, k)
-            except AssertionError as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(60, 80)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
 
     def test_multinomial_identity(self):
         # C(n,i) C(i,j) counts the same splits as the trinomial coefficient

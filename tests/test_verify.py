@@ -20,11 +20,11 @@ from recseq import (
 )
 from recseq.verify import (
     CheckReport,
-    _morphism_impl,
     charpoly_cofactor,
     direct_product_oracle,
     inverse_check,
     morphism_check,
+    morphism_laws,
     ogf_poly_check,
     satisfies_recurrence,
 )
@@ -155,7 +155,7 @@ class TestMorphismCheck:
         def bad_map(ts):
             return direct_product_oracle("hurwitz", ts, mate)
 
-        report = _morphism_impl(bad_map, "hadamard", "newton", [(ones(QQ), ones(QQ))], 20, "corrupted")
+        report = morphism_laws(bad_map, "hadamard", "newton", [(ones(QQ), ones(QQ))], 20, "corrupted")
         assert not report.passed
 
     def test_unknown_map_rejected(self):
