@@ -12,7 +12,6 @@ from .kernels import BACKEND
 from .linrec import (
     DEFAULT_PREFIX,
     InvariantError,
-    InvertibilityConditions,
     InvertibilityReport,
     LinRec,
     NotInvertible,
@@ -25,34 +24,15 @@ from .linrec import (
     hadamard_to_newton,
     hurwitz,
     inverse_binomial_transform,
-    invertibility_conditions,
     is_newton_invertible,
     newton,
     newton_inverse,
     newton_to_hadamard,
     newton_via_decomposition,
     ones,
-    prefix_equal,
-    prefix_terms,
     seq_sum,
 )
-from .polymat import (
-    DegreeZero,
-    Matrix,
-    NotMonic,
-    Poly,
-    ZeroPolynomial,
-    charpoly,
-    companion,
-    composed_newton,
-    composed_product,
-    composed_sum,
-    kron,
-    kron_newton,
-    kron_sum,
-    resultant,
-    resultant_shift,
-)
+from .polymat import DegreeZero, NotMonic, Poly, composed_newton, composed_product, composed_sum
 from .ring import (
     QQ,
     ZZ,
@@ -66,11 +46,18 @@ from .ring import (
 )
 from .verify import (
     CheckReport,
+    Matrix,
+    charpoly,
     charpoly_cofactor,
+    companion,
     direct_product_oracle,
     inverse_check,
+    kron,
+    kron_newton,
+    kron_sum,
     morphism_check,
     ogf_poly_check,
+    resultant_shift,
     satisfies_recurrence,
 )
 

@@ -47,8 +47,8 @@ class ParseError(ValueError):
     """Malformed input text."""
 
 
-# ParseError, InvariantError, NotMonic, DegreeZero, ZeroPolynomial and
-# RingMismatch all subclass ValueError; NotAUnit is an ArithmeticError.
+# ParseError, InvariantError, NotMonic, DegreeZero and RingMismatch all
+# subclass ValueError; NotAUnit is an ArithmeticError.
 _INPUT_ERRORS = (ValueError, NotAUnit)
 
 # ASCII digits only: int() alone would also take "1_0" and non-ASCII digits

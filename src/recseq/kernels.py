@@ -13,15 +13,19 @@ Each of the five products has one loop here: :func:`termwise_values`
 conditions; :mod:`recseq.polymat` applies the Hadamard, Hurwitz and
 Newton loops to the power sums of the roots of two characteristic
 polynomials, which the same loop turns into the power sums of the
-combined roots.  Both wrap the results as ring elements once, at their
-API boundary.
+combined roots, and runs polynomial ``+``, ``-`` and ``*`` on the sum and
+Cauchy loops.  :class:`~recseq.polymat.Poly` and
+:class:`~recseq.linrec.LinRec` hold raw values, so the values pass
+straight through; ring elements are built only when a caller reads them.
 
 :mod:`recseq.verify` keeps its own, deliberately independent loops over
-ring elements as the oracle.
+ring elements as the oracle, and so do its matrix oracles (Kronecker
+constructions, Berkowitz, the shifted resultant): none calls a kernel.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import add, mul, sub
 
 # recseq is pure Python; the name stays for code that records it
@@ -55,7 +59,7 @@ def cauchy_values(xs, ys, modulus: int | None = None) -> list:
     return out
 
 
-def binomial_transform_values(xs, shift: int = 1, modulus: int | None = None) -> list:
+def binomial_transform_values(xs, shift: int = 1, modulus: int | None = None) -> Iterator:
     """Shifted binomial transform y_k = sum_i C(k,i) shift^(k-i) x_i, k < len(xs).
 
     If the x_k are the power sums of some roots, the y_k are those of the
@@ -64,18 +68,19 @@ def binomial_transform_values(xs, shift: int = 1, modulus: int | None = None) ->
     combinations: O(len^2) additions, and for shift +-1 no multiplication
     or division, so it works on ints, Fractions and unreduced lifts of
     residues alike.  Only the outputs are reduced by ``modulus``.
+
+    A generator: y_k is yielded before row k + 1 of the table is formed,
+    so a caller that stops after y_k pays for k + 1 rows only.
     """
     row = list(xs)
-    out = []
     while row:
-        out.append(row[0] % modulus if modulus else row[0])
+        yield row[0] % modulus if modulus else row[0]
         if shift == 1:
             row = list(map(add, row, row[1:]))
         elif shift == -1:
             row = list(map(sub, row[1:], row))
         else:
             row = [shift * a + b for a, b in zip(row, row[1:])]
-    return out
 
 
 def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:
@@ -107,4 +112,4 @@ def newton_values(xs, ys, modulus: int | None = None, shift: int = 1) -> list:
     """
     bx = binomial_transform_values(xs, shift, modulus)
     by = binomial_transform_values(ys, shift, modulus)
-    return binomial_transform_values(termwise_values(mul, bx, by, modulus), -shift * shift, modulus)
+    return list(binomial_transform_values(termwise_values(mul, bx, by, modulus), -shift * shift, modulus))

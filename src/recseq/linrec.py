@@ -10,14 +10,20 @@ the composed operations in :mod:`recseq.polymat`) and its loop in
 operands' terms.  The composed operations run the same loop on the power
 sums of the roots.
 
+A :class:`LinRec` holds raw values (``int``, or ``Fraction`` over Q;
+residues reduced into [0, m)), and so does its :class:`~recseq.polymat.Poly`.
 Term unrolling, the products, the binomial transforms and the Newton
-inverse all run on raw values in :mod:`recseq.kernels`, one loop for
-every ring; results are wrapped as :class:`~recseq.ring.RingElem` once,
-on the way out.
+inverse pass them straight to :mod:`recseq.kernels`, one loop for every
+ring.  :class:`~recseq.ring.RingElem` appears only at the boundary: the
+public constructor takes ring elements, and ``initial``, ``terms()`` and
+the Newton inverse's terms build them on the way out.  The oracles that
+check all of this, on ring elements only, live in :mod:`recseq.verify`.
 
 >>> from recseq.ring import QQ
 >>> from recseq.polymat import Poly
 >>> fib = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
+>>> fib.initial_values
+(Fraction(0, 1), Fraction(1, 1))
 >>> [t.value for t in fib.terms(7)]
 [Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(5, 1), Fraction(8, 1)]
 """
@@ -56,18 +62,20 @@ class NotInvertible(ArithmeticError):
 
 
 class LinRec:
-    """A linear recurrent sequence: ring, monic charpoly, initial terms.
+    """A linear recurrent sequence: monic charpoly plus initial terms.
 
     With p(t) = t^N - h_1 t^{N-1} - ... - h_N, terms satisfy
-    a_n = sum_{i=1..N} h_i a_{n-i} for all n >= N.
+    a_n = sum_{i=1..N} h_i a_{n-i} for all n >= N.  ``initial_values``
+    holds the N initial terms as raw values in the canonical form of
+    :class:`~recseq.polymat.Poly`; ``initial`` gives them as ring elements.
     """
 
-    __slots__ = ("ring", "charpoly", "initial")
+    __slots__ = ("charpoly", "initial_values")
 
     def __init__(self, charpoly: Poly, initial):
         if not charpoly.is_monic():
             raise NotMonic(f"characteristic polynomial must be monic, got {charpoly}")
-        order = len(charpoly.coeffs) - 1
+        order = len(charpoly.values) - 1
         if order < 1:
             raise DegreeZero("characteristic polynomial must have degree >= 1")
         init = tuple(initial)
@@ -80,28 +88,44 @@ class LinRec:
                 raise TypeError("initial terms must be RingElem")
             if a.ring != charpoly.ring:
                 raise RingMismatch(f"initial term from {a.ring} in a {charpoly.ring} sequence")
-        self.ring = charpoly.ring
         self.charpoly = charpoly
-        self.initial = init
+        self.initial_values = tuple(a.value for a in init)
+
+    @classmethod
+    def _of(cls, charpoly: Poly, initial_values) -> "LinRec":
+        """From a monic charpoly and its raw initial values in canonical form; nothing is checked."""
+        a = object.__new__(cls)
+        a.charpoly = charpoly
+        a.initial_values = tuple(initial_values)
+        return a
+
+    @property
+    def ring(self) -> RingSpec:
+        return self.charpoly.ring
+
+    @property
+    def initial(self) -> tuple:
+        """The initial terms as ring elements, built on each access."""
+        ring = self.ring
+        return tuple(RingElem(ring, v) for v in self.initial_values)
 
     @property
     def order(self) -> int:
-        return len(self.charpoly.coeffs) - 1
-
-    def recurrence_coeffs(self) -> list[RingElem]:
-        """[h_1, ..., h_N] with a_n = sum h_i a_{n-i}."""
-        cs = self.charpoly.coeffs
-        order = len(cs) - 1
-        return [-cs[order - i] for i in range(1, order + 1)]
+        return len(self.charpoly.values) - 1
 
     def terms(self, k: int) -> list[RingElem]:
         """The first ``k`` terms, exactly."""
+        ring = self.ring
+        return [RingElem(ring, v) for v in self._term_values(k)]
+
+    def _term_values(self, k: int) -> list:
+        """The first ``k`` terms as raw values."""
         if k < 0:
             raise ValueError("term count must be >= 0")
         if k <= self.order:
-            return list(self.initial[:k])
-        hs = _values(self.recurrence_coeffs())
-        return _wrap(self.ring, recurrence_values(hs, _values(self.initial), k, self.ring.modulus))
+            return list(self.initial_values[:k])
+        hs = [-c for c in self.charpoly.values[-2::-1]]  # h_1..h_N
+        return recurrence_values(hs, self.initial_values, k, self.ring.modulus)
 
     def __add__(self, other):
         if not isinstance(other, LinRec):
@@ -111,13 +135,13 @@ class LinRec:
     def __eq__(self, other):
         if not isinstance(other, LinRec):
             return NotImplemented
-        return self.charpoly == other.charpoly and self.initial == other.initial
+        return self.charpoly == other.charpoly and self.initial_values == other.initial_values
 
     def __hash__(self):
-        return hash((self.charpoly, self.initial))
+        return hash((self.charpoly, self.initial_values))
 
     def __str__(self):
-        init = ",".join(str(a) for a in self.initial)
+        init = ",".join(str(v) for v in self.initial_values)
         return f"ring={self.ring};p={self.charpoly};init=[{init}]"
 
     def __repr__(self):
@@ -190,14 +214,6 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _values(elems) -> list:
-    return [e.value for e in elems]
-
-
-def _wrap(ring: RingSpec, raw) -> list[RingElem]:
-    return [RingElem(ring, v) for v in raw]
-
-
 def _product(a: LinRec, b: LinRec, charpoly_rule, kernel) -> LinRec:
     """The product with charpoly ``charpoly_rule(p_a, p_b)`` and initial terms from ``kernel``.
 
@@ -206,9 +222,8 @@ def _product(a: LinRec, b: LinRec, charpoly_rule, kernel) -> LinRec:
     """
     _require_same_ring(a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
-    need = len(p.coeffs) - 1
-    raw = kernel(_values(a.terms(need)), _values(b.terms(need)), a.ring.modulus)
-    return LinRec(p, _wrap(a.ring, raw))
+    need = len(p.values) - 1
+    return LinRec._of(p, kernel(a._term_values(need), b._term_values(need), a.ring.modulus))
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
@@ -282,10 +297,19 @@ def newton_to_hadamard(a: LinRec) -> LinRec:
     return binomial_transform(a)
 
 
-def _transform_values(a: LinRec, depth: int) -> list[RingElem]:
-    """d_t = sum_s C(t,s) a_s for t < depth: the binomial transform of the terms."""
+def _unit_inverses(a: LinRec, k: int):
+    """1 / d_t for t < k, d_t = sum_s C(t,s) a_s the binomial transform of the terms.
+
+    A generator that raises :class:`NotInvertible` at the first d_t that
+    is not a unit.  The transform yields as it goes, so the values past
+    the first failure are never computed.
+    """
     ring = a.ring
-    return _wrap(ring, binomial_transform_values(_values(a.terms(depth)), modulus=ring.modulus))
+    for t, d in enumerate(binomial_transform_values(a._term_values(k), modulus=ring.modulus)):
+        r = ring.unit_inverse(d)
+        if r is None:
+            raise NotInvertible(t, RingElem(ring, d))
+        yield r
 
 
 @dataclass(frozen=True)
@@ -309,90 +333,26 @@ def is_newton_invertible(a: LinRec, depth: int) -> InvertibilityReport:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    for t, d in enumerate(_transform_values(a, depth)):
-        if not d.is_unit():
-            return InvertibilityReport(False, t, depth)
+    try:
+        for _ in _unit_inverses(a, depth):
+            pass
+    except NotInvertible as exc:
+        return InvertibilityReport(False, exc.index, depth)
     return InvertibilityReport(True, None, depth)
-
-
-@dataclass(frozen=True)
-class InvertibilityConditions:
-    """Elementwise-unit condition vs transform-unit condition, side by side.
-
-    The two conditions coincide only in special cases; ``first_disagreement``
-    is the first index where one holds and the other does not.
-    """
-
-    elements_unit: bool
-    elements_first_failure: int | None
-    transform_unit: bool
-    transform_first_failure: int | None
-    first_disagreement: int | None
-    checked: int
-
-
-def invertibility_conditions(a: LinRec, depth: int) -> InvertibilityConditions:
-    """Report both candidate invertibility conditions over a prefix."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    terms = a.terms(depth)
-    values = _transform_values(a, depth)
-    elem_fail = None
-    trans_fail = None
-    disagree = None
-    for t in range(depth):
-        e_ok = terms[t].is_unit()
-        d_ok = values[t].is_unit()
-        if not e_ok and elem_fail is None:
-            elem_fail = t
-        if not d_ok and trans_fail is None:
-            trans_fail = t
-        if e_ok != d_ok and disagree is None:
-            disagree = t
-    return InvertibilityConditions(
-        elements_unit=elem_fail is None,
-        elements_first_failure=elem_fail,
-        transform_unit=trans_fail is None,
-        transform_first_failure=trans_fail,
-        first_disagreement=disagree,
-        checked=depth,
-    )
 
 
 def newton_inverse(a: LinRec, k: int) -> TermStream:
     """First ``k`` terms of the Newton-product inverse of ``a``.
 
     b_n = (-1)^n sum_t C(n,t) (-1)^t / d_t with d_t the binomial-transform
-    values of a.  Raises :class:`NotInvertible` when some d_t is not a
-    unit.  Returns a fixed prefix: no characteristic polynomial is claimed
-    for the inverse.
+    values of a.  Raises :class:`NotInvertible` at the first d_t that is
+    not a unit.  Returns a fixed prefix: no characteristic polynomial is
+    claimed for the inverse.
     """
     if k < 1:
         raise ValueError("term count must be >= 1")
     ring = a.ring
-    signed = []  # (-1)^t / d_t
-    for t, d in enumerate(_transform_values(a, k)):
-        if not d.is_unit():
-            raise NotInvertible(t, d)
-        r = d.inv().value
-        signed.append(-r if t % 2 else r)
+    signed = [-r if t % 2 else r for t, r in enumerate(_unit_inverses(a, k))]  # (-1)^t / d_t
     # the binomial convolution with the all-ones sequence sums C(n,t) (-1)^t / d_t
     raw = binomial_convolution_values(signed, [1] * k, ring.modulus)
-    return TermStream(_wrap(ring, [-b if n % 2 else b for n, b in enumerate(raw)]), ring)
-
-
-def prefix_terms(x, k: int) -> list[RingElem]:
-    """First ``k`` terms of a LinRec, TermStream, or plain term list."""
-    if isinstance(x, LinRec):
-        return x.terms(k)
-    if isinstance(x, TermStream):
-        return x.take(k)
-    terms = list(x)
-    if len(terms) < k:
-        raise ValueError(f"need {k} terms, got {len(terms)}")
-    return terms[:k]
-
-
-def prefix_equal(a, b, length: int = DEFAULT_PREFIX) -> bool:
-    """Exact equality of term prefixes of the given length."""
-    return prefix_terms(a, length) == prefix_terms(b, length)
+    return TermStream([RingElem(ring, -b if n % 2 else b) for n, b in enumerate(raw)], ring)

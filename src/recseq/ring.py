@@ -70,6 +70,17 @@ class RingSpec:
     def one(self) -> "RingElem":
         return self.from_int(1)
 
+    def unit_inverse(self, value):
+        """The inverse of ``value``, a raw value of this ring, or None if it is not a unit."""
+        if self.kind == self.INTEGERS:
+            return value if value in (1, -1) else None
+        if self.kind == self.RATIONALS:
+            return 1 / value if value else None
+        try:
+            return pow(value, -1, self.modulus)
+        except ValueError:
+            return None
+
     def from_int(self, n: int) -> "RingElem":
         """Image of an arbitrary-precision integer in this ring."""
         if not isinstance(n, int):
@@ -166,19 +177,10 @@ class RingElem:
 
     def inv(self) -> "RingElem":
         """Multiplicative inverse; raises :class:`NotAUnit` if none exists."""
-        kind = self.ring.kind
-        if kind == RingSpec.INTEGERS:
-            if self.value in (1, -1):
-                return self
-            raise NotAUnit(f"{self.value} is not a unit of Z")
-        if kind == RingSpec.RATIONALS:
-            if self.value == 0:
-                raise NotAUnit("0 has no inverse")
-            return RingElem(self.ring, 1 / self.value)
-        try:
-            return RingElem(self.ring, pow(self.value, -1, self.ring.modulus))
-        except ValueError:
-            raise NotAUnit(f"{self.value} is not a unit of {self.ring}") from None
+        r = self.ring.unit_inverse(self.value)
+        if r is None:
+            raise NotAUnit(f"{self.value} is not a unit of {self.ring}")
+        return RingElem(self.ring, r)
 
 
 def int_scale(n: int, x: RingElem) -> RingElem:

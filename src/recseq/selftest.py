@@ -30,26 +30,21 @@ from .linrec import (
     ones,
     seq_sum,
 )
-from .polymat import (
-    Poly,
+from .polymat import Poly, composed_newton, composed_product, composed_sum
+from .ring import QQ, RingElem, RingSpec, ZZ, Zmod
+from .verify import (
     charpoly,
+    charpoly_cofactor,
     companion,
-    composed_newton,
-    composed_product,
-    composed_sum,
+    direct_product_oracle,
+    inverse_check,
     kron,
     kron_newton,
     kron_sum,
-    resultant_shift,
-)
-from .ring import QQ, RingElem, RingSpec, ZZ, Zmod
-from .verify import (
-    charpoly_cofactor,
-    direct_product_oracle,
-    inverse_check,
     morphism_check,
     morphism_laws,
     ogf_poly_check,
+    resultant_shift,
     satisfies_recurrence,
 )
 

@@ -28,18 +28,16 @@ from recseq import (
     hadamard_to_newton,
     hurwitz,
     inverse_binomial_transform,
-    invertibility_conditions,
     is_newton_invertible,
     newton,
     newton_inverse,
     newton_to_hadamard,
     newton_via_decomposition,
     ones,
-    prefix_equal,
     seq_sum,
 )
 import recseq
-from recseq import binom, int_scale, kernels
+from recseq import binom, int_scale, kernels, linrec
 from recseq.polymat import DegreeZero
 from recseq.verify import direct_product_oracle, inverse_check, satisfies_recurrence
 
@@ -296,13 +294,13 @@ class TestBinomialTransform:
         rng = random.Random(21)
         for _ in range(5):
             a = random_linrec(rng, MOD, rng.choice([1, 2, 3]))
-            assert prefix_equal(inverse_binomial_transform(binomial_transform(a)), a, 30)
-            assert prefix_equal(binomial_transform(inverse_binomial_transform(a)), a, 30)
+            assert inverse_binomial_transform(binomial_transform(a)).terms(30) == a.terms(30)
+            assert binomial_transform(inverse_binomial_transform(a)).terms(30) == a.terms(30)
 
     @given(linrecs(ring=QQ, max_degree=2))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_over_q(self, a):
-        assert prefix_equal(inverse_binomial_transform(binomial_transform(a)), a, 15)
+        assert inverse_binomial_transform(binomial_transform(a)).terms(15) == a.terms(15)
 
 
 class TestInvertibility:
@@ -319,19 +317,6 @@ class TestInvertibility:
             report = is_newton_invertible(alternating_ones(ring), 10)
             assert not report.invertible
             assert report.first_failure == 1
-
-    def test_conditions_disagree_for_alternating_over_q(self):
-        # every element +-1 is a unit, yet the transform value vanishes at t=1
-        conditions = invertibility_conditions(alternating_ones(QQ), 10)
-        assert conditions.elements_unit
-        assert not conditions.transform_unit
-        assert conditions.first_disagreement == 1
-
-    def test_conditions_disagree_for_ones_mod_four(self):
-        conditions = invertibility_conditions(ones(Zmod(4)), 10)
-        assert conditions.elements_unit
-        assert conditions.transform_first_failure == 1
-        assert conditions.first_disagreement == 1
 
 
 class TestNewtonInverse:
@@ -359,6 +344,31 @@ class TestNewtonInverse:
             newton_inverse(ones(ZZ), 10)
         assert exc.value.index == 1
 
+    def test_stops_at_the_first_non_unit(self, monkeypatch):
+        # count the binomial-transform values produced: no value past the
+        # first non-unit may be computed, whatever the requested length
+        produced = []
+        transform = linrec.binomial_transform_values
+
+        def spy(*args, **kwargs):
+            for value in transform(*args, **kwargs):
+                produced.append(value)
+                yield value
+
+        monkeypatch.setattr(linrec, "binomial_transform_values", spy)
+        zero_first = LinRec(
+            Poly(QQ, [RingElem(QQ, Fraction(-2, 5)), RingElem(QQ, Fraction(3, 2)), QQ.one]),
+            [QQ.zero, RingElem(QQ, Fraction(2, 5))],
+        )
+        for a, index in [(zero_first, 0), (ones(ZZ), 1), (alternating_ones(MOD), 1)]:
+            produced.clear()
+            with pytest.raises(NotInvertible) as exc:
+                newton_inverse(a, 200)
+            assert (exc.value.index, len(produced)) == (index, index + 1)
+            produced.clear()
+            assert is_newton_invertible(a, 200).first_failure == index
+            assert len(produced) == index + 1
+
 
 class TestIsomorphism:
     def test_impulse_maps_to_alternating(self):
@@ -371,14 +381,14 @@ class TestIsomorphism:
         assert back.terms(12) == delta(ZZ).terms(12)
 
     def test_round_trips(self, fib_z):
-        assert prefix_equal(newton_to_hadamard(hadamard_to_newton(fib_z)), fib_z, 30)
-        assert prefix_equal(hadamard_to_newton(newton_to_hadamard(fib_z)), fib_z, 30)
+        assert newton_to_hadamard(hadamard_to_newton(fib_z)).terms(30) == fib_z.terms(30)
+        assert hadamard_to_newton(newton_to_hadamard(fib_z)).terms(30) == fib_z.terms(30)
 
     def test_carries_hadamard_to_newton_over_q(self):
         two, three = geometric(QQ, 2), geometric(QQ, 3)
         lhs = hadamard_to_newton(hadamard(two, three))
         rhs = newton(hadamard_to_newton(two), hadamard_to_newton(three))
-        assert prefix_equal(lhs, rhs, 30)
+        assert lhs.terms(30) == rhs.terms(30)
 
     def test_preserves_sums(self):
         rng = random.Random(29)
@@ -386,7 +396,7 @@ class TestIsomorphism:
         b = random_linrec(rng, MOD, 3)
         lhs = hadamard_to_newton(seq_sum(a, b))
         rhs = seq_sum(hadamard_to_newton(a), hadamard_to_newton(b))
-        assert prefix_equal(lhs, rhs, 30)
+        assert lhs.terms(30) == rhs.terms(30)
 
 
 class TestRootLaws:
@@ -439,6 +449,45 @@ def test_generic_loops_over_zmod(ring):
         for product in (cauchy, hurwitz):
             c = product(a, b)
             assert list(c.initial) == direct_product_oracle(product.__name__, a.terms(c.order), b.terms(c.order))
+
+
+NINE_RINGS = [ZZ, QQ, Zmod(2), Zmod(12), Zmod(720), Zmod(5040), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)]
+
+
+def _assert_canonical(x):
+    # the rebuild through the public constructors reduces residues and
+    # makes Fractions over Q: x must equal it, hash like it and store the
+    # same value types
+    if isinstance(x, LinRec):
+        _assert_canonical(x.charpoly)
+        rebuilt = LinRec(Poly(x.ring, x.charpoly.coeffs), x.initial)
+        stored, want = x.initial_values, rebuilt.initial_values
+    else:
+        rebuilt = Poly(x.ring, x.coeffs)
+        stored, want = x.values, rebuilt.values
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    assert [(type(v), v) for v in stored] == [(type(v), v) for v in want]
+
+
+@pytest.mark.parametrize("product", [seq_sum, hadamard, cauchy, hurwitz, newton], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ring", NINE_RINGS, ids=str)
+def test_products_match_the_oracle_in_canonical_form(ring, product):
+    kind = "sum" if product is seq_sum else product.__name__
+    rng = random.Random(53)
+    # integer coefficients first: over Q they take the path without scaling
+    pairs = [(fib(ring), geometric(ring, 3))]
+    for da, db in [(1, 1), (1, 4), (2, 3), (4, 2), (4, 4)]:
+        pairs.append((random_linrec(rng, ring, da), random_linrec(rng, ring, db)))
+    for a, b in pairs:
+        c = product(a, b)
+        k = c.order + 4
+        want = direct_product_oracle(kind, a.terms(k), b.terms(k))
+        assert list(c.initial) == want[: c.order]
+        assert c.terms(k) == want
+        _assert_canonical(c)
+        p, q = a.charpoly, b.charpoly
+        for poly in (p + q, p - q, -p, p * q):
+            _assert_canonical(poly)
 
 
 def test_backend_is_reported():
@@ -532,14 +581,6 @@ def test_raw_value_inverse_matches_oracles(ring):
         first = next((t for t, x in enumerate(d) if not x.is_unit()), None)
         report = is_newton_invertible(a, k)
         assert (report.invertible, report.first_failure, report.checked) == (first is None, first, k)
-        elements = [x.is_unit() for x in a.terms(k)]
-        transform = [x.is_unit() for x in d]
-        conditions = invertibility_conditions(a, k)
-        assert conditions.transform_first_failure == first
-        assert conditions.elements_first_failure == next((t for t, ok in enumerate(elements) if not ok), None)
-        assert conditions.first_disagreement == next(
-            (t for t, (e, x) in enumerate(zip(elements, transform)) if e != x), None
-        )
         if first is None:
             b = newton_inverse(a, k).take(k)
             assert b == _reference_inverse(a, k)

@@ -1,4 +1,4 @@
-"""Polynomials, matrices, composed operations, and resultants."""
+"""Polynomials, composed operations, and their matrix and resultant oracles."""
 
 import random
 
@@ -14,7 +14,6 @@ from recseq import (
     NotMonic,
     Poly,
     RingMismatch,
-    ZeroPolynomial,
     Zmod,
     charpoly,
     companion,
@@ -24,7 +23,6 @@ from recseq import (
     kron,
     kron_newton,
     kron_sum,
-    resultant,
     resultant_shift,
 )
 from recseq.polymat import NEG_INFINITY
@@ -68,39 +66,12 @@ class TestPolyBasics:
         q = Poly.from_ints(ZZ, [1, 0, -1])
         assert ints(p + q) == [1]
 
-    def test_scale(self):
-        assert ints(FIB_P.scale(ZZ.from_int(2))) == [-2, -2, 2]
-
     def test_cross_ring_rejected(self):
         with pytest.raises(RingMismatch):
             FIB_P + Poly.from_ints(QQ, [1])
 
-    def test_coeff_beyond_degree_is_zero(self):
-        assert FIB_P.coeff(7) == ZZ.zero
-
     def test_str_round_trip_shape(self):
         assert str(FIB_P) == "[-1,-1,1]"
-
-
-class TestReciprocal:
-    def test_fibonacci_reversal(self):
-        assert ints(FIB_P.reciprocal()) == [1, -1, -1]
-
-    def test_linear(self):
-        assert ints(Poly.from_ints(ZZ, [-1, 1]).reciprocal()) == [1, -1]
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            Poly.from_ints(ZZ, []).reciprocal()
-
-    @given(monic_polys(max_degree=4))
-    def test_involution_when_constant_term_nonzero(self, p):
-        if p.coeffs[0].value != 0:
-            assert p.reciprocal().reciprocal() == p
-
-    def test_drops_degree_when_constant_term_vanishes(self):
-        p = Poly.from_ints(ZZ, [0, -1, 1])  # t^2 - t
-        assert ints(p.reciprocal()) == [1, -1]
 
 
 class TestCompanion:
@@ -320,35 +291,6 @@ class TestPowerSumCrossCheck:
             op(FIB_P, Poly.from_ints(ZZ, [1, 2]))
         with pytest.raises(DegreeZero):
             op(FIB_P, Poly.from_ints(ZZ, [1]))
-
-
-class TestResultant:
-    def test_linear_pair(self):
-        for a, b in [(5, 3), (-2, 7), (0, 0)]:
-            f = Poly.from_ints(ZZ, [-a, 1])
-            g = Poly.from_ints(ZZ, [-b, 1])
-            assert resultant(f, g).value == a - b
-
-    def test_shared_roots_vanish(self):
-        assert resultant(FIB_P, FIB_P).value == 0
-
-    def test_quadratic_against_root_formula(self):
-        # res(t^2 - 1, t - 2) = (1 - 2)(-1 - 2) = 3
-        f = Poly.from_ints(ZZ, [-1, 0, 1])
-        g = Poly.from_ints(ZZ, [-2, 1])
-        assert resultant(f, g).value == 3
-
-    def test_swap_sign_law(self):
-        f = FIB_P
-        g = Poly.from_ints(ZZ, [1, 4, 1])
-        sign = (-1) ** (f.degree * g.degree)
-        lhs = resultant(f, g).value
-        rhs = resultant(g, f).value
-        assert lhs == sign * rhs
-
-    def test_rejects_non_monic(self):
-        with pytest.raises(NotMonic):
-            resultant(Poly.from_ints(ZZ, [1, 2]), FIB_P)
 
 
 class TestResultantShift:
