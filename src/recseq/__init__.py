@@ -3,9 +3,10 @@
 Sequences over Z, Q, or Z/m are closed under the termwise sum and the
 Hadamard, Cauchy, Hurwitz and Newton products; every product returns an
 explicit monic characteristic polynomial plus initial conditions.  Also
-provides Newton-product inverses, binomial transforms, the isomorphism
-between the Hadamard and Newton algebras, and independent brute-force
-verification oracles.
+provides Newton-product inverses, binomial transforms and the isomorphism
+between the Hadamard and Newton algebras.  The independent brute-force
+oracles that check all of this, with the matrix and resultant
+constructions, live in :mod:`recseq.verify` and are imported from there.
 """
 
 from .kernels import BACKEND
@@ -15,7 +16,6 @@ from .linrec import (
     InvertibilityReport,
     LinRec,
     NotInvertible,
-    TermStream,
     alternating_ones,
     binomial_transform,
     cauchy,
@@ -43,22 +43,6 @@ from .ring import (
     Zmod,
     binom,
     int_scale,
-)
-from .verify import (
-    CheckReport,
-    Matrix,
-    charpoly,
-    charpoly_cofactor,
-    companion,
-    direct_product_oracle,
-    inverse_check,
-    kron,
-    kron_newton,
-    kron_sum,
-    morphism_check,
-    ogf_poly_check,
-    resultant_shift,
-    satisfies_recurrence,
 )
 
 __version__ = "0.1.0"

@@ -35,12 +35,10 @@ from .linrec import (
     newton,
     newton_inverse,
     newton_to_hadamard,
-    newton_via_decomposition,
     seq_sum,
 )
 from .polymat import NotMonic, Poly, composed_newton, composed_product, composed_sum
 from .ring import NotAUnit, RingElem, RingSpec, ZZ, Zmod
-from .verify import CheckReport, inverse_check, morphism_check, ogf_poly_check, satisfies_recurrence
 
 
 class ParseError(ValueError):
@@ -174,12 +172,9 @@ def parse_sequence_or_terms(text: str):
     return parse_sequence(text)
 
 
-def _format_terms(terms) -> str:
-    return " ".join(str(t) for t in terms)
-
-
-def _terms_strings(terms) -> list[str]:
-    return [str(t) for t in terms]
+def _strings(values) -> list[str]:
+    """Raw values or ring elements as printed: both ``str()`` the same."""
+    return [str(v) for v in values]
 
 
 def _default_prefix() -> int:
@@ -227,12 +222,8 @@ _TRANSFORMS = {
 
 def _cmd_terms(args) -> int:
     seq = parse_sequence(args.sequence)
-    terms = seq.terms(args.count)
-    _emit(
-        args,
-        [f"terms: {_format_terms(terms)}"],
-        {"ring": str(seq.ring), "terms": _terms_strings(terms)},
-    )
+    terms = _strings(seq.term_values(args.count))
+    _emit(args, [f"terms: {' '.join(terms)}"], {"ring": str(seq.ring), "terms": terms})
     return 0
 
 
@@ -240,21 +231,22 @@ def _cmd_op(args) -> int:
     a = parse_sequence(args.a)
     b = parse_sequence(args.b)
     result = _SEQ_OPS[args.kind](a, b)
-    terms = result.terms(args.count)
+    initial = _strings(result.initial_values)
+    terms = _strings(result.term_values(args.count))
     _emit(
         args,
         [
             f"sequence: {result}",
             f"charpoly: {result.charpoly}",
-            f"initial: [{','.join(str(x) for x in result.initial)}]",
-            f"terms: {_format_terms(terms)}",
+            f"initial: [{','.join(initial)}]",
+            f"terms: {' '.join(terms)}",
         ],
         {
             "kind": args.kind,
             "ring": str(result.ring),
-            "charpoly": _terms_strings(result.charpoly.coeffs),
-            "initial": _terms_strings(result.initial),
-            "terms": _terms_strings(terms),
+            "charpoly": _strings(result.charpoly.values),
+            "initial": initial,
+            "terms": terms,
         },
     )
     return 0
@@ -268,7 +260,7 @@ def _cmd_charpoly_op(args) -> int:
     _emit(
         args,
         [f"result: {result}"],
-        {"kind": args.kind, "ring": str(ring), "result": _terms_strings(result.coeffs)},
+        {"kind": args.kind, "ring": str(ring), "result": _strings(result.values)},
     )
     return 0
 
@@ -276,7 +268,7 @@ def _cmd_charpoly_op(args) -> int:
 def _cmd_invert(args) -> int:
     seq = parse_sequence(args.sequence)
     try:
-        terms = newton_inverse(seq, args.count).take(args.count)
+        terms = _strings(newton_inverse(seq, args.count))
     except NotInvertible as exc:
         _emit(
             args,
@@ -288,78 +280,69 @@ def _cmd_invert(args) -> int:
             },
         )
         return 1
-    _emit(
-        args,
-        [f"terms: {_format_terms(terms)}"],
-        {"invertible": True, "ring": str(seq.ring), "terms": _terms_strings(terms)},
-    )
+    _emit(args, [f"terms: {' '.join(terms)}"], {"invertible": True, "ring": str(seq.ring), "terms": terms})
     return 0
 
 
 def _cmd_transform(args) -> int:
     seq = parse_sequence(args.sequence)
     result = _TRANSFORMS[args.kind](seq)
-    terms = result.terms(args.count)
+    terms = _strings(result.term_values(args.count))
     _emit(
         args,
         [
             f"sequence: {result}",
             f"charpoly: {result.charpoly}",
-            f"terms: {_format_terms(terms)}",
+            f"terms: {' '.join(terms)}",
         ],
         {
             "kind": args.kind,
             "ring": str(result.ring),
-            "charpoly": _terms_strings(result.charpoly.coeffs),
-            "initial": _terms_strings(result.initial),
-            "terms": _terms_strings(terms),
+            "charpoly": _strings(result.charpoly.values),
+            "initial": _strings(result.initial_values),
+            "terms": terms,
         },
     )
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this verb and selftest need the oracles
+
     prefix = args.count if args.count is not None else _default_prefix()
     check = args.check
     if check == "recurrence":
         parsed = parse_sequence_or_terms(_require(args.sequence, "-s"))
         if isinstance(parsed, LinRec):
             p = parse_poly(args.p, parsed.ring) if args.p else parsed.charpoly
-            terms = parsed.terms(max(prefix, len(p.coeffs) - 1))
+            terms = parsed.terms(max(prefix, len(p.values) - 1))
         else:
             ring, terms = parsed
             if not args.p:
                 raise ParseError("raw terms need an explicit -p polynomial")
             p = parse_poly(args.p, ring)
-        report = satisfies_recurrence(terms, p)
+        report = verify.satisfies_recurrence(terms, p)
     elif check == "ogf":
         parsed = parse_sequence_or_terms(_require(args.sequence, "-s"))
         if isinstance(parsed, LinRec):
             p = parse_poly(args.p, parsed.ring) if args.p else None
-            report = ogf_poly_check(parsed, extra=args.extra, p=p)
+            report = verify.ogf_poly_check(parsed, extra=args.extra, p=p)
         else:
             ring, terms = parsed
             if not args.p:
                 raise ParseError("raw terms need an explicit -p polynomial")
-            report = ogf_poly_check(terms, extra=args.extra, p=parse_poly(args.p, ring))
+            report = verify.ogf_poly_check(terms, extra=args.extra, p=parse_poly(args.p, ring))
     elif check == "decomposition":
         a = parse_sequence(_require(args.a, "-a"))
         b = parse_sequence(_require(args.b, "-b"))
-        direct = newton(a, b).terms(prefix)
-        composed = newton_via_decomposition(a, b).take(prefix)
-        failure = None
-        for n in range(prefix):
-            if direct[n] != composed[n]:
-                failure = (n, composed[n], direct[n])
-                break
-        report = CheckReport("newton-decomposition", failure is None, prefix, failure)
+        report = verify.decomposition_check(a, b, prefix)
     elif check == "morphism":
         a = parse_sequence(_require(args.a, "-a"))
         b = parse_sequence(_require(args.b, "-b"))
-        report = morphism_check(args.map, [(a, b)], prefix)
+        report = verify.morphism_check(args.map, [(a, b)], prefix)
     elif check == "inverse":
         seq = parse_sequence(_require(args.sequence, "-s"))
-        report = inverse_check(seq, prefix)
+        report = verify.inverse_check(seq, prefix)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown check {check!r}")
     _emit(args, [report.to_text()], report.to_dict())

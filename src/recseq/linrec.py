@@ -14,23 +14,27 @@ A :class:`LinRec` holds raw values (``int``, or ``Fraction`` over Q;
 residues reduced into [0, m)), and so does its :class:`~recseq.polymat.Poly`.
 Term unrolling, the products, the binomial transforms and the Newton
 inverse pass them straight to :mod:`recseq.kernels`, one loop for every
-ring.  :class:`~recseq.ring.RingElem` appears only at the boundary: the
-public constructor takes ring elements, and ``initial``, ``terms()`` and
-the Newton inverse's terms build them on the way out.  The oracles that
-check all of this, on ring elements only, live in :mod:`recseq.verify`.
+ring.  ``initial_values`` and ``term_values(k)`` give them as they are.
+:class:`~recseq.ring.RingElem` appears only at the boundary: the public
+constructor takes ring elements, and ``initial``, ``terms()`` and the
+Newton inverse build them on the way out.  The oracles that check all of
+this, on ring elements only, live in :mod:`recseq.verify`; nothing here
+imports them.
 
 >>> from recseq.ring import QQ
 >>> from recseq.polymat import Poly
 >>> fib = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
 >>> fib.initial_values
 (Fraction(0, 1), Fraction(1, 1))
+>>> [str(v) for v in fib.term_values(7)]
+['0', '1', '1', '2', '3', '5', '8']
 >>> [t.value for t in fib.terms(7)]
 [Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(5, 1), Fraction(8, 1)]
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from operator import add, mul
 
@@ -116,10 +120,10 @@ class LinRec:
     def terms(self, k: int) -> list[RingElem]:
         """The first ``k`` terms, exactly."""
         ring = self.ring
-        return [RingElem(ring, v) for v in self._term_values(k)]
+        return [RingElem(ring, v) for v in self.term_values(k)]
 
-    def _term_values(self, k: int) -> list:
-        """The first ``k`` terms as raw values."""
+    def term_values(self, k: int) -> list:
+        """The first ``k`` terms as raw values, in the canonical form of ``initial_values``."""
         if k < 0:
             raise ValueError("term count must be >= 0")
         if k <= self.order:
@@ -146,48 +150,6 @@ class LinRec:
 
     def __repr__(self):
         return f"LinRec({self})"
-
-
-class TermStream:
-    """Lazily extendable prefix of a sequence's terms.
-
-    Backed either by a :class:`LinRec` (extendable without bound) or by a
-    fixed list of precomputed terms.  ``take`` never changes terms that
-    were already produced.  Streams are single-writer: do not extend one
-    concurrently from several threads.
-    """
-
-    __slots__ = ("source", "ring", "_terms")
-
-    def __init__(self, source, ring: RingSpec | None = None):
-        if isinstance(source, LinRec):
-            self.source = source
-            self.ring = source.ring
-            self._terms: list[RingElem] = []
-        else:
-            self.source = None
-            self._terms = list(source)
-            if self._terms:
-                self.ring = self._terms[0].ring
-            elif ring is not None:
-                self.ring = ring
-            else:
-                raise ValueError("an empty fixed stream needs an explicit ring")
-
-    @property
-    def available(self) -> int:
-        """Number of terms computed so far (fixed streams: total length)."""
-        return len(self._terms)
-
-    def take(self, k: int) -> list[RingElem]:
-        """The first ``k`` terms, extending the prefix if possible."""
-        if k < 0:
-            raise ValueError("term count must be >= 0")
-        if k > len(self._terms):
-            if self.source is None:
-                raise ValueError(f"fixed stream holds only {len(self._terms)} terms")
-            self._terms.extend(self.source.terms(k)[len(self._terms) :])
-        return self._terms[:k]
 
 
 def _seq(ring: RingSpec, poly_ints, init_ints) -> LinRec:
@@ -223,7 +185,7 @@ def _product(a: LinRec, b: LinRec, charpoly_rule, kernel) -> LinRec:
     _require_same_ring(a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
     need = len(p.values) - 1
-    return LinRec._of(p, kernel(a._term_values(need), b._term_values(need), a.ring.modulus))
+    return LinRec._of(p, kernel(a.term_values(need), b.term_values(need), a.ring.modulus))
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
@@ -260,7 +222,7 @@ def newton(a: LinRec, b: LinRec) -> LinRec:
     return _product(a, b, composed_newton, newton_values)
 
 
-def newton_via_decomposition(a: LinRec, b: LinRec) -> TermStream:
+def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:
     """Newton product computed as [(a * 1) Hadamard (b * 1)] * e.
 
     Both inner products are Hurwitz products against the all-ones
@@ -270,7 +232,7 @@ def newton_via_decomposition(a: LinRec, b: LinRec) -> TermStream:
     _require_same_ring(a, b)
     one_seq = ones(a.ring)
     mixed = hadamard(hurwitz(a, one_seq), hurwitz(b, one_seq))
-    return TermStream(hurwitz(mixed, alternating_ones(a.ring)))
+    return hurwitz(mixed, alternating_ones(a.ring))
 
 
 def binomial_transform(a: LinRec) -> LinRec:
@@ -305,20 +267,21 @@ def _unit_inverses(a: LinRec, k: int):
     the first failure are never computed.
     """
     ring = a.ring
-    for t, d in enumerate(binomial_transform_values(a._term_values(k), modulus=ring.modulus)):
+    for t, d in enumerate(binomial_transform_values(a.term_values(k), modulus=ring.modulus)):
         r = ring.unit_inverse(d)
         if r is None:
             raise NotInvertible(t, RingElem(ring, d))
         yield r
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
-    """Outcome of a Newton-invertibility check; truthy iff invertible."""
+class InvertibilityReport(namedtuple("InvertibilityReport", "invertible first_failure checked")):
+    """Outcome of a Newton-invertibility check; truthy iff invertible.
 
-    invertible: bool
-    first_failure: int | None
-    checked: int
+    ``first_failure`` is the first index whose binomial-transform value is
+    not a unit, or None; ``checked`` is the depth of the check.
+    """
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.invertible
@@ -341,13 +304,13 @@ def is_newton_invertible(a: LinRec, depth: int) -> InvertibilityReport:
     return InvertibilityReport(True, None, depth)
 
 
-def newton_inverse(a: LinRec, k: int) -> TermStream:
+def newton_inverse(a: LinRec, k: int) -> list[RingElem]:
     """First ``k`` terms of the Newton-product inverse of ``a``.
 
     b_n = (-1)^n sum_t C(n,t) (-1)^t / d_t with d_t the binomial-transform
     values of a.  Raises :class:`NotInvertible` at the first d_t that is
-    not a unit.  Returns a fixed prefix: no characteristic polynomial is
-    claimed for the inverse.
+    not a unit.  Returns the k terms as a list: no characteristic
+    polynomial is claimed for the inverse.
     """
     if k < 1:
         raise ValueError("term count must be >= 1")
@@ -355,4 +318,4 @@ def newton_inverse(a: LinRec, k: int) -> TermStream:
     signed = [-r if t % 2 else r for t, r in enumerate(_unit_inverses(a, k))]  # (-1)^t / d_t
     # the binomial convolution with the all-ones sequence sums C(n,t) (-1)^t / d_t
     raw = binomial_convolution_values(signed, [1] * k, ring.modulus)
-    return TermStream([RingElem(ring, -b if n % 2 else b) for n, b in enumerate(raw)], ring)
+    return [RingElem(ring, -b if n % 2 else b) for n, b in enumerate(raw)]

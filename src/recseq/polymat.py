@@ -42,9 +42,6 @@ from operator import add, mul, sub
 from .kernels import binomial_convolution_values, cauchy_values, newton_values, termwise_values
 from .ring import RingElem, RingMismatch, RingSpec
 
-NEG_INFINITY = float("-inf")
-
-
 class NotMonic(ValueError):
     """A monic polynomial was required."""
 
@@ -58,10 +55,10 @@ class Poly:
 
     ``values`` holds the coefficients as raw values in canonical form:
     ``int`` over Z, ``Fraction`` over Q, ``int`` in [0, m) over Z/m, with
-    no trailing zeros; the zero polynomial has an empty tuple and degree
-    ``NEG_INFINITY``.  ``coeffs`` builds the same coefficients as ring
-    elements.  ``str()`` produces the CLI list syntax, e.g. ``[-1,-1,1]``
-    for t^2 - t - 1.
+    no trailing zeros, so the degree is ``len(values) - 1`` and the zero
+    polynomial has an empty tuple.  ``coeffs`` builds the same
+    coefficients as ring elements.  ``str()`` produces the CLI list
+    syntax, e.g. ``[-1,-1,1]`` for t^2 - t - 1.
     """
 
     __slots__ = ("ring", "values")
@@ -95,14 +92,6 @@ class Poly:
         """The coefficients low-to-high as ring elements, built on each access."""
         ring = self.ring
         return tuple(RingElem(ring, v) for v in self.values)
-
-    @property
-    def degree(self):
-        """Degree, or ``NEG_INFINITY`` for the zero polynomial."""
-        return len(self.values) - 1 if self.values else NEG_INFINITY
-
-    def is_zero(self) -> bool:
-        return not self.values
 
     def is_monic(self) -> bool:
         return bool(self.values) and self.values[-1] == 1

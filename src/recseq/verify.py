@@ -20,13 +20,17 @@ routine entirely.
 
 Checks are prefix-bounded evidence, not proofs; they are exact, so a
 single nonzero coefficient or mismatched term is a hard failure.
+
+The package does not re-export these names; import them from here.  The
+CLI loads this module only for its ``verify`` and ``selftest`` verbs, so
+the other verbs start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linrec import LinRec, NotInvertible, newton_inverse
+from .linrec import LinRec, NotInvertible, newton, newton_inverse, newton_via_decomposition
 from .polymat import Poly, _require_charpoly_operand
 from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
 
@@ -263,6 +267,25 @@ def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     return morphism_laws(map_terms, source_kind, target_kind, pairs, prefix, f"morphism-{map_name}")
 
 
+def decomposition_check(a: LinRec, b: LinRec, prefix: int) -> CheckReport:
+    """Compare the Newton product of ``a`` and ``b`` with its decomposition on ``prefix`` terms.
+
+    :func:`~recseq.linrec.newton` builds the product from the composed
+    Newton charpoly; :func:`~recseq.linrec.newton_via_decomposition`
+    reaches it through Hurwitz and Hadamard products only.  A failure
+    names the decomposition's term as expected and the direct product's
+    as actual.
+    """
+    direct = newton(a, b).terms(prefix)
+    composed = newton_via_decomposition(a, b).terms(prefix)
+    failure = None
+    for n in range(prefix):
+        if direct[n] != composed[n]:
+            failure = (n, composed[n], direct[n])
+            break
+    return _report("newton-decomposition", prefix, failure)
+
+
 def inverse_check(a: LinRec, k: int) -> CheckReport:
     """Cross-validate the Newton inverse of ``a`` on ``k`` terms.
 
@@ -276,7 +299,7 @@ def inverse_check(a: LinRec, k: int) -> CheckReport:
         raise ValueError("term count must be >= 1")
     ring = a.ring
     a_terms = a.terms(k)
-    formula = newton_inverse(a, k).take(k)
+    formula = newton_inverse(a, k)
 
     # d_n = sum_s C(n,s) a_s is the coefficient of b_n in the product at
     # index n; back-substitution needs every d_n to be a unit.

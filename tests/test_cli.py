@@ -191,6 +191,36 @@ class TestVerbs:
         code, _, err = run_cli(capsys, "terms", "-s", "ring=Z;p=[-1,2];init=[1]")
         assert code == 2
 
+    def test_non_verify_verbs_leave_the_oracles_unloaded(self):
+        # every verb but verify and selftest runs without recseq.verify, or
+        # the dataclasses and inspect modules that its reports would pull in
+        verbs = [
+            ["terms", "-s", FIB_Q, "-n", "5"],
+            ["op", "--kind", "newton", "-a", FIB_Q, "-b", FIB_Q],
+            ["charpoly-op", "--kind", "star", "-p", "[-1,1]", "-q", "[-2,1]"],
+            ["invert", "-s", "ring=Q;p=[-1,1];init=[1]"],
+            ["invert", "-s", "ring=Z;p=[-1,1];init=[1]"],
+            ["transform", "--kind", "binomial", "-s", FIB_Z],
+            ["psi", "-s", FIB_Z],
+            ["terms", "-s", "ring=Z;p=[-1,2];init=[1]"],
+        ]
+        code = f"""
+import contextlib, io, sys
+from recseq import cli
+unwanted = ("recseq.verify", "dataclasses", "inspect")
+def loaded():
+    return [name for name in unwanted if name in sys.modules]
+assert not loaded(), ("import", loaded())
+for argv in {verbs!r} + [["verify", "--check", "inverse", "-s", {FIB_Q!r}, "-n", "5"]]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    assert not loaded() or argv[0] == "verify", (argv, loaded())
+assert "recseq.verify" in sys.modules
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
 
 class TestVerifyVerb:
     def test_recurrence_pass(self, capsys):

@@ -8,7 +8,10 @@ kinds) and ``charpoly-op`` (three kinds) in plain and structured form,
 ``terms``, ``invert`` on invertible and non-invertible inputs,
 ``transform`` (four kinds) and ``verify`` (five checks), over Z, Q with
 fractional coefficients and Z/m for m = 2, 12, 720, 5040, 10007, 2^61-1
-and 2^64.
+and 2^64.  One more replay runs the verbs that print sequences and
+polynomials with the ring-element views (``LinRec.terms``,
+``LinRec.initial``, ``Poly.coeffs``) made to raise: those verbs print
+raw values.
 
 To rewrite the file from the current code (only when a change of output
 is intended)::
@@ -26,8 +29,14 @@ from pathlib import Path
 import pytest
 
 from recseq import cli
+from recseq.linrec import LinRec
+from recseq.polymat import Poly
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+# the verbs whose output comes from raw values, never from ring elements
+RAW_VALUE_VERBS = ("terms", "op", "transform", "charpoly-op")
+RAW_VALUES = "raw values"
 
 RINGS = ["Z", "Q", "Zmod:2", "Zmod:12", "Zmod:720", "Zmod:5040", "Zmod:10007", f"Zmod:{2**61 - 1}", f"Zmod:{2**64}"]
 
@@ -105,9 +114,19 @@ def _load() -> list[dict]:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("group", RINGS + ["errors"])
-def test_cli_transcript(group):
-    entries = [entry for entry in _load() if entry["group"] == group]
+def _refuse(*args):
+    raise AssertionError("the CLI built ring elements to print them")
+
+
+@pytest.mark.parametrize("group", RINGS + ["errors", RAW_VALUES])
+def test_cli_transcript(group, monkeypatch):
+    if group == RAW_VALUES:
+        monkeypatch.setattr(LinRec, "terms", _refuse)
+        monkeypatch.setattr(LinRec, "initial", property(_refuse))
+        monkeypatch.setattr(Poly, "coeffs", property(_refuse))
+        entries = [entry for entry in _load() if entry["argv"][0] in RAW_VALUE_VERBS]
+    else:
+        entries = [entry for entry in _load() if entry["group"] == group]
     assert entries
     mismatches = []
     for entry in entries:

@@ -16,7 +16,6 @@ from recseq import (
     Poly,
     RingElem,
     RingMismatch,
-    TermStream,
     Zmod,
     alternating_ones,
     binomial_transform,
@@ -102,26 +101,6 @@ class TestTerms:
         assert int_values(delta(ZZ).terms(4)) == [1, 0, 0, 0]
 
 
-class TestTermStream:
-    def test_linrec_stream_extends(self, fib_z):
-        stream = TermStream(fib_z)
-        assert int_values(stream.take(3)) == [0, 1, 1]
-        assert int_values(stream.take(6)) == [0, 1, 1, 2, 3, 5]
-        # earlier terms unchanged by extension
-        assert int_values(stream.take(3)) == [0, 1, 1]
-
-    def test_fixed_stream_is_bounded(self):
-        stream = TermStream([ZZ.one, ZZ.zero])
-        assert stream.take(2) == [ZZ.one, ZZ.zero]
-        with pytest.raises(ValueError):
-            stream.take(3)
-
-    def test_empty_fixed_stream_needs_ring(self):
-        with pytest.raises(ValueError):
-            TermStream([])
-        assert TermStream([], ring=ZZ).available == 0
-
-
 class TestSum:
     def test_fib_plus_powers_of_two(self, fib_z):
         s = seq_sum(fib_z, geometric(ZZ, 2))
@@ -179,7 +158,7 @@ class TestHadamard:
         h = hadamard(fib_z, fib_z)
         assert int_values(h.terms(6)) == [0, 1, 1, 4, 9, 25]
         assert h.charpoly == composed_product(fib_z.charpoly, fib_z.charpoly)
-        assert h.charpoly.degree == 4
+        assert len(h.charpoly.values) - 1 == 4
         assert satisfies_recurrence(h.terms(25), h.charpoly).passed
 
 
@@ -237,16 +216,16 @@ class TestNewton:
 
 class TestDecomposition:
     def test_matches_newton_on_examples(self, fib_z):
-        assert newton_via_decomposition(ones(ZZ), ones(ZZ)).take(8) == newton(ones(ZZ), ones(ZZ)).terms(8)
-        assert newton_via_decomposition(delta(ZZ), fib_z).take(10) == fib_z.terms(10)
+        assert newton_via_decomposition(ones(ZZ), ones(ZZ)).terms(8) == newton(ones(ZZ), ones(ZZ)).terms(8)
+        assert newton_via_decomposition(delta(ZZ), fib_z).terms(10) == fib_z.terms(10)
 
     def test_matches_direct_double_sum_mod_p(self):
         rng = random.Random(9)
         for _ in range(10):
             a = random_linrec(rng, MOD, rng.choice([1, 2, 3]))
             b = random_linrec(rng, MOD, rng.choice([1, 2, 3]))
-            stream = newton_via_decomposition(a, b)
-            assert stream.take(30) == direct_product_oracle("newton", a.terms(30), b.terms(30))
+            composed = newton_via_decomposition(a, b)
+            assert composed.terms(30) == direct_product_oracle("newton", a.terms(30), b.terms(30))
 
 
 class TestBilinearity:
@@ -321,11 +300,11 @@ class TestInvertibility:
 
 class TestNewtonInverse:
     def test_ones_over_q(self):
-        inv = newton_inverse(ones(QQ), 8).take(8)
+        inv = newton_inverse(ones(QQ), 8)
         assert [t.value for t in inv] == [Fraction(-1, 2) ** n for n in range(8)]
 
     def test_delta_is_self_inverse(self):
-        inv = newton_inverse(delta(QQ), 6).take(6)
+        inv = newton_inverse(delta(QQ), 6)
         assert inv == delta(QQ).terms(6)
 
     def test_product_with_inverse_is_the_impulse(self):
@@ -335,7 +314,7 @@ class TestNewtonInverse:
             a = random_linrec(rng, MOD, rng.choice([1, 2, 3]))
             if not is_newton_invertible(a, 20):
                 continue
-            b = newton_inverse(a, 20).take(20)
+            b = newton_inverse(a, 20)
             assert direct_product_oracle("newton", a.terms(20), b) == delta(MOD).terms(20)
             found += 1
 
@@ -582,7 +561,7 @@ def test_raw_value_inverse_matches_oracles(ring):
         report = is_newton_invertible(a, k)
         assert (report.invertible, report.first_failure, report.checked) == (first is None, first, k)
         if first is None:
-            b = newton_inverse(a, k).take(k)
+            b = newton_inverse(a, k)
             assert b == _reference_inverse(a, k)
             assert inverse_check(a, k).passed
             invertible += 1

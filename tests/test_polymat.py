@@ -10,23 +10,24 @@ from recseq import (
     QQ,
     ZZ,
     DegreeZero,
-    Matrix,
     NotMonic,
     Poly,
     RingMismatch,
     Zmod,
-    charpoly,
-    companion,
     composed_newton,
     composed_product,
     composed_sum,
+)
+from recseq.verify import (
+    Matrix,
+    charpoly,
+    charpoly_cofactor,
+    companion,
     kron,
     kron_newton,
     kron_sum,
     resultant_shift,
 )
-from recseq.polymat import NEG_INFINITY
-from recseq.verify import charpoly_cofactor
 
 from conftest import RINGS, RING_IDS, monic_polys, rings, element_strategy
 
@@ -46,8 +47,7 @@ class TestPolyBasics:
 
     def test_zero_polynomial_degree_sentinel(self):
         z = Poly.from_ints(ZZ, [0, 0])
-        assert z.is_zero()
-        assert z.degree == NEG_INFINITY
+        assert z.values == ()
 
     def test_product_of_linear_factors(self):
         p = Poly.from_ints(ZZ, [-2, 1]) * Poly.from_ints(ZZ, [-3, 1])
@@ -204,7 +204,7 @@ class TestComposedOperations:
     def test_degree_law(self):
         q = Poly.from_ints(ZZ, [1, 2, 3, 1])
         for op in (composed_product, composed_sum, composed_newton):
-            assert op(FIB_P, q).degree == FIB_P.degree * q.degree
+            assert len(op(FIB_P, q).values) - 1 == (len(FIB_P.values) - 1) * (len(q.values) - 1)
 
     def test_rejects_non_monic(self):
         with pytest.raises(NotMonic):

@@ -18,9 +18,11 @@ from recseq import (
     newton,
     ones,
 )
+from recseq import verify
 from recseq.verify import (
     CheckReport,
     charpoly_cofactor,
+    decomposition_check,
     direct_product_oracle,
     inverse_check,
     morphism_check,
@@ -163,6 +165,22 @@ class TestMorphismCheck:
             morphism_check("sigma", [(ones(QQ), ones(QQ))], 10)
 
 
+class TestDecompositionCheck:
+    def test_fibonacci_over_q_passes(self):
+        fib_q = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
+        report = decomposition_check(fib_q, ones(QQ), 30)
+        assert report.passed
+        assert report.to_text() == "check newton-decomposition: PASS (prefix=30)"
+
+    def test_corrupted_product_fails(self, monkeypatch):
+        # the Hurwitz product of 1, 1, 1, ... with itself is 2^n, the Newton
+        # product 3^n: the decomposition's 3 is expected, the 2 is actual
+        monkeypatch.setattr(verify, "newton", hurwitz)
+        report = decomposition_check(ones(ZZ), ones(ZZ), 10)
+        assert not report.passed
+        assert report.first_failure == (1, ZZ.from_int(3), ZZ.from_int(2))
+
+
 class TestInverseCheck:
     def test_ones_over_q(self):
         assert inverse_check(ones(QQ), 20).passed
@@ -193,7 +211,7 @@ class TestInverseCheck:
 
 class TestCofactorOracle:
     def test_known_two_by_two(self, fib_z):
-        from recseq import companion
+        from recseq.verify import companion
 
         assert charpoly_cofactor(companion(fib_z.charpoly)) == fib_z.charpoly
 
@@ -202,7 +220,7 @@ class TestCofactorOracle:
         a = ones(QQ)
         from recseq import newton_inverse
 
-        b = newton_inverse(a, 10).take(10)
+        b = newton_inverse(a, 10)
         b[3] = b[3] + QQ.one
         product = direct_product_oracle("newton", a.terms(10), b)
         assert product != delta(QQ).terms(10)
