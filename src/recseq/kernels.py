@@ -2,9 +2,13 @@
 
 Every function here takes and returns plain values -- ``int`` over Z and
 Z/m, ``int`` or ``Fraction`` over Q -- never :class:`~recseq.ring.RingElem`
-objects.  Where a function takes a ``modulus``, each result is reduced
-mod m as soon as it is formed; with ``modulus=None`` the arithmetic is
-exact.  One copy of each loop serves Z, Q and Z/m for every m.
+objects.  Over Q the products and polynomial arithmetic pass integers
+scaled by a common denominator and divide once per output; only term
+unrolling (``LinRec.term_values``) and the Newton inverse pass
+``Fraction`` values.  Where a function takes a ``modulus``, each result
+is reduced mod m as soon as it is formed; with ``modulus=None`` the
+arithmetic is exact.  One copy of each loop serves Z, Q and Z/m for
+every m.
 
 Each of the five products has one loop here: :func:`termwise_values`
 (sum and Hadamard), :func:`cauchy_values`,
@@ -87,10 +91,12 @@ def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:
     """z_k = sum_i C(k,i) x_i y_(k-i) for k < len(xs).
 
     The binomial coefficients come from Pascal rows built on the way, so
-    each z_k is a running sum that adds one product at a time.  Over Q
-    that keeps one operand of every Fraction addition small; the pairwise
-    table of :func:`binomial_transform_values` adds two partial sums that
-    both carry the lcm of many denominators.
+    each z_k is a running sum that adds one product at a time.  For
+    ``Fraction`` values, which only the Newton inverse still passes (the
+    Hurwitz product and composed sum pass integers), that keeps one
+    operand of every addition small; the pairwise table of
+    :func:`binomial_transform_values` adds two partial sums that both
+    carry the lcm of many denominators.
     """
     out = []
     row = [1]

@@ -12,16 +12,26 @@ sums of the roots.
 
 A :class:`LinRec` holds raw values (``int``, or ``Fraction`` over Q;
 residues reduced into [0, m)), and so does its :class:`~recseq.polymat.Poly`.
-Term unrolling, the products, the binomial transforms and the Newton
-inverse pass them straight to :mod:`recseq.kernels`, one loop for every
-ring.  ``initial_values`` and ``term_values(k)`` give them as they are.
+``initial_values`` and ``term_values(k)`` give them as they are.  The
+loops live in :mod:`recseq.kernels`, one for every ring.  The products
+hand them integers only, as :mod:`recseq.polymat` does for the
+charpolys: with lam the lcm of the denominators of both charpolys and
+delta that of both operands' initial values, each operand is unrolled as
+the integers delta lam^n a_n, the product's loop combines them, and each
+output is divided once, into one ``Fraction`` over Q.  Over Z and Z/m,
+lam = delta = 1 and nothing is divided.  Term unrolling
+(``term_values``) and the Newton inverse pass ``Fraction`` values to the
+loops: scaled, the unrolled numbers grow like lam^n and were measured
+slower (lam = 10, n = 3000), and the inverse's output denominators grow
+so fast that a common denominator gained only 1.05x.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
 this, on ring elements only, live in :mod:`recseq.verify`; nothing here
 imports them.
 
->>> from recseq.ring import QQ
+>>> from fractions import Fraction
+>>> from recseq.ring import QQ, RingElem
 >>> from recseq.polymat import Poly
 >>> fib = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
 >>> fib.initial_values
@@ -30,12 +40,21 @@ imports them.
 ['0', '1', '1', '2', '3', '5', '8']
 >>> [t.value for t in fib.terms(7)]
 [Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(5, 1), Fraction(8, 1)]
+
+A Newton product on the scaled path, with a_n = (1/3) (1/2)^n: the
+charpoly t - 1/2 makes lam = 2 and the initial value 1/3 makes delta = 3.
+
+>>> a = LinRec(Poly(QQ, [RingElem(QQ, Fraction(-1, 2)), QQ.one]), [RingElem(QQ, Fraction(1, 3))])
+>>> c = newton(a, fib)
+>>> str(c.charpoly)
+'[-5/4,-5/2,1]'
+>>> c.initial_values
+(Fraction(0, 1), Fraction(1, 2))
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from operator import add, mul
 
 from .kernels import (
@@ -46,7 +65,17 @@ from .kernels import (
     recurrence_values,
     termwise_values,
 )
-from .polymat import DegreeZero, NotMonic, Poly, composed_newton, composed_product, composed_sum
+from .polymat import (
+    DegreeZero,
+    NotMonic,
+    Poly,
+    _denominator_lcm,
+    _scaled,
+    _unscaled,
+    composed_newton,
+    composed_product,
+    composed_sum,
+)
 from .ring import RingElem, RingMismatch, RingSpec
 
 DEFAULT_PREFIX = 30
@@ -176,31 +205,56 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _product(a: LinRec, b: LinRec, charpoly_rule, kernel) -> LinRec:
-    """The product with charpoly ``charpoly_rule(p_a, p_b)`` and initial terms from ``kernel``.
+def _scaled_terms(a: LinRec, lam: int, delta: int, count: int) -> list:
+    """The integers delta lam^n a_n for n < ``count``, unrolled without a ``Fraction``.
 
-    ``kernel`` is the product's loop in :mod:`recseq.kernels`, applied to
-    the first D terms of each operand, D the degree of the new charpoly.
+    They follow the recurrence with the integer coefficients h_i lam^i,
+    the charpoly lam^N p(t / lam), from delta lam^n a_n for n < N.
+    """
+    hs = [-c for c in _scaled(a.charpoly.values[-2::-1], lam, lam)]
+    return recurrence_values(hs, _scaled(a.initial_values, delta, lam), count, a.ring.modulus)
+
+
+def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule):
+    """``(p, xs, ys, lam, delta)``: p = ``charpoly_rule(p_a, p_b)`` and the operands' terms as integers.
+
+    xs and ys are delta lam^n a_n and delta lam^n b_n for n < deg p, the
+    terms that a product's loop in :mod:`recseq.kernels` combines into
+    the initial conditions.  lam is the lcm of the denominators of both
+    charpolys' coefficients, the scale of
+    :func:`~recseq.polymat._root_power_sums`, and delta that of both
+    operands' initial values.  Over Z and Z/m, lam = delta = 1 and xs,
+    ys are the terms themselves.
     """
     _require_same_ring(a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
     need = len(p.values) - 1
-    return LinRec._of(p, kernel(a.term_values(need), b.term_values(need), a.ring.modulus))
+    lam = _denominator_lcm(a.charpoly.values + b.charpoly.values)
+    delta = _denominator_lcm(a.initial_values + b.initial_values)
+    return p, _scaled_terms(a, lam, delta, need), _scaled_terms(b, lam, delta, need), lam, delta
+
+
+def _product(p: Poly, zs, scale: int, mu: int) -> LinRec:
+    """The product with charpoly p whose initial terms are z_k / (scale * mu^k) (see :func:`_unscaled`)."""
+    return LinRec._of(p, _unscaled(p.ring, zs, scale, mu))
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
     """Termwise sum; characteristic polynomial p_a * p_b."""
-    return _product(a, b, mul, partial(termwise_values, add))
+    p, xs, ys, lam, delta = _scaled_operands(a, b, mul)
+    return _product(p, termwise_values(add, xs, ys, p.ring.modulus), delta, lam)
 
 
 def cauchy(a: LinRec, b: LinRec) -> LinRec:
     """Convolution product c_n = sum a_i b_{n-i}; charpoly p_a * p_b."""
-    return _product(a, b, mul, cauchy_values)
+    p, xs, ys, lam, delta = _scaled_operands(a, b, mul)
+    return _product(p, cauchy_values(xs, ys, p.ring.modulus), delta * delta, lam)
 
 
 def hadamard(a: LinRec, b: LinRec) -> LinRec:
     """Termwise product; charpoly is the composed product of charpolys."""
-    return _product(a, b, composed_product, partial(termwise_values, mul))
+    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_product)
+    return _product(p, termwise_values(mul, xs, ys, p.ring.modulus), delta * delta, lam * lam)
 
 
 def hurwitz(a: LinRec, b: LinRec) -> LinRec:
@@ -210,16 +264,21 @@ def hurwitz(a: LinRec, b: LinRec) -> LinRec:
     characteristic polynomials (equivalently the normalized shifted
     resultant).
     """
-    return _product(a, b, composed_sum, binomial_convolution_values)
+    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_sum)
+    return _product(p, binomial_convolution_values(xs, ys, p.ring.modulus), delta * delta, lam)
 
 
 def newton(a: LinRec, b: LinRec) -> LinRec:
     """Multinomial convolution c_n = sum C(n,i) C(i,j) a_i b_{n-j}.
 
     The characteristic polynomial is the composed Newton operation of the
-    operands' characteristic polynomials.
+    operands' characteristic polynomials.  On the scaled terms the Newton
+    loop runs with root shift lam, as in
+    :func:`~recseq.polymat.composed_newton`, which gives
+    delta^2 lam^(2n) c_n.
     """
-    return _product(a, b, composed_newton, newton_values)
+    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_newton)
+    return _product(p, newton_values(xs, ys, p.ring.modulus, lam), delta * delta, lam * lam)
 
 
 def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:

@@ -1,7 +1,10 @@
 """Polynomials over an exact ring and the three composed operations.
 
 A :class:`Poly` holds its coefficients as raw values (see
-:mod:`recseq.kernels`); ``coeffs`` gives them as ring elements.  The
+:mod:`recseq.kernels`); ``coeffs`` gives them as ring elements.  ``+``,
+``-`` and ``*`` run the sum and Cauchy loops on integers: over Q both
+operands are scaled by the lcm of their denominators, and each
+coefficient of the result is divided once, into one ``Fraction``.  The
 composed operations take monic polynomials:
 
 * :func:`composed_product` -- roots multiply (closes the Hadamard product),
@@ -30,7 +33,10 @@ sizes: over Q the roots are scaled to algebraic integers and the result
 scaled back; over Z the division by k <= D is exact; over Z/m the core
 works modulo m times the m-part of D!, so each division by k is exact
 on the part of k that shares primes with m and an inverse on the rest
-(see :func:`_root_power_sums` and :func:`_composed`).
+(see :func:`_root_power_sums` and :func:`_composed`).  The same scale
+lam, from :func:`_denominator_lcm`, puts the products of
+:mod:`recseq.linrec` on integers, and :func:`_scaled` and
+:func:`_unscaled` are the two ends of that scaling everywhere.
 """
 
 from __future__ import annotations
@@ -99,9 +105,11 @@ class Poly:
     def _termwise(self, other, op) -> "Poly":
         _require_same_ring(self, other)
         a, b = self.values, other.values
+        scale = _denominator_lcm(a + b)
         n = max(len(a), len(b))
-        zs = termwise_values(op, a + (0,) * (n - len(a)), b + (0,) * (n - len(b)), self.ring.modulus)
-        return Poly._of(self.ring, zs)
+        xs, ys = _scaled(a, scale) + [0] * (n - len(a)), _scaled(b, scale) + [0] * (n - len(b))
+        zs = termwise_values(op, xs, ys, self.ring.modulus)
+        return Poly._of(self.ring, _unscaled(self.ring, zs, scale))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -123,9 +131,11 @@ class Poly:
         a, b = self.values, other.values
         if not a or not b:
             return Poly._of(self.ring, ())
+        scale = _denominator_lcm(a + b)
         # the Cauchy loop on operands padded to the product's length
-        zs = cauchy_values(a + (0,) * (len(b) - 1), b + (0,) * (len(a) - 1), self.ring.modulus)
-        return Poly._of(self.ring, zs)
+        xs, ys = _scaled(a, scale) + [0] * (len(b) - 1), _scaled(b, scale) + [0] * (len(a) - 1)
+        zs = cauchy_values(xs, ys, self.ring.modulus)
+        return Poly._of(self.ring, _unscaled(self.ring, zs, scale * scale))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -140,6 +150,35 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.ring}, {self})"
+
+
+def _denominator_lcm(values) -> int:
+    """The lcm of the denominators of raw values: 1 over Z and Z/m."""
+    return lcm(*[v.denominator for v in values])
+
+
+def _scaled(values, scale: int, mu: int = 1) -> list:
+    """The integers v_k * scale * mu^k; each denominator must divide its factor."""
+    out = []
+    for v in values:
+        out.append(v.numerator * (scale // v.denominator))
+        scale *= mu
+    return out
+
+
+def _unscaled(ring: RingSpec, zs, scale: int, mu: int = 1) -> list:
+    """The raw values z_k / (scale * mu^k) of ``ring`` from the integers of :func:`_scaled`.
+
+    Only Q has a denominator: there each output is one ``Fraction``.
+    Over Z and Z/m, scale = mu = 1 and ``zs`` are the values as they are.
+    """
+    if ring.kind != RingSpec.RATIONALS:
+        return zs
+    out = []
+    for z in zs:
+        out.append(Fraction(z, scale))
+        scale *= mu
+    return out
 
 
 def _trimmed(values) -> tuple:
@@ -193,8 +232,7 @@ def _split_by_modulus(k: int, m: int) -> tuple[int, int]:
 
 def _scaled_values(p: Poly, lam: int) -> list:
     """Integer coefficients of lam^d p(t / lam); ``lam`` clears every denominator."""
-    d = len(p.values) - 1
-    return [v.numerator * (lam ** (d - j) // v.denominator) for j, v in enumerate(p.values)]
+    return _scaled(p.values[::-1], 1, lam)[::-1]
 
 
 def _root_power_sums(p: Poly, q: Poly):
@@ -217,7 +255,7 @@ def _root_power_sums(p: Poly, q: Poly):
     _require_charpoly_operand(q)
     _require_same_ring(p, q)
     count = (len(p.values) - 1) * (len(q.values) - 1) + 1
-    lam = lcm(*(v.denominator for v in p.values + q.values))
+    lam = _denominator_lcm(p.values + q.values)
     m = p.ring.modulus
     modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
     xs = _power_sums(_scaled_values(p, lam), count, modulus)
@@ -259,9 +297,7 @@ def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
             high.append(c * pow(k1, -1, modulus) % modulus if k1 > 1 else c)
     if m is not None:
         high = [c % m for c in high]
-    elif ring.kind == RingSpec.RATIONALS:
-        high = [Fraction(c, mu**k) for k, c in enumerate(high)]
-    return Poly._of(ring, reversed(high))
+    return Poly._of(ring, reversed(_unscaled(ring, high, 1, mu)))
 
 
 def composed_product(p: Poly, q: Poly) -> Poly:

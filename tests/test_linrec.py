@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from recseq import (
     seq_sum,
 )
 import recseq
-from recseq import binom, int_scale, kernels, linrec
+from recseq import binom, int_scale, kernels, linrec, polymat
 from recseq.polymat import DegreeZero
 from recseq.verify import direct_product_oracle, inverse_check, satisfies_recurrence
 
@@ -467,6 +468,102 @@ def test_products_match_the_oracle_in_canonical_form(ring, product):
         p, q = a.charpoly, b.charpoly
         for poly in (p + q, p - q, -p, p * q):
             _assert_canonical(poly)
+
+
+def _q_linrec(rng, lam, degree, zero_init=False, zero_constant=False):
+    # charpoly denominators divide lam and one of them is lam; initial
+    # values have denominators up to 4, one of them 3
+    divisors = [d for d in range(1, lam + 1) if lam % d == 0]
+    coeffs = [Fraction(rng.randint(-5, 5), rng.choice(divisors)) for _ in range(degree)]
+    coeffs[-1] = Fraction(rng.choice([-1, 1]), lam)
+    if zero_constant:
+        coeffs[0] = Fraction(0)
+    init = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(degree)]
+    init[0] = Fraction(rng.choice([-2, -1, 1, 2]), 3)
+    if zero_init:
+        init = [Fraction(0)] * degree
+    p = Poly(QQ, [RingElem(QQ, c) for c in coeffs] + [QQ.one])
+    return LinRec(p, [RingElem(QQ, v) for v in init])
+
+
+@pytest.mark.parametrize("product", [seq_sum, hadamard, cauchy, hurwitz, newton], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("lam", [1, 6, 10])
+def test_scaled_products_over_q_match_the_oracle(lam, product):
+    # over Q a product unrolls delta lam^n a_n on integers and divides each
+    # output once: the shapes that path must get right, up to D = 30
+    kind = "sum" if product is seq_sum else product.__name__
+    rng = random.Random(97 * lam + len(kind))
+    cases = [
+        ((1, {}), (1, {})),
+        ((2, {}), (3, {})),
+        ((4, {}), (5, {})),
+        ((5, {}), (6, {})),
+        ((3, {"zero_init": True}), (4, {})),
+        ((3, {"zero_init": True}), (2, {"zero_init": True})),
+        ((3, {"zero_constant": True}), (2, {"zero_constant": True})),
+    ]
+    for (da, ka), (db, kb) in cases:
+        a, b = _q_linrec(rng, lam, da, **ka), _q_linrec(rng, lam, db, **kb)
+        assert lcm(*(v.denominator for v in a.charpoly.values + b.charpoly.values)) == lam
+        if not (ka or kb):
+            assert lcm(*(v.denominator for v in a.initial_values + b.initial_values)) > 1
+        c = product(a, b)
+        k = c.order + 3
+        want = direct_product_oracle(kind, a.terms(k), b.terms(k))
+        assert list(c.initial) == want[: c.order]
+        assert c.terms(k) == want
+        _assert_canonical(c)
+
+
+def test_products_and_poly_arithmetic_over_q_hand_the_kernels_only_ints(monkeypatch):
+    """Over Q the five products and ``Poly`` ``+``, ``-``, ``*`` pass only ``int`` to the kernels.
+
+    They scale the operands to integers by the lcm of their denominators
+    and make one ``Fraction`` per output.  Two callers still pass
+    ``Fraction`` values, and the test shows that its spy sees them:
+    ``LinRec.term_values``, because a scaled unroll carries numbers of
+    size lam^n and was measured 1.3x slower at lam = 10, n = 3000; and
+    the Newton inverse, whose output denominators grow with k so that a
+    common-denominator version gained only 1.05x.
+    """
+    calls, fractions = [], []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            seqs = [arg for arg in args if isinstance(arg, (list, tuple))]
+            if any(type(v) is not int for arg in seqs for v in arg):
+                fractions.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (linrec, polymat):
+        for name, fn in list(vars(module).items()):
+            if getattr(fn, "__module__", None) == kernels.__name__ and callable(fn):
+                monkeypatch.setattr(module, name, spy(name, fn))
+    rng = random.Random(5)
+    pairs = [(fib(QQ), geometric(QQ, 3))]
+    pairs += [(_q_linrec(rng, lam, 3), _q_linrec(rng, lam, 2)) for lam in (1, 6, 10)]
+    for a, b in pairs:
+        for product in (seq_sum, hadamard, cauchy, hurwitz, newton):
+            product(a, b)
+        p, q = a.charpoly, b.charpoly
+        for poly in (p + q, p - q, -p, p * q):
+            _assert_canonical(poly)
+    assert fractions == []
+    assert set(calls) == {
+        "recurrence_values",
+        "termwise_values",
+        "cauchy_values",
+        "binomial_convolution_values",
+        "newton_values",
+    }
+    a = pairs[-1][0]
+    a.term_values(a.order + 2)
+    assert fractions == ["recurrence_values"]
+    newton_inverse(a, 4)
+    assert "binomial_convolution_values" in fractions
 
 
 def test_backend_is_reported():
