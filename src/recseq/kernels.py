@@ -10,17 +10,24 @@ is reduced mod m as soon as it is formed; with ``modulus=None`` the
 arithmetic is exact.  One copy of each loop serves Z, Q and Z/m for
 every m.
 
-Each of the five products has one loop here: :func:`termwise_values`
-(sum and Hadamard), :func:`cauchy_values`,
-:func:`binomial_convolution_values` (Hurwitz) and :func:`newton_values`.
-:mod:`recseq.linrec` applies it to the operands' terms to get the initial
-conditions; :mod:`recseq.polymat` applies the Hadamard, Hurwitz and
-Newton loops to the power sums of the roots of two characteristic
-polynomials, which the same loop turns into the power sums of the
-combined roots, and runs polynomial ``+``, ``-`` and ``*`` on the sum and
-Cauchy loops.  :class:`~recseq.polymat.Poly` and
+The products run on these loops: :func:`termwise_values` (sum and
+Hadamard), :func:`cauchy_values` (Cauchy) and
+:func:`binomial_convolution_values` (Hurwitz); the Newton product is the
+Hadamard product conjugated by the binomial transform, so it runs
+:func:`termwise_values` between shifted binomial transforms
+(:func:`binomial_transform_values`).  :mod:`recseq.linrec` applies them
+to the operands' terms to get the initial conditions;
+:mod:`recseq.polymat` applies the same loops to the power sums of the
+roots of two characteristic polynomials, which they turn into the power
+sums of the combined roots, and runs polynomial ``+``, ``-`` and ``*`` on
+the sum and Cauchy loops.  :class:`~recseq.polymat.Poly` and
 :class:`~recseq.linrec.LinRec` hold raw values, so the values pass
 straight through; ring elements are built only when a caller reads them.
+
+Over Z/m with (n-1)! a unit mod m, :func:`binomial_convolution_values`
+weights by inverse factorials and runs its convolution as one big-int
+multiplication (Kronecker substitution, :func:`_packed_cauchy`); every
+other input takes the Pascal loop.
 
 :mod:`recseq.verify` keeps its own, deliberately independent loops over
 ring elements as the oracle, and so do its matrix oracles (Kronecker
@@ -30,6 +37,7 @@ constructions, Berkowitz, the shifted resultant): none calls a kernel.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from math import gcd
 from operator import add, mul, sub
 
 # recseq is pure Python; the name stays for code that records it
@@ -55,7 +63,7 @@ def termwise_values(op, xs, ys, modulus: int | None = None) -> list:
 
 
 def cauchy_values(xs, ys, modulus: int | None = None) -> list:
-    """Truncated convolution z_k = sum_i x_i y_(k-i) for k < len(xs)."""
+    """Truncated convolution z_k = sum_i x_i y_(k-i) for k < len(xs); callers pass len(ys) >= len(xs)."""
     out = []
     for k in range(len(xs)):
         z = sum(map(mul, xs, reversed(ys[: k + 1])))
@@ -88,16 +96,37 @@ def binomial_transform_values(xs, shift: int = 1, modulus: int | None = None) ->
 
 
 def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:
-    """z_k = sum_i C(k,i) x_i y_(k-i) for k < len(xs).
+    """z_k = sum_i C(k,i) x_i y_(k-i) for k < len(xs); callers pass len(ys) >= len(xs).
 
-    The binomial coefficients come from Pascal rows built on the way, so
-    each z_k is a running sum that adds one product at a time.  For
-    ``Fraction`` values, which only the Newton inverse still passes (the
-    Hurwitz product and composed sum pass integers), that keeps one
-    operand of every addition small; the pairwise table of
-    :func:`binomial_transform_values` adds two partial sums that both
-    carry the lcm of many denominators.
+    With n = len(xs), the route depends only on n and ``modulus``:
+
+    * If (n-1)! is a unit mod m, z_k = k! sum_i (x_i / i!) (y_(k-i) / (k-i)!)
+      with inverse factorials mod m, and the sum is one packed Cauchy
+      product (:func:`_packed_cauchy`).
+    * Otherwise -- Z, Q's scaled integers, a modulus sharing a prime with
+      (n-1)!, and the ``Fraction`` values of the Newton inverse -- the
+      binomial coefficients come from Pascal rows built on the way, so
+      each z_k is a running sum that adds one product at a time.  For
+      ``Fraction`` values that keeps one operand of every addition small;
+      the pairwise table of :func:`binomial_transform_values` adds two
+      partial sums that both carry the lcm of many denominators.
+
+    The first route reads only ys[:n], the second ys[:k+1] for each k, so
+    with a shorter ``ys`` the two would disagree.
     """
+    n = len(xs)
+    if modulus and n:
+        fact = [1]
+        for k in range(1, n):
+            fact.append(fact[-1] * k % modulus)
+        if gcd(fact[-1], modulus) == 1:
+            inv = [pow(fact[-1], -1, modulus)]
+            for k in range(n - 1, 0, -1):
+                inv.append(inv[-1] * k % modulus)
+            inv.reverse()
+            us = [x * w % modulus for x, w in zip(xs, inv)]
+            vs = [y * w % modulus for y, w in zip(ys, inv)]
+            return [z * f % modulus for z, f in zip(_packed_cauchy(us, vs, modulus), fact)]
     out = []
     row = [1]
     for k in range(len(xs)):
@@ -107,15 +136,20 @@ def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:
     return out
 
 
-def newton_values(xs, ys, modulus: int | None = None, shift: int = 1) -> list:
-    """z = B_(-shift^2)(B_shift(x) . B_shift(y)), B_s the shifted binomial transform.
+def _packed_cauchy(xs, ys, modulus: int) -> list:
+    """z_k = sum_i x_i y_(k-i) mod m for k < len(xs), by Kronecker substitution.
 
-    With ``shift=1`` this is the Newton convolution
-    z_n = sum_i sum_j C(n,i) C(i,j) x_i y_(n-j).  If x and y are the power
-    sums of roots a and b, z are those of shift a + shift b + a b: the
-    roots a + shift and b + shift multiply, and the product
-    (a + shift)(b + shift) less shift^2 is that root.  O(len^2) additions.
+    xs and ys hold len(xs) residues in [0, m).  Each is written into a
+    byte slot of one integer, wide enough that no slot of the product
+    (a sum of at most len(xs) terms below m^2) carries into the next, so
+    one big-int multiplication gives every z_k.
     """
-    bx = binomial_transform_values(xs, shift, modulus)
-    by = binomial_transform_values(ys, shift, modulus)
-    return list(binomial_transform_values(termwise_values(mul, bx, by, modulus), -shift * shift, modulus))
+    n = len(xs)
+    width = -(-(n * (modulus - 1) ** 2).bit_length() // 8) + 1
+    size = n * width
+
+    def packed(vs):
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in vs), "little")
+
+    data = (packed(xs) * packed(ys)).to_bytes(2 * size, "little")
+    return [int.from_bytes(data[i : i + width], "little") % modulus for i in range(0, size, width)]

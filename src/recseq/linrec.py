@@ -8,7 +8,11 @@ characteristic polynomial (the polynomial product p_a * p_b, or one of
 the composed operations in :mod:`recseq.polymat`) and its loop in
 :mod:`recseq.kernels`, which gives the initial conditions from the
 operands' terms.  The composed operations run the same loop on the power
-sums of the roots.
+sums of the roots.  The Newton product is the Hadamard product
+conjugated by the binomial transform; the transform of an operand is
+again recurrent, with the charpoly's roots shifted by one (by lam on
+the scaled terms), so it is unrolled from its own recurrence, and one
+O(D^2) transform table is left.
 
 A :class:`LinRec` holds raw values (``int``, or ``Fraction`` over Q;
 residues reduced into [0, m)), and so does its :class:`~recseq.polymat.Poly`.
@@ -61,7 +65,6 @@ from .kernels import (
     binomial_convolution_values,
     binomial_transform_values,
     cauchy_values,
-    newton_values,
     recurrence_values,
     termwise_values,
 )
@@ -71,6 +74,8 @@ from .polymat import (
     Poly,
     _denominator_lcm,
     _scaled,
+    _scaled_values,
+    _taylor_shift,
     _unscaled,
     composed_newton,
     composed_product,
@@ -205,33 +210,47 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _scaled_terms(a: LinRec, lam: int, delta: int, count: int) -> list:
+def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = False) -> list:
     """The integers delta lam^n a_n for n < ``count``, unrolled without a ``Fraction``.
 
     They follow the recurrence with the integer coefficients h_i lam^i,
-    the charpoly lam^N p(t / lam), from delta lam^n a_n for n < N.
+    the charpoly lam^N p(t / lam), from delta lam^n a_n for n < N.  With
+    ``shifted``, the result is their shifted binomial transform B_lam
+    instead: that is again a recurrent sequence, whose charpoly has the
+    roots plus lam (:func:`~recseq.polymat._taylor_shift`) and whose
+    first N terms are B_lam of the first N, so it too is unrolled in
+    O(count N).
     """
-    hs = [-c for c in _scaled(a.charpoly.values[-2::-1], lam, lam)]
-    return recurrence_values(hs, _scaled(a.initial_values, delta, lam), count, a.ring.modulus)
+    m = a.ring.modulus
+    init = _scaled(a.initial_values, delta, lam)
+    if shifted:
+        cs = _taylor_shift(_scaled_values(a.charpoly, lam), lam)
+        hs = [-c for c in cs[-2::-1]]
+        init = list(binomial_transform_values(init, lam, m))
+    else:  # the products without a shift keep the cheaper direct scaling
+        hs = [-c for c in _scaled(a.charpoly.values[-2::-1], lam, lam)]
+    return recurrence_values(hs, init, count, m)
 
 
-def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule):
+def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False):
     """``(p, xs, ys, lam, delta)``: p = ``charpoly_rule(p_a, p_b)`` and the operands' terms as integers.
 
     xs and ys are delta lam^n a_n and delta lam^n b_n for n < deg p, the
     terms that a product's loop in :mod:`recseq.kernels` combines into
-    the initial conditions.  lam is the lcm of the denominators of both
-    charpolys' coefficients, the scale of
+    the initial conditions; with ``shifted`` (the Newton product) they
+    are the shifted binomial transforms B_lam of those.  lam is the lcm
+    of the denominators of both charpolys' coefficients, the scale of
     :func:`~recseq.polymat._root_power_sums`, and delta that of both
     operands' initial values.  Over Z and Z/m, lam = delta = 1 and xs,
-    ys are the terms themselves.
+    ys are the terms themselves, or their binomial transforms.
     """
     _require_same_ring(a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
     need = len(p.values) - 1
     lam = _denominator_lcm(a.charpoly.values + b.charpoly.values)
     delta = _denominator_lcm(a.initial_values + b.initial_values)
-    return p, _scaled_terms(a, lam, delta, need), _scaled_terms(b, lam, delta, need), lam, delta
+    xs, ys = _scaled_terms(a, lam, delta, need, shifted), _scaled_terms(b, lam, delta, need, shifted)
+    return p, xs, ys, lam, delta
 
 
 def _product(p: Poly, zs, scale: int, mu: int) -> LinRec:
@@ -272,13 +291,17 @@ def newton(a: LinRec, b: LinRec) -> LinRec:
     """Multinomial convolution c_n = sum C(n,i) C(i,j) a_i b_{n-j}.
 
     The characteristic polynomial is the composed Newton operation of the
-    operands' characteristic polynomials.  On the scaled terms the Newton
-    loop runs with root shift lam, as in
+    operands' characteristic polynomials.  The Newton product is the
+    Hadamard product conjugated by the binomial transform: on the scaled
+    terms, c = B_(-lam^2)(B_lam(x) . B_lam(y)), as in
     :func:`~recseq.polymat.composed_newton`, which gives
-    delta^2 lam^(2n) c_n.
+    delta^2 lam^(2n) c_n.  The operands' transforms B_lam are unrolled
+    from their own recurrences, so one O(D^2) transform table remains.
     """
-    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_newton)
-    return _product(p, newton_values(xs, ys, p.ring.modulus, lam), delta * delta, lam * lam)
+    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_newton, shifted=True)
+    m = p.ring.modulus
+    zs = binomial_transform_values(termwise_values(mul, xs, ys, m), -lam * lam, m)
+    return _product(p, zs, delta * delta, lam * lam)
 
 
 def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:

@@ -17,11 +17,16 @@ the power sums of each operand's roots, and the power sums of the roots
 of p form the linear recurrent sequence with characteristic polynomial p.
 So the product that the composed operation closes, applied to the two
 power-sum sequences, gives the power sums of the combined roots: the
-Hadamard, Hurwitz or Newton loop of :mod:`recseq.kernels`, the same loop
-that gives a product's initial conditions.  Newton's identities run
-backwards recover the polynomial (Bostan, Flajolet, Salvy, Schost, "Fast
-computation of special resultants", 2006).  That is O(D^2) coefficient
-operations for D = deg p * deg q.  The oracles that compute the same
+Hadamard or Hurwitz loop of :mod:`recseq.kernels`, the same loop that
+gives a product's initial conditions.  The Newton product is the
+Hadamard product conjugated by the binomial transform, which on roots is
+a shift: :func:`composed_newton` shifts the roots of each operand
+polynomial (:func:`_taylor_shift`, O(d^2) for degree d) before the power
+sums, multiplies them termwise and shifts the result back with one
+binomial transform.  Newton's identities run backwards recover the
+polynomial (Bostan, Flajolet, Salvy, Schost, "Fast computation of
+special resultants", 2006).  That is a few O(D^2) passes for
+D = deg p * deg q.  The oracles that compute the same
 polynomials independently -- the Kronecker constructions on companion
 matrices with Berkowitz, and :func:`~recseq.verify.resultant_shift` --
 live in :mod:`recseq.verify`.
@@ -45,7 +50,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
-from .kernels import binomial_convolution_values, cauchy_values, newton_values, termwise_values
+from .kernels import binomial_convolution_values, binomial_transform_values, cauchy_values, termwise_values
 from .ring import RingElem, RingMismatch, RingSpec
 
 class NotMonic(ValueError):
@@ -235,13 +240,30 @@ def _scaled_values(p: Poly, lam: int) -> list:
     return _scaled(p.values[::-1], 1, lam)[::-1]
 
 
-def _root_power_sums(p: Poly, q: Poly):
+def _taylor_shift(cs, s: int) -> list:
+    """Coefficients of P(t - s), low-to-high, from those of P: its roots plus ``s``.
+
+    Horner's scheme, O(d^2) multiply-adds on integers.
+    """
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] -= s * cs[j + 1]
+    return cs
+
+
+def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
     """``(xs, ys, lam, modulus)``: the power sums s_0..s_D of lam a and of lam b.
 
     a runs over the roots of p, b over those of q, D = deg p * deg q.
     These are what a product's loop in :mod:`recseq.kernels` combines
     into the power sums of the combined roots; :func:`_composed` turns
-    those back into the polynomial.  One integer core serves every ring:
+    those back into the polynomial.  With ``shifted`` (the Newton
+    product) they are the power sums of lam a + lam and lam b + lam
+    instead: each scaled polynomial is Taylor-shifted by lam before
+    Newton's identities run, which costs O(d^2) for degree d, where
+    shifting the power sums would cost O(D^2).  One integer core serves
+    every ring:
 
     * Over Q the roots are scaled to algebraic integers: with lam the
       lcm of all coefficient denominators, the power sums are those of
@@ -258,9 +280,10 @@ def _root_power_sums(p: Poly, q: Poly):
     lam = _denominator_lcm(p.values + q.values)
     m = p.ring.modulus
     modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
-    xs = _power_sums(_scaled_values(p, lam), count, modulus)
-    ys = _power_sums(_scaled_values(q, lam), count, modulus)
-    return xs, ys, lam, modulus
+    cp, cq = _scaled_values(p, lam), _scaled_values(q, lam)
+    if shifted:
+        cp, cq = _taylor_shift(cp, lam), _taylor_shift(cq, lam)
+    return _power_sums(cp, count, modulus), _power_sums(cq, count, modulus), lam, modulus
 
 
 def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
@@ -328,11 +351,15 @@ def composed_sum(p: Poly, q: Poly) -> Poly:
 def composed_newton(p: Poly, q: Poly) -> Poly:
     """Monic polynomial with roots a + b + a*b over pairs of roots a, b.
 
-    Its root power sums come from the Newton loop on the power sums.  On
-    the scaled roots lam a, lam b it runs with root shift lam, which gives
-    the power sums of lam^2 (a + b + a*b).  Equals the characteristic
-    polynomial of A (x) I + I (x) B + A (x) B; closes the Newton product
-    of sequences.  Identity: t.
+    The Newton product is the Hadamard product conjugated by the binomial
+    transform, and on roots that is a shift: on the scaled roots,
+    lam^2 (a + b + a*b) = (lam a + lam)(lam b + lam) - lam^2.  So the
+    operands' roots are shifted by lam (:func:`_taylor_shift`), the power
+    sums of the shifted roots multiply termwise, and one shifted binomial
+    transform B_(-lam^2) moves the products' power sums back.  Equals the
+    characteristic polynomial of A (x) I + I (x) B + A (x) B; closes the
+    Newton product of sequences.  Identity: t.
     """
-    xs, ys, lam, modulus = _root_power_sums(p, q)
-    return _composed(p.ring, newton_values(xs, ys, modulus, lam), lam * lam, modulus)
+    xs, ys, lam, modulus = _root_power_sums(p, q, shifted=True)
+    sums = binomial_transform_values(termwise_values(mul, xs, ys, modulus), -lam * lam, modulus)
+    return _composed(p.ring, list(sums), lam * lam, modulus)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -392,12 +393,15 @@ class TestRootLaws:
             assert hadamard(a, b).charpoly == Poly(MOD, [-(u * v), MOD.one])
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(2**61 - 1), Zmod(2**64)], ids=str)
+@pytest.mark.parametrize("ring", [ZZ, Zmod(97), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)], ids=str)
 @pytest.mark.parametrize("product", [hadamard, hurwitz, newton], ids=lambda f: f.__name__)
 def test_composed_closure_at_degree_100(product, ring):
     # 10 x 10 operands: D = 100, far past what Berkowitz on the D x D
     # Kronecker matrix finishes in test time; over Zmod(2**64) the power
-    # sums run modulo 2**64 * 2**97 (the 2-part of 100!)
+    # sums run modulo 2**64 * 2**97 (the 2-part of 100!).  Over Zmod(97),
+    # 97 < 100 divides 99! and 100!, so the Hurwitz binomial convolutions
+    # of the terms and of the power sums take the Pascal route; over
+    # Zmod(10007) they take the inverse-factorial route
     rng = random.Random(101)
     a, b = random_linrec(rng, ring, 10), random_linrec(rng, ring, 10)
     c = product(a, b)
@@ -557,7 +561,7 @@ def test_products_and_poly_arithmetic_over_q_hand_the_kernels_only_ints(monkeypa
         "termwise_values",
         "cauchy_values",
         "binomial_convolution_values",
-        "newton_values",
+        "binomial_transform_values",
     }
     a = pairs[-1][0]
     a.term_values(a.order + 2)
@@ -594,21 +598,72 @@ def test_cauchy_values_accept_any_modulus():
     assert kernels.cauchy_values(big, big, m) == [z % m for z in kernels.cauchy_values(big, big)]
 
 
+def _poly_from_roots(roots) -> list:
+    # integer coefficients of prod (t - r), low-to-high
+    cs = [1]
+    for r in roots:
+        cs = [hi - r * lo for hi, lo in zip([0] + cs, cs + [0])]
+    return cs
+
+
 @pytest.mark.parametrize("modulus", [None, 12, 2**61 - 1], ids=str)
 @pytest.mark.parametrize("shift", [1, 2, 3, 5])
 def test_newton_values_combine_root_power_sums(shift, modulus):
-    # on power sums of roots a and b, the Newton loop with root shift s
-    # gives those of s a + s b + a b; the reference is built from the roots
+    # the power sums of the Taylor-shifted polynomials are those of the
+    # roots a + s and b + s; multiplied termwise and moved back by the
+    # shifted binomial transform B_(-s^2), as composed_newton does, they
+    # are those of s a + s b + a b.  The references are built from the roots
     rng = random.Random(31 * shift + 7)
     count = 12
+
+    def power_sums(roots):
+        vals = [sum(r**k for r in roots) for k in range(count)]
+        return [v % modulus for v in vals] if modulus else vals
+
     for _ in range(5):
         roots_a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         roots_b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
-        combined = [shift * a + shift * b + a * b for a in roots_a for b in roots_b]
-        xs, ys, want = ([sum(r**k for r in roots) for k in range(count)] for roots in (roots_a, roots_b, combined))
-        if modulus:
-            xs, ys, want = ([v % modulus for v in vals] for vals in (xs, ys, want))
-        assert kernels.newton_values(xs, ys, modulus, shift) == want
+        xs, ys = (
+            polymat._power_sums(polymat._taylor_shift(_poly_from_roots(roots), shift), count, modulus)
+            for roots in (roots_a, roots_b)
+        )
+        assert xs == power_sums([a + shift for a in roots_a])
+        assert ys == power_sums([b + shift for b in roots_b])
+        zs = kernels.binomial_transform_values(kernels.termwise_values(mul, xs, ys, modulus), -shift * shift, modulus)
+        assert list(zs) == power_sums([shift * a + shift * b + a * b for a in roots_a for b in roots_b])
+
+
+def _direct_binomial_convolution(xs, ys, modulus):
+    out = [sum(binom(k, i) * xs[i] * ys[k - i] for i in range(k + 1)) for k in range(len(xs))]
+    return [z % modulus for z in out] if modulus else out
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 12, 97, 720, 10007, 65537, 2**61 - 1, 2**64], ids=str)
+def test_binomial_convolution_values_on_both_routes(modulus):
+    # n - 1 runs past 97, so Zmod(97) crosses from the inverse-factorial
+    # route to the Pascal route at n = 98; 10007, 65537 and 2**61 - 1
+    # stay on the first, 2, 3, 12, 720 and 2**64 leave it at n = 3 or 4,
+    # and None never takes it
+    rng = random.Random(modulus or 1)
+    bound = modulus or 10**6
+    for n in range(111):
+        xs = [rng.randrange(bound) for _ in range(n)]
+        ys = [rng.randrange(bound) for _ in range(n + rng.randint(0, 2))]
+        assert kernels.binomial_convolution_values(xs, ys, modulus) == _direct_binomial_convolution(xs, ys, modulus)
+
+
+def test_binomial_convolution_route_depends_on_the_modulus(monkeypatch):
+    seen, packed = [], kernels._packed_cauchy
+
+    def spy(xs, ys, modulus):
+        seen.append(modulus)
+        return packed(xs, ys, modulus)
+
+    monkeypatch.setattr(kernels, "_packed_cauchy", spy)
+    xs = list(range(65))
+    for modulus in (10007, 12, None):
+        kernels.binomial_convolution_values(xs, xs, modulus)
+    assert seen == [10007]
 
 
 def _reference_transform(a, depth):
@@ -643,6 +698,14 @@ def _unit_transform_linrec(ring, u):
 
 
 INVERSE_RINGS = [ZZ, QQ, Zmod(12), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)]
+
+
+def test_long_inverse_over_a_prime_field_matches_the_reference():
+    # k = 200 < 10007: the inverse's binomial convolution takes the
+    # inverse-factorial route
+    k = 200
+    a = _unit_transform_linrec(MOD, MOD.from_int(5))
+    assert newton_inverse(a, k) == _reference_inverse(a, k)
 
 
 @pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
