@@ -8,10 +8,17 @@ kinds) and ``charpoly-op`` (three kinds) in plain and structured form,
 ``terms``, ``invert`` on invertible and non-invertible inputs,
 ``transform`` (four kinds) and ``verify`` (five checks), over Z, Q with
 fractional coefficients and Z/m for m = 2, 12, 720, 5040, 10007, 2^61-1
-and 2^64.  One more replay runs the verbs that print sequences and
-polynomials with the ring-element views (``LinRec.terms``,
+and 2^64.  Three more over Z print long integers: ``terms`` with values
+of about 200 digits, a structured Hadamard product over 300 terms, and a
+``terms`` call whose last value has 4301 digits, one over Python's
+int/str limit, which exits 2.  One more replay runs the verbs that print
+sequences and polynomials with the ring-element views (``LinRec.terms``,
 ``LinRec.initial``, ``Poly.coeffs``) made to raise: those verbs print
 raw values.
+
+The interpreter's own message for the int/str limit differs between
+Python versions ("(4300)" on 3.10, "(4300 digits)" from 3.11), so the
+transcript stores it as the placeholder ``LIMIT``.
 
 To rewrite the file from the current code (only when a change of output
 is intended)::
@@ -38,14 +45,30 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 RAW_VALUE_VERBS = ("terms", "op", "transform", "charpoly-op")
 RAW_VALUES = "raw values"
 
+# stands in the stored stderr for the interpreter's int/str-limit message
+LIMIT = "<int/str limit>"
+
 RINGS = ["Z", "Q", "Zmod:2", "Zmod:12", "Zmod:720", "Zmod:5040", "Zmod:10007", f"Zmod:{2**61 - 1}", f"Zmod:{2**64}"]
+
+
+def _limit_message() -> str:
+    """What this interpreter raises when asked to print 10^4300."""
+    try:
+        str(10**4300)
+    except ValueError as exc:
+        return str(exc)
+    return LIMIT  # no limit is set: there is nothing to replace
+
+
+LIMIT_MESSAGE = _limit_message()
 
 
 def run(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(list(argv))
-    return {"argv": list(argv), "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+    stderr = err.getvalue().replace(LIMIT_MESSAGE, LIMIT)
+    return {"argv": list(argv), "stdout": out.getvalue(), "stderr": stderr, "exit": code}
 
 
 def _element(rng: random.Random, ring: str) -> str:
@@ -99,6 +122,17 @@ def _cases(ring: str, seed: int) -> list[list[str]]:
     return cases
 
 
+def _long_integer_cases() -> list[list[str]]:
+    """Calls over Z whose values run to hundreds of digits (group Z)."""
+    return [
+        ["terms", "-s", "ring=Z;p=[-3,-97,1];init=[2,-5]", "-n", "101"],
+        [
+            "op", "--kind", "hadamard", "-a", "ring=Z;p=[-1,-1,1];init=[0,1]",
+            "-b", "ring=Z;p=[1,-3,-2,1];init=[2,-1,4]", "-n", "300", "--format", "structured",
+        ],
+    ]
+
+
 def _error_cases() -> list[list[str]]:
     return [
         ["op", "--kind", "sum", "-a", "ring=Z;p=[-1,1];init=[1]", "-b", "ring=Q;p=[-1,1];init=[1]"],
@@ -107,6 +141,7 @@ def _error_cases() -> list[list[str]]:
         ["charpoly-op", "--kind", "star", "-p", "[1/2,1]", "-q", "[1,1]"],
         ["invert", "-s", "ring=Q;p=[-2/5,3/2,1];init=[0,2/5]", "-n", "40"],
         ["verify", "--check", "inverse", "-s", "ring=Zmod:12;p=[1,1];init=[1]", "-n", "5"],
+        ["terms", "-s", "ring=Z;p=[-10,1];init=[1]", "-n", "4301"],  # 10^4300 is over the int/str limit
     ]
 
 
@@ -147,6 +182,7 @@ def main() -> None:
     entries = []
     for seed, ring in enumerate(RINGS):
         entries += [{"group": ring, **run(argv)} for argv in _cases(ring, seed)]
+    entries += [{"group": "Z", **run(argv)} for argv in _long_integer_cases()]
     entries += [{"group": "errors", **run(argv)} for argv in _error_cases()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
