@@ -9,8 +9,11 @@ sequence:  ``ring=<ring>;p=<poly>;init=<list>``
 raw terms: ``ring=<ring>;terms=<list>`` (verification inputs only)
 
 Exit codes: 0 success, 1 failed verification or non-invertible input,
-2 parse/usage errors.  ``--format structured`` emits a JSON tree whose
-numeric leaves are strings, so arbitrary-precision values survive intact.
+2 parse/usage errors, or a value longer than ``sys.get_int_max_str_digits()``
+digits (4300 by default), which is refused with the interpreter's own
+message and nothing on stdout.  ``--format structured`` emits a JSON tree
+whose numeric leaves are strings, so arbitrary-precision values survive
+intact.  Terms are printed from ``LinRec.term_strings``.
 """
 
 from __future__ import annotations
@@ -222,7 +225,7 @@ _TRANSFORMS = {
 
 def _cmd_terms(args) -> int:
     seq = parse_sequence(args.sequence)
-    terms = _strings(seq.term_values(args.count))
+    terms = seq.term_strings(args.count)
     _emit(args, [f"terms: {' '.join(terms)}"], {"ring": str(seq.ring), "terms": terms})
     return 0
 
@@ -232,7 +235,7 @@ def _cmd_op(args) -> int:
     b = parse_sequence(args.b)
     result = _SEQ_OPS[args.kind](a, b)
     initial = _strings(result.initial_values)
-    terms = _strings(result.term_values(args.count))
+    terms = result.term_strings(args.count)
     _emit(
         args,
         [
@@ -287,7 +290,7 @@ def _cmd_invert(args) -> int:
 def _cmd_transform(args) -> int:
     seq = parse_sequence(args.sequence)
     result = _TRANSFORMS[args.kind](seq)
-    terms = _strings(result.term_values(args.count))
+    terms = result.term_strings(args.count)
     _emit(
         args,
         [

@@ -27,7 +27,10 @@ lam = delta = 1 and nothing is divided.  Term unrolling
 (``term_values``) and the Newton inverse pass ``Fraction`` values to the
 loops: scaled, the unrolled numbers grow like lam^n and were measured
 slower (lam = 10, n = 3000), and the inverse's output denominators grow
-so fast that a common denominator gained only 1.05x.
+so fast that a common denominator gained only 1.05x.  Terms are unrolled
+for printing in ``term_strings(k)``, which the CLI calls: over Z it runs
+the same loop on ``Decimal`` integers, whose ``str`` takes linear time,
+and over Q and Z/m it gives ``str`` of ``term_values(k)``.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
@@ -58,7 +61,9 @@ charpoly t - 1/2 makes lam = 2 and the initial value 1/3 makes delta = 3.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from operator import add, mul
 
 from .kernels import (
@@ -84,6 +89,9 @@ from .polymat import (
 from .ring import RingElem, RingMismatch, RingSpec
 
 DEFAULT_PREFIX = 30
+
+# Integer arithmetic in this context is exact or raises: it cannot round.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation])
 
 
 class InvariantError(ValueError):
@@ -164,6 +172,25 @@ class LinRec:
             return list(self.initial_values[:k])
         hs = [-c for c in self.charpoly.values[-2::-1]]  # h_1..h_N
         return recurrence_values(hs, self.initial_values, k, self.ring.modulus)
+
+    def term_strings(self, k: int) -> list[str]:
+        """The first ``k`` terms as printed: ``str`` of each of ``term_values(k)``.
+
+        Over Z the recurrence is unrolled on ``Decimal`` values in a context
+        that cannot round, since ``str`` of a ``Decimal`` takes linear time
+        and that of an ``int`` quadratic.  A term longer than
+        ``sys.get_int_max_str_digits()`` is formatted through ``int``, so
+        the interpreter raises its own ``ValueError``, as ``str`` of the
+        ``int`` would.  Over Q and Z/m the strings are ``str`` of the
+        values.
+        """
+        if self.ring.kind != RingSpec.INTEGERS or k <= self.order:
+            return [str(v) for v in self.term_values(k)]
+        hs = [Decimal(-c) for c in self.charpoly.values[-2::-1]]
+        with localcontext(_EXACT):
+            values = recurrence_values(hs, [Decimal(a) for a in self.initial_values], k)
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit before 3.10.7
+        return [str(int(d)) if limit and d.adjusted() >= limit else str(d) for d in values]
 
     def __add__(self, other):
         if not isinstance(other, LinRec):

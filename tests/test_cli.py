@@ -222,6 +222,48 @@ assert "recseq.verify" in sys.modules
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def _limit_message() -> str:
+    try:
+        str(10**4300)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("Python's int/str limit is off")
+
+
+POWERS_OF_TEN = "ring=Z;p=[-10,1];init=[1]"  # a_n = 10^n
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+class TestIntStrLimit:
+    """Over Z a value of more than ``sys.get_int_max_str_digits()`` digits is refused, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["terms", "-s", POWERS_OF_TEN],
+            ["op", "--kind", "hadamard", "-a", POWERS_OF_TEN, "-b", "ring=Z;p=[-1,1];init=[1]"],
+            ["transform", "--kind", "binomial", "-s", "ring=Z;p=[-9,1];init=[1]"],  # sum C(n,i) 9^i = 10^n
+        ],
+        ids=["terms", "op", "transform"],
+    )
+    def test_limit_is_the_interpreters(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "-n", "4300")
+        assert code == 0
+        assert out.split()[-1] == "1" + "0" * 4299  # 4300 digits
+        code, out, err = run_cli(capsys, *argv, "-n", "4301")
+        assert (code, out, err) == (2, "", f"error: {_limit_message()}\n")
+
+    def test_no_limit_prints_every_term(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run_cli(capsys, "terms", "-s", POWERS_OF_TEN, "-n", "4301")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code, err) == (0, "")
+        assert out.split()[1:] == ["1" + "0" * n for n in range(4301)]
+
+
 class TestVerifyVerb:
     def test_recurrence_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "recurrence", "-s", FIB_Q)

@@ -1,5 +1,6 @@
 """Sequence algebra: products, transforms, inverses, the isomorphism."""
 
+import decimal
 import random
 from fractions import Fraction
 from math import lcm
@@ -7,6 +8,7 @@ from operator import mul
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recseq import (
     QQ,
@@ -39,6 +41,7 @@ from recseq import (
 )
 import recseq
 from recseq import binom, int_scale, kernels, linrec, polymat
+from recseq.cli import parse_sequence
 from recseq.polymat import DegreeZero
 from recseq.verify import direct_product_oracle, inverse_check, satisfies_recurrence
 
@@ -732,3 +735,63 @@ def test_raw_value_inverse_matches_oracles(ring):
             assert isinstance(exc.value.value, RingElem)
             assert exc.value.value == d[first]
     assert invertible >= 1
+
+
+@st.composite
+def _z_unrolls(draw):
+    """A sequence over Z of order 1-6 with coefficients in [-3, 3], and a count in 0-400."""
+    order = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    init = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    return LinRec(Poly.from_ints(ZZ, coeffs + [1]), [ZZ.from_int(v) for v in init]), draw(st.integers(0, 400))
+
+
+@given(_z_unrolls())
+@settings(max_examples=60, deadline=None)
+def test_term_strings_over_z_are_the_strings_of_term_values(case):
+    a, k = case
+    assert a.term_strings(k) == [str(v) for v in a.term_values(k)]
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [
+        # 60-digit coefficients: above decimal's default precision of 28 digits
+        (f"ring=Z;p=[{-(10**59) - 7},{3 * 10**59 + 1},1];init=[1,-1]", 50),
+        # Decimal products that come out as -0
+        ("ring=Z;p=[1,1];init=[0]", 5),
+        ("ring=Z;p=[0,1];init=[-5]", 5),
+        ("ring=Z;p=[0,0,1];init=[0,-2]", 6),
+        # counts at or below the order take the initial values
+        ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 0),
+        ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 2),
+        ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 3),
+        ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 4),
+    ],
+)
+def test_term_strings_over_z_on_edge_cases(text, k):
+    a = parse_sequence(text)
+    want = [str(v) for v in a.term_values(k)]
+    assert a.term_strings(k) == want
+    # the caller's decimal context neither leaks in nor is changed
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert a.term_strings(k) == want
+        assert decimal.getcontext().prec == 5
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(12), Zmod(2**61 - 1)], ids=str)
+def test_term_strings_unroll_on_decimals_over_z_only(ring, monkeypatch):
+    kinds = []
+
+    def spy(hs, init, count, modulus=None):
+        kinds.append({type(v) for v in init})
+        return recurrence(hs, init, count, modulus)
+
+    recurrence = linrec.recurrence_values
+    monkeypatch.setattr(linrec, "recurrence_values", spy)
+    a = fib(ring)
+    assert a.term_strings(30) == [str(v) for v in a.term_values(30)]
+    want = decimal.Decimal if ring == ZZ else (Fraction if ring == QQ else int)
+    assert kinds[0] == {want}
+    assert all(kind == {type(a.initial_values[0])} for kind in kinds[1:])
