@@ -187,6 +187,25 @@ class TestVerbs:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["terms", "-s", "ring=Z;p=[-1,1];init=[1];extra=[2]"], "unknown sequence fields: ['extra']"),
+            (["terms", "-s", "ring=Z;q=1"], "unknown sequence fields: ['q']"),  # before the missing ones
+            (["terms", "-s", "p=[-1,1];init=[1]"], "sequence is missing the 'ring' field"),
+            (["terms", "-s", "ring=Z;init=[1]"], "sequence is missing the 'p' field"),
+            (["terms", "-s", "ring=Z;p=[-1,1]"], "sequence is missing the 'init' field"),
+            (["verify", "--check", "ogf", "-s", "ring=Z;terms=[1,2];p=[-2,1]", "-p", "[-2,1]"],
+             "unknown raw-sequence fields: ['p']"),
+            (["verify", "--check", "recurrence", "-s", "ring=Z;terms=[1,2];init=[1];x=2", "-p", "[-2,1]"],
+             "unknown raw-sequence fields: ['init', 'x']"),
+            (["verify", "--check", "recurrence", "-s", "terms=[1,2]", "-p", "[-2,1]"],
+             "raw sequence is missing the 'ring' field"),
+        ],
+    )
+    def test_field_errors_exit_two(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
     def test_non_monic_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "terms", "-s", "ring=Z;p=[-1,2];init=[1]")
         assert code == 2
@@ -304,6 +323,36 @@ class TestVerifyVerb:
         code, _, err = run_cli(capsys, "verify", "--check", "recurrence")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--check", "ogf", "-s", "ring=Z;terms=[1,2,4,8,16]", "-p", "[-2,1]", "--extra", "3"],
+             (0, "check ogf: PASS (prefix=5)\n", "")),
+            (["--check", "ogf", "-s", "ring=Z;terms=[1,2,4,8,17]", "-p", "[-2,1]", "--extra", "3"],
+             (1, "check ogf: FAIL at index 4: expected 0, got 1 (prefix=5)\n", "")),
+            (["--check", "ogf", "-s", "ring=Z;terms=[1,2,4,8,16]"],
+             (2, "", "error: raw terms need an explicit -p polynomial\n")),
+            (["--check", "recurrence", "-s", "ring=Z;terms=[1,2,4,8,16]"],
+             (2, "", "error: raw terms need an explicit -p polynomial\n")),
+            (["--check", "recurrence", "-s", "ring=Z;terms=[1,x]"], (2, "", "error: bad element literal 'x'\n")),
+            (["--check", "recurrence", "-s", FIB_Z, "-p", "[1,0,-2,1]", "-n", "6"],
+             (0, "check recurrence: PASS (prefix=6)\n", "")),
+            (["--check", "recurrence", "-s", FIB_Z, "-p", "[1,0,-2,1]", "-n", "2"],  # deg p terms at least
+             (0, "check recurrence: PASS (prefix=3)\n", "")),
+            (["--check", "recurrence", "-s", FIB_Z, "-p", "[-2,1]", "-n", "6"],
+             (1, "check recurrence: FAIL at index 1: expected 0, got 1 (prefix=6)\n", "")),
+            (["--check", "ogf", "-s", FIB_Z, "-p", "[1,0,-2,1]", "--extra", "2"],
+             (0, "check ogf: PASS (prefix=6)\n", "")),
+            (["--check", "ogf", "-s", FIB_Z, "-p", "[1,x]"], (2, "", "error: bad element literal 'x'\n")),
+            (["--check", "morphism", "-a", FIB_Z], (2, "", "error: this check requires -b\n")),
+            (["--check", "decomposition", "-a", FIB_Z], (2, "", "error: this check requires -b\n")),
+            (["--check", "decomposition", "-b", FIB_Z], (2, "", "error: this check requires -a\n")),
+            (["--check", "morphism", "-a", "ring=Z;p=[-1,1];init=[x]"], (2, "", "error: bad element literal 'x'\n")),
+        ],
+    )
+    def test_inputs_of_each_check(self, capsys, argv, expected):
+        assert run_cli(capsys, "verify", *argv) == expected
+
     def test_prefix_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("RECSEQ_PREFIX", "5")
         code, out, _ = run_cli(capsys, "verify", "--check", "recurrence", "-s", FIB_Q)
@@ -386,3 +435,19 @@ class TestSelftestVerb:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["passed"] is True
+
+    def test_output_bytes(self, capsys, monkeypatch):
+        fake = [(1, "alpha", lambda seed: (True, "ok")), (10, "beta", lambda seed: (False, "broken"))]
+        monkeypatch.setattr(selftest, "_CRITERIA", fake)
+        assert run_cli(capsys, "selftest") == (
+            1,
+            "[ 1/10] alpha: PASS (ok)\n[10/10] beta: FAIL (broken)\nselftest: 1/2 criteria passed\n",
+            "",
+        )
+        structured = [
+            '{\n    "detail": "ok",\n    "name": "alpha",\n    "number": "1",\n    "passed": true\n  }',
+            '{\n    "detail": "broken",\n    "name": "beta",\n    "number": "10",\n    "passed": false\n  }',
+        ]
+        assert run_cli(capsys, "selftest", "--format", "structured") == (
+            1, "[\n  " + ",\n  ".join(structured) + "\n]\n", ""
+        )
