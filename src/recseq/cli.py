@@ -113,11 +113,14 @@ def _parse_bracket_list(text: str) -> list[str]:
     return body.split(",")
 
 
-def parse_poly(text: str, ring: RingSpec, require_monic: bool = True) -> Poly:
-    """Parse a low-to-high coefficient list; monicity enforced by default."""
-    items = _parse_bracket_list(text)
-    p = Poly(ring, [parse_element(ring, item) for item in items])
-    if require_monic and not p.is_monic():
+def _parse_elements(ring: RingSpec, text: str) -> list[RingElem]:
+    return [parse_element(ring, item) for item in _parse_bracket_list(text)]
+
+
+def parse_poly(text: str, ring: RingSpec) -> Poly:
+    """Parse a low-to-high coefficient list of a monic polynomial."""
+    p = Poly(ring, _parse_elements(ring, text))
+    if not p.is_monic():
         raise NotMonic(f"polynomial {text.strip()} is not monic")
     return p
 
@@ -138,33 +141,28 @@ def _split_fields(text: str) -> dict[str, str]:
     return fields
 
 
+def _grammar_fields(text: str, grammar: str, keys: tuple[str, ...]) -> tuple:
+    """The ring, parsed, then the text of each further field in ``keys``; ``text`` has exactly these fields."""
+    fields = _split_fields(text)
+    unknown = set(fields) - set(keys)
+    if unknown:
+        raise ParseError(f"unknown {grammar.replace(' ', '-')} fields: {sorted(unknown)}")
+    for key in keys:
+        if key not in fields:
+            raise ParseError(f"{grammar} is missing the {key!r} field")
+    return (parse_ring(fields["ring"]), *(fields[key] for key in keys[1:]))
+
+
 def parse_sequence(text: str) -> LinRec:
     """Parse ``ring=...;p=...;init=...`` into a validated sequence."""
-    fields = _split_fields(text)
-    unknown = set(fields) - {"ring", "p", "init"}
-    if unknown:
-        raise ParseError(f"unknown sequence fields: {sorted(unknown)}")
-    for key in ("ring", "p", "init"):
-        if key not in fields:
-            raise ParseError(f"sequence is missing the {key!r} field")
-    ring = parse_ring(fields["ring"])
-    p = parse_poly(fields["p"], ring, require_monic=True)
-    init = [parse_element(ring, item) for item in _parse_bracket_list(fields["init"])]
-    return LinRec(p, init)
+    ring, p, init = _grammar_fields(text, "sequence", ("ring", "p", "init"))
+    return LinRec(parse_poly(p, ring), _parse_elements(ring, init))
 
 
 def parse_raw_terms(text: str) -> tuple[RingSpec, list[RingElem]]:
     """Parse ``ring=...;terms=...`` into a ring and a fixed term list."""
-    fields = _split_fields(text)
-    unknown = set(fields) - {"ring", "terms"}
-    if unknown:
-        raise ParseError(f"unknown raw-sequence fields: {sorted(unknown)}")
-    for key in ("ring", "terms"):
-        if key not in fields:
-            raise ParseError(f"raw sequence is missing the {key!r} field")
-    ring = parse_ring(fields["ring"])
-    terms = [parse_element(ring, item) for item in _parse_bracket_list(fields["terms"])]
-    return ring, terms
+    ring, terms = _grammar_fields(text, "raw sequence", ("ring", "terms"))
+    return ring, _parse_elements(ring, terms)
 
 
 def parse_sequence_or_terms(text: str):
@@ -193,7 +191,7 @@ def _default_prefix() -> int:
     return value
 
 
-def _emit(args, plain_lines: list[str], structured: dict) -> None:
+def _emit(args, plain_lines: list[str], structured: dict | list) -> None:
     if args.format == "structured":
         print(json.dumps(structured, sort_keys=True, indent=2))
     else:
@@ -230,20 +228,21 @@ def _cmd_terms(args) -> int:
     return 0
 
 
-def _cmd_op(args) -> int:
-    a = parse_sequence(args.a)
-    b = parse_sequence(args.b)
-    result = _SEQ_OPS[args.kind](a, b)
+def _cmd_sequence(args) -> int:
+    """``op`` of ``-a`` and ``-b``, or ``transform`` and ``psi`` of ``-s``; plain ``op`` output adds ``initial:``."""
+    if args.verb == "op":
+        result = _SEQ_OPS[args.kind](parse_sequence(args.a), parse_sequence(args.b))
+    else:
+        result = _TRANSFORMS[args.kind](parse_sequence(args.sequence))
     initial = _strings(result.initial_values)
     terms = result.term_strings(args.count)
+    plain = [f"sequence: {result}", f"charpoly: {result.charpoly}"]
+    if args.verb == "op":
+        plain.append(f"initial: [{','.join(initial)}]")
+    plain.append(f"terms: {' '.join(terms)}")
     _emit(
         args,
-        [
-            f"sequence: {result}",
-            f"charpoly: {result.charpoly}",
-            f"initial: [{','.join(initial)}]",
-            f"terms: {' '.join(terms)}",
-        ],
+        plain,
         {
             "kind": args.kind,
             "ring": str(result.ring),
@@ -287,67 +286,36 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _cmd_transform(args) -> int:
-    seq = parse_sequence(args.sequence)
-    result = _TRANSFORMS[args.kind](seq)
-    terms = result.term_strings(args.count)
-    _emit(
-        args,
-        [
-            f"sequence: {result}",
-            f"charpoly: {result.charpoly}",
-            f"terms: {' '.join(terms)}",
-        ],
-        {
-            "kind": args.kind,
-            "ring": str(result.ring),
-            "charpoly": _strings(result.charpoly.values),
-            "initial": _strings(result.initial_values),
-            "terms": terms,
-        },
-    )
-    return 0
-
-
 def _cmd_verify(args) -> int:
     from . import verify  # only this verb and selftest need the oracles
 
     prefix = args.count if args.count is not None else _default_prefix()
     check = args.check
-    if check == "recurrence":
-        parsed = parse_sequence_or_terms(_require(args.sequence, "-s"))
-        if isinstance(parsed, LinRec):
-            p = parse_poly(args.p, parsed.ring) if args.p else parsed.charpoly
-            terms = parsed.terms(max(prefix, len(p.values) - 1))
+    if check in ("recurrence", "ogf"):
+        seq = parse_sequence_or_terms(_require(args.sequence, "-s"))  # a LinRec, or raw terms
+        if isinstance(seq, LinRec):
+            ring = seq.ring
         else:
-            ring, terms = parsed
+            ring, seq = seq
             if not args.p:
                 raise ParseError("raw terms need an explicit -p polynomial")
-            p = parse_poly(args.p, ring)
-        report = verify.satisfies_recurrence(terms, p)
-    elif check == "ogf":
-        parsed = parse_sequence_or_terms(_require(args.sequence, "-s"))
-        if isinstance(parsed, LinRec):
-            p = parse_poly(args.p, parsed.ring) if args.p else None
-            report = verify.ogf_poly_check(parsed, extra=args.extra, p=p)
+        p = parse_poly(args.p, ring) if args.p else None
+        if check == "ogf":
+            report = verify.ogf_poly_check(seq, extra=args.extra, p=p)
         else:
-            ring, terms = parsed
-            if not args.p:
-                raise ParseError("raw terms need an explicit -p polynomial")
-            report = verify.ogf_poly_check(terms, extra=args.extra, p=parse_poly(args.p, ring))
-    elif check == "decomposition":
-        a = parse_sequence(_require(args.a, "-a"))
-        b = parse_sequence(_require(args.b, "-b"))
-        report = verify.decomposition_check(a, b, prefix)
-    elif check == "morphism":
-        a = parse_sequence(_require(args.a, "-a"))
-        b = parse_sequence(_require(args.b, "-b"))
-        report = verify.morphism_check(args.map, [(a, b)], prefix)
-    elif check == "inverse":
+            if isinstance(seq, LinRec):
+                p = p or seq.charpoly
+                seq = seq.terms(max(prefix, len(p.values) - 1))
+            report = verify.satisfies_recurrence(seq, p)
+    elif check in ("decomposition", "morphism"):
+        a, b = (parse_sequence(_require(text, flag)) for text, flag in ((args.a, "-a"), (args.b, "-b")))
+        if check == "decomposition":
+            report = verify.decomposition_check(a, b, prefix)
+        else:
+            report = verify.morphism_check(args.map, [(a, b)], prefix)
+    else:  # "inverse", the last of the choices argparse allows
         seq = parse_sequence(_require(args.sequence, "-s"))
         report = verify.inverse_check(seq, prefix)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown check {check!r}")
     _emit(args, [report.to_text()], report.to_dict())
     return 0 if report.passed else 1
 
@@ -363,23 +331,13 @@ def _cmd_selftest(args) -> int:
 
     seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
     results = selftest.run_all(seed=seed)
-    if args.format == "structured":
-        payload = [
-            {
-                "number": str(r.number),
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for r in results:
-            print(r.line())
-        passed = sum(1 for r in results if r.passed)
-        print(f"selftest: {passed}/{len(results)} criteria passed")
-    return 0 if all(r.passed for r in results) else 1
+    passed = sum(1 for r in results if r.passed)
+    _emit(
+        args,
+        [*(r.line() for r in results), f"selftest: {passed}/{len(results)} criteria passed"],
+        [{"number": str(r.number), "name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+    )
+    return 0 if passed == len(results) else 1
 
 
 def _nonneg_int(text: str) -> int:
@@ -418,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", required=True)
     p.add_argument("-n", "--count", type=_nonneg_int, default=10)
     add_format(p)
-    p.set_defaults(func=_cmd_op)
+    p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("charpoly-op", help="composed operation on monic polynomials")
     p.add_argument("--kind", choices=sorted(_POLY_OPS), required=True)
@@ -439,13 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--sequence", required=True)
     p.add_argument("-n", "--count", type=_nonneg_int, default=10)
     add_format(p)
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("psi", help="shorthand for transform --kind psi")
     p.add_argument("-s", "--sequence", required=True)
     p.add_argument("-n", "--count", type=_nonneg_int, default=10)
     add_format(p)
-    p.set_defaults(func=_cmd_transform, kind="psi")
+    p.set_defaults(func=_cmd_sequence, kind="psi")
 
     p = sub.add_parser("verify", help="run a brute-force verification check")
     p.add_argument(

@@ -25,10 +25,12 @@ the integers delta lam^n a_n, the product's loop combines them, and each
 output is divided once, into one ``Fraction`` over Q.  Over Z and Z/m,
 lam = delta = 1 and nothing is divided.  Term unrolling
 (``term_values``) and the Newton inverse pass ``Fraction`` values to the
-loops: scaled, the unrolled numbers grow like lam^n and were measured
-slower (lam = 10, n = 3000), and the inverse's output denominators grow
-so fast that a common denominator gained only 1.05x.  Terms are unrolled
-for printing in ``term_strings(k)``, which the CLI calls: over Z it runs
+loops.  Scaled, the unrolled numbers grow like lam^n, yet the scaled
+unroll measured no slower (1.15-1.24x faster at lam = 10, n = 3000, and
+3-4x at lam = 1, n = 10^4; see the README), so ``term_values`` could move
+onto it.  The inverse's output denominators grow so fast that a common
+denominator gained only 1.05x.  Terms are unrolled for printing in
+``term_strings(k)``, which the CLI calls: over Z it runs
 the same loop on ``Decimal`` integers, whose ``str`` takes linear time,
 and over Q and Z/m it gives ``str`` of ``term_values(k)``.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
@@ -249,14 +251,12 @@ def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = F
     O(count N).
     """
     m = a.ring.modulus
+    cs = _scaled_values(a.charpoly, lam)
     init = _scaled(a.initial_values, delta, lam)
     if shifted:
-        cs = _taylor_shift(_scaled_values(a.charpoly, lam), lam)
-        hs = [-c for c in cs[-2::-1]]
+        cs = _taylor_shift(cs, lam)
         init = list(binomial_transform_values(init, lam, m))
-    else:  # the products without a shift keep the cheaper direct scaling
-        hs = [-c for c in _scaled(a.charpoly.values[-2::-1], lam, lam)]
-    return recurrence_values(hs, init, count, m)
+    return recurrence_values([-c for c in cs[-2::-1]], init, count, m)
 
 
 def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False):
@@ -416,15 +416,15 @@ def is_newton_invertible(a: LinRec, depth: int) -> InvertibilityReport:
 def newton_inverse(a: LinRec, k: int) -> list[RingElem]:
     """First ``k`` terms of the Newton-product inverse of ``a``.
 
-    b_n = (-1)^n sum_t C(n,t) (-1)^t / d_t with d_t the binomial-transform
-    values of a.  Raises :class:`NotInvertible` at the first d_t that is
-    not a unit.  Returns the k terms as a list: no characteristic
-    polynomial is claimed for the inverse.
+    b = (1/d) Hurwitz e: b_n = sum_t C(n,t) (1/d_t) (-1)^(n-t), with d_t
+    the binomial-transform values of a and e_j = (-1)^j.  Raises
+    :class:`NotInvertible` at the first d_t that is not a unit.  Returns
+    the k terms as a list: no characteristic polynomial is claimed for
+    the inverse.
     """
     if k < 1:
         raise ValueError("term count must be >= 1")
     ring = a.ring
-    signed = [-r if t % 2 else r for t, r in enumerate(_unit_inverses(a, k))]  # (-1)^t / d_t
-    # the binomial convolution with the all-ones sequence sums C(n,t) (-1)^t / d_t
-    raw = binomial_convolution_values(signed, [1] * k, ring.modulus)
-    return [RingElem(ring, -b if n % 2 else b) for n, b in enumerate(raw)]
+    alternating = [(-1) ** j for j in range(k)]
+    raw = binomial_convolution_values(list(_unit_inverses(a, k)), alternating, ring.modulus)
+    return [RingElem(ring, b) for b in raw]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linrec import (
     LinRec,
@@ -104,10 +105,6 @@ def _closure_run(pairs, oracle_kind: str, compose, extra: int = 20) -> tuple[boo
     return True, f"{len(pairs)} pairs"
 
 
-def _mul_compose(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
 def criterion_1(seed: int) -> tuple[bool, str]:
     """Hurwitz closure: binomial-convolution prefixes recur with the composed sum."""
     pairs = _pairs(seed * 100 + 1, _MOD_RING, 100)
@@ -185,8 +182,8 @@ def criterion_6(seed: int) -> tuple[bool, str]:
     """Hadamard, Cauchy and sum closures against their charpolys."""
     setups = [
         ("hadamard", composed_product, 61),
-        ("cauchy", _mul_compose, 62),
-        ("sum", _mul_compose, 63),
+        ("cauchy", mul, 62),
+        ("sum", mul, 63),
     ]
     details = []
     for kind, compose, offset in setups:

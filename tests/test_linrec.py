@@ -528,10 +528,10 @@ def test_products_and_poly_arithmetic_over_q_hand_the_kernels_only_ints(monkeypa
     They scale the operands to integers by the lcm of their denominators
     and make one ``Fraction`` per output.  Two callers still pass
     ``Fraction`` values, and the test shows that its spy sees them:
-    ``LinRec.term_values``, because a scaled unroll carries numbers of
-    size lam^n and was measured 1.3x slower at lam = 10, n = 3000; and
-    the Newton inverse, whose output denominators grow with k so that a
-    common-denominator version gained only 1.05x.
+    ``LinRec.term_values``, not yet moved onto the scaled unroll (which
+    measured no slower: see the README); and the Newton inverse, whose
+    output denominators grow with k so that a common-denominator version
+    gained only 1.05x.
     """
     calls, fractions = [], []
 
