@@ -30,9 +30,9 @@ unroll measured no slower (1.15-1.24x faster at lam = 10, n = 3000, and
 3-4x at lam = 1, n = 10^4; see the README), so ``term_values`` could move
 onto it.  The inverse's output denominators grow so fast that a common
 denominator gained only 1.05x.  Terms are unrolled for printing in
-``term_strings(k)``, which the CLI calls: over Z it runs
-the same loop on ``Decimal`` integers, whose ``str`` takes linear time,
-and over Q and Z/m it gives ``str`` of ``term_values(k)``.
+``term_strings(k)``, which the CLI calls: over Z it runs the same loop
+on ``Decimal`` integers, whose ``str`` takes linear time, and over Q and
+Z/m it gives ``str`` of ``term_values(k)``.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
