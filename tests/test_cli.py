@@ -248,25 +248,36 @@ def _limit_message() -> str:
 
 
 POWERS_OF_TEN = "ring=Z;p=[-10,1];init=[1]"  # a_n = 10^n
+THIRDS_OF_POWERS_OF_TEN = "ring=Q;p=[-10,1];init=[1/3]"  # a_n = 10^n / 3
+TEN_4299 = "1" + "0" * 4299  # 10^4299: 4300 digits
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 class TestIntStrLimit:
-    """Over Z a value of more than ``sys.get_int_max_str_digits()`` digits is refused, exit 2."""
+    """Over Z and Q a numerator of more than ``sys.get_int_max_str_digits()`` digits is refused, exit 2."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, last",
         [
-            ["terms", "-s", POWERS_OF_TEN],
-            ["op", "--kind", "hadamard", "-a", POWERS_OF_TEN, "-b", "ring=Z;p=[-1,1];init=[1]"],
-            ["transform", "--kind", "binomial", "-s", "ring=Z;p=[-9,1];init=[1]"],  # sum C(n,i) 9^i = 10^n
+            pytest.param(["terms", "-s", POWERS_OF_TEN], TEN_4299, id="terms"),
+            pytest.param(
+                ["op", "--kind", "hadamard", "-a", POWERS_OF_TEN, "-b", "ring=Z;p=[-1,1];init=[1]"], TEN_4299, id="op"
+            ),
+            pytest.param(  # sum C(n,i) 9^i = 10^n
+                ["transform", "--kind", "binomial", "-s", "ring=Z;p=[-9,1];init=[1]"], TEN_4299, id="transform"
+            ),
+            pytest.param(["terms", "-s", THIRDS_OF_POWERS_OF_TEN], TEN_4299 + "/3", id="terms-Q"),
+            pytest.param(
+                ["op", "--kind", "cauchy", "-a", THIRDS_OF_POWERS_OF_TEN, "-b", "ring=Q;p=[0,1];init=[1]"],
+                TEN_4299 + "/3",
+                id="op-Q",
+            ),
         ],
-        ids=["terms", "op", "transform"],
     )
-    def test_limit_is_the_interpreters(self, capsys, argv):
+    def test_limit_is_the_interpreters(self, capsys, argv, last):
         code, out, err = run_cli(capsys, *argv, "-n", "4300")
         assert code == 0
-        assert out.split()[-1] == "1" + "0" * 4299  # 4300 digits
+        assert out.split()[-1] == last
         code, out, err = run_cli(capsys, *argv, "-n", "4301")
         assert (code, out, err) == (2, "", f"error: {_limit_message()}\n")
 

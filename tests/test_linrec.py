@@ -739,15 +739,28 @@ def test_raw_value_inverse_matches_oracles(ring):
 
 @st.composite
 def _z_unrolls(draw):
-    """A sequence over Z of order 1-6 with coefficients in [-3, 3], and a count in 0-400."""
-    order = draw(st.integers(1, 6))
+    """A sequence with an integer charpoly, over Z or Q, and a count.
+
+    Over Z: order 1-6, coefficients and initial values in [-3, 3], and a
+    count in 0-400.  Over Q: order 1-4, coefficients in [-3, 3], initial
+    values with denominators in {1, 2, 3, 6, 7, 12, 30}, and a count of
+    0, 1, the order, the order + 1 or 300.
+    """
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 6))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+        init = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+        return LinRec(Poly.from_ints(ZZ, coeffs + [1]), [ZZ.from_int(v) for v in init]), draw(st.integers(0, 400))
+    order = draw(st.integers(1, 4))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
-    init = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
-    return LinRec(Poly.from_ints(ZZ, coeffs + [1]), [ZZ.from_int(v) for v in init]), draw(st.integers(0, 400))
+    fraction = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 6, 7, 12, 30]))
+    init = draw(st.lists(fraction, min_size=order, max_size=order))
+    k = draw(st.sampled_from([0, 1, order, order + 1, 300]))
+    return LinRec(Poly.from_ints(QQ, coeffs + [1]), [RingElem(QQ, v) for v in init]), k
 
 
 @given(_z_unrolls())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_term_strings_over_z_are_the_strings_of_term_values(case):
     a, k = case
     assert a.term_strings(k) == [str(v) for v in a.term_values(k)]
@@ -758,15 +771,36 @@ def test_term_strings_over_z_are_the_strings_of_term_values(case):
     [
         # 60-digit coefficients: above decimal's default precision of 28 digits
         (f"ring=Z;p=[{-(10**59) - 7},{3 * 10**59 + 1},1];init=[1,-1]", 50),
+        (f"ring=Q;p=[{-(10**59) - 7},{3 * 10**59 + 1},1];init=[1/3,-1/2]", 50),
         # Decimal products that come out as -0
         ("ring=Z;p=[1,1];init=[0]", 5),
         ("ring=Z;p=[0,1];init=[-5]", 5),
         ("ring=Z;p=[0,0,1];init=[0,-2]", 6),
+        # over Q: the all-zero sequence, zero and negative terms, and
+        # integer-valued terms, which print without /1
+        ("ring=Q;p=[1,-2,1];init=[0,0]", 6),
+        ("ring=Q;p=[1,0,1];init=[1/2,0]", 9),
+        ("ring=Q;p=[0,1];init=[-5/7]", 5),
+        ("ring=Q;p=[-1,-1,1];init=[1/2,3/2]", 40),
+        ("ring=Q;p=[-6,1];init=[1/6]", 30),
+        ("ring=Q;p=[-1,-1,1];init=[-1/30,7/12]", 300),
+        ("ring=Q;p=[-1,-1,1];init=[4,-6]", 300),
+        # the last term is 5 * 10^4299, 4300 digits, but its scaled
+        # integer 9 * 5 * 10^4299 has 4301: the int/str limit applies to
+        # the reduced numerator
+        ("ring=Q;p=[-100,0,1];init=[1/9,50]", 4300),
+        # lam > 1: printed from the Fraction values
+        ("ring=Q;p=[-9/10,-1/10,1];init=[1,1]", 300),
+        ("ring=Q;p=[1/6,-7/6,1];init=[1,1]", 300),
+        ("ring=Q;p=[-1/6,1,-11/6,1];init=[2,3/2,5/4]", 300),
         # counts at or below the order take the initial values
         ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 0),
         ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 2),
         ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 3),
         ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", 4),
+        ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", 0),
+        ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", 3),
+        ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", 4),
     ],
 )
 def test_term_strings_over_z_on_edge_cases(text, k):
@@ -780,8 +814,19 @@ def test_term_strings_over_z_on_edge_cases(text, k):
         assert decimal.getcontext().prec == 5
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(12), Zmod(2**61 - 1)], ids=str)
-def test_term_strings_unroll_on_decimals_over_z_only(ring, monkeypatch):
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("ring=Z;p=[-1,-1,1];init=[0,1]", decimal.Decimal),
+        ("ring=Q;p=[-1,-1,1];init=[0,1]", decimal.Decimal),
+        ("ring=Q;p=[-1,-1,1];init=[5/2,-4/3]", decimal.Decimal),  # lam = 1, delta = 6
+        ("ring=Q;p=[-1/2,-1,1];init=[0,1]", Fraction),  # lam = 2
+        ("ring=Zmod:12;p=[-1,-1,1];init=[0,1]", int),
+        (f"ring=Zmod:{2**61 - 1};p=[-1,-1,1];init=[0,1]", int),
+    ],
+    ids=["Z", "Q", "Q-delta6", "Q-lam2", "Zmod:12", f"Zmod:{2**61 - 1}"],
+)
+def test_term_strings_unroll_on_decimals_when_lam_is_1(text, want, monkeypatch):
     kinds = []
 
     def spy(hs, init, count, modulus=None):
@@ -790,8 +835,15 @@ def test_term_strings_unroll_on_decimals_over_z_only(ring, monkeypatch):
 
     recurrence = linrec.recurrence_values
     monkeypatch.setattr(linrec, "recurrence_values", spy)
-    a = fib(ring)
+    a = parse_sequence(text)
     assert a.term_strings(30) == [str(v) for v in a.term_values(30)]
-    want = decimal.Decimal if ring == ZZ else (Fraction if ring == QQ else int)
     assert kinds[0] == {want}
     assert all(kind == {type(a.initial_values[0])} for kind in kinds[1:])
+
+
+def test_decimal_is_the_c_module():
+    # both printing routes rely on libmpdec's linear-time str; the pure
+    # Python fallback, _pydecimal, formats in quadratic time
+    import _decimal
+
+    assert decimal.Decimal is _decimal.Decimal
