@@ -1,9 +1,10 @@
 """The value core: the hot loops of the sequence algebra on raw values.
 
 Every function here takes and returns plain values -- ``int`` over Z and
-Z/m, ``int`` or ``Fraction`` over Q, and ``Decimal`` integers over Z when
-``LinRec.term_strings`` unrolls terms for printing, in a context that
-cannot round -- never :class:`~recseq.ring.RingElem` objects.  Over Q
+Z/m, ``int`` or ``Fraction`` over Q, and ``Decimal`` integers over Z and
+Q when ``LinRec.term_strings`` unrolls terms for printing from an integer
+charpoly, in a context that cannot round -- never
+:class:`~recseq.ring.RingElem` objects.  Over Q
 the products and polynomial arithmetic pass integers scaled by a common
 denominator and divide once per output; only term
 unrolling (``LinRec.term_values``) and the Newton inverse pass

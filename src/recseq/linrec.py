@@ -30,9 +30,11 @@ unroll measured no slower (1.15-1.24x faster at lam = 10, n = 3000, and
 3-4x at lam = 1, n = 10^4; see the README), so ``term_values`` could move
 onto it.  The inverse's output denominators grow so fast that a common
 denominator gained only 1.05x.  Terms are unrolled for printing in
-``term_strings(k)``, which the CLI calls: over Z it runs the same loop
-on ``Decimal`` integers, whose ``str`` takes linear time, and over Q and
-Z/m it gives ``str`` of ``term_values(k)``.
+``term_strings(k)``, which the CLI calls.  Over Z, and over Q when the
+charpoly has integer coefficients (lam = 1), it runs the same loop on
+the ``Decimal`` integers delta a_n, whose ``str`` takes linear time, and
+reduces each by gcd(z mod delta, delta); Z is the case delta = 1.  Over
+Q with lam > 1, and over Z/m, it gives ``str`` of ``term_values(k)``.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
@@ -190,9 +192,9 @@ class LinRec:
         than ``sys.get_int_max_str_digits()`` is formatted through
         ``int``, so the interpreter raises its own ``ValueError``, as
         ``str`` of the value would.  Over Z/m, and over Q with lam > 1,
-        the strings are ``str`` of the values: there the scaled terms
-        can share large powers of lam with delta lam^n, and reducing
-        them measured up to 13x slower (see the README).
+        the strings are ``str`` of the values: with lam > 1 the scaled
+        terms can share large powers of lam with delta lam^n, and
+        reducing them measured up to 6.5x slower (see the README).
         """
         cs = self.charpoly.values
         if self.ring.kind == RingSpec.INTEGERS_MOD or k <= self.order or _denominator_lcm(cs) != 1:
