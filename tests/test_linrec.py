@@ -738,7 +738,7 @@ def test_raw_value_inverse_matches_oracles(ring):
 
 
 @st.composite
-def _z_unrolls(draw):
+def _integer_charpoly_unrolls(draw):
     """A sequence with an integer charpoly, over Z or Q, and a count.
 
     Over Z: order 1-6, coefficients and initial values in [-3, 3], and a
@@ -759,7 +759,7 @@ def _z_unrolls(draw):
     return LinRec(Poly.from_ints(QQ, coeffs + [1]), [RingElem(QQ, v) for v in init]), k
 
 
-@given(_z_unrolls())
+@given(_integer_charpoly_unrolls())
 @settings(max_examples=120, deadline=None)
 def test_term_strings_over_z_are_the_strings_of_term_values(case):
     a, k = case
