@@ -7,8 +7,9 @@ charpoly, in a context that cannot round -- never
 :class:`~recseq.ring.RingElem` objects.  Over Q
 the products and polynomial arithmetic pass integers scaled by a common
 denominator and divide once per output; only term
-unrolling (``LinRec.term_values``) and the Newton inverse pass
-``Fraction`` values.  Where a function takes a ``modulus``, each result
+unrolling (``LinRec.term_values``) and the Newton inverse's binomial
+convolution pass ``Fraction`` values, so :func:`binomial_transform_values`
+sees only integers.  Where a function takes a ``modulus``, each result
 is reduced mod m as soon as it is formed; with ``modulus=None`` the
 arithmetic is exact.  One copy of each loop serves Z, Q and Z/m for
 every m.
@@ -39,7 +40,6 @@ constructions, Berkowitz, the shifted resultant): none calls a kernel.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from math import gcd
 from operator import add, mul, sub
 
@@ -48,11 +48,8 @@ BACKEND = "python"
 
 
 def recurrence_values(hs, init, count: int, modulus: int | None = None) -> list:
-    """First ``count`` terms of a_n = sum_i hs[i] a_(n-1-i), from ``init``.
-
-    ``count`` must be at least ``len(init)``.
-    """
-    vals = list(init)
+    """The first ``count`` terms of a_n = sum_i hs[i] a_(n-1-i), from ``init``, for any ``count >= 0``."""
+    vals = list(init[:count])
     for _ in range(len(vals), count):
         acc = sum(map(mul, hs, reversed(vals)))
         vals.append(acc % modulus if modulus else acc)
@@ -74,28 +71,26 @@ def cauchy_values(xs, ys, modulus: int | None = None) -> list:
     return out
 
 
-def binomial_transform_values(xs, shift: int = 1, modulus: int | None = None) -> Iterator:
+def binomial_transform_values(xs, shift: int = 1, modulus: int | None = None) -> list:
     """Shifted binomial transform y_k = sum_i C(k,i) shift^(k-i) x_i, k < len(xs).
 
     If the x_k are the power sums of some roots, the y_k are those of the
     roots plus ``shift``.  ``shift=1`` is the binomial transform and
     ``shift=-1`` its inverse.  Computed as a table of repeated pairwise
     combinations: O(len^2) additions, and for shift +-1 no multiplication
-    or division, so it works on ints, Fractions and unreduced lifts of
-    residues alike.  Only the outputs are reduced by ``modulus``.
-
-    A generator: y_k is yielded before row k + 1 of the table is formed,
-    so a caller that stops after y_k pays for k + 1 rows only.
+    or division, so it works on ints and unreduced lifts of residues
+    alike.  Only the outputs are reduced by ``modulus``.
     """
-    row = list(xs)
+    out, row = [], list(xs)
     while row:
-        yield row[0] % modulus if modulus else row[0]
+        out.append(row[0] % modulus if modulus else row[0])
         if shift == 1:
             row = list(map(add, row, row[1:]))
         elif shift == -1:
             row = list(map(sub, row[1:], row))
         else:
             row = [shift * a + b for a, b in zip(row, row[1:])]
+    return out
 
 
 def binomial_convolution_values(xs, ys, modulus: int | None = None) -> list:

@@ -23,13 +23,17 @@ charpolys: with lam the lcm of the denominators of both charpolys and
 delta that of both operands' initial values, each operand is unrolled as
 the integers delta lam^n a_n, the product's loop combines them, and each
 output is divided once, into one ``Fraction`` over Q.  Over Z and Z/m,
-lam = delta = 1 and nothing is divided.  Term unrolling
-(``term_values``) and the Newton inverse pass ``Fraction`` values to the
-loops.  Scaled, the unrolled numbers grow like lam^n, yet the scaled
-unroll measured no slower (1.15-1.24x faster at lam = 10, n = 3000, and
-3-4x at lam = 1, n = 10^4; see the README), so ``term_values`` could move
-onto it.  The inverse's output denominators grow so fast that a common
-denominator gained only 1.05x.  Terms are unrolled for printing in
+lam = delta = 1 and nothing is divided.  The Newton inverse divides by
+the binomial transform d of the terms and reads it from the Newton
+product's shifted unroll, as the integers delta lam^t d_t.  Term
+unrolling (``term_values``) and the inverse's binomial convolution pass
+``Fraction`` values to the loops.  ``term_values`` stays on the
+``Fraction`` unroll: scaled, the unrolled numbers grow like lam^n even
+where the terms stay small, and the scaled unroll with one ``Fraction``
+per term measured 1.5-1.7x slower for a_n = 1 and 7.0-7.5x for
+a_n = 1 + 2^-n (lam = 6, n = 10^4; see the README).  The inverse's
+output denominators grow so fast that a common denominator gained only
+1.05x.  Terms are unrolled for printing in
 ``term_strings(k)``, which the CLI calls.  Over Z, and over Q when the
 charpoly has integer coefficients (lam = 1), it runs the same loop on
 the ``Decimal`` integers delta a_n, whose ``str`` takes linear time, and
@@ -173,8 +177,6 @@ class LinRec:
         """The first ``k`` terms as raw values, in the canonical form of ``initial_values``."""
         if k < 0:
             raise ValueError("term count must be >= 0")
-        if k <= self.order:
-            return list(self.initial_values[:k])
         hs = [-c for c in self.charpoly.values[-2::-1]]  # h_1..h_N
         return recurrence_values(hs, self.initial_values, k, self.ring.modulus)
 
@@ -197,7 +199,7 @@ class LinRec:
         reducing them measured up to 6.5x slower (see the README).
         """
         cs = self.charpoly.values
-        if self.ring.kind == RingSpec.INTEGERS_MOD or k <= self.order or _denominator_lcm(cs) != 1:
+        if self.ring.kind == RingSpec.INTEGERS_MOD or _denominator_lcm(cs) != 1:
             return [str(v) for v in self.term_values(k)]
         delta = _denominator_lcm(self.initial_values)
         hs = [Decimal(-c.numerator) for c in cs[-2::-1]]
@@ -274,7 +276,7 @@ def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = F
     init = _scaled(a.initial_values, delta, lam)
     if shifted:
         cs = _taylor_shift(cs, lam)
-        init = list(binomial_transform_values(init, lam, m))
+        init = binomial_transform_values(init, lam, m)
     return recurrence_values([-c for c in cs[-2::-1]], init, count, m)
 
 
@@ -391,11 +393,14 @@ def _unit_inverses(a: LinRec, k: int):
     """1 / d_t for t < k, d_t = sum_s C(t,s) a_s the binomial transform of the terms.
 
     A generator that raises :class:`NotInvertible` at the first d_t that
-    is not a unit.  The transform yields as it goes, so the values past
-    the first failure are never computed.
+    is not a unit.  The d_t are read from the shifted unroll of the
+    Newton product (:func:`_scaled_terms`), which gives the integers
+    delta lam^t d_t; each is divided and checked as it is reached, so no
+    ring value past the first failure is made.
     """
     ring = a.ring
-    for t, d in enumerate(binomial_transform_values(a.term_values(k), modulus=ring.modulus)):
+    lam, delta = _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
+    for t, d in enumerate(_unscaled(ring, _scaled_terms(a, lam, delta, k, shifted=True), delta, lam)):
         r = ring.unit_inverse(d)
         if r is None:
             raise NotInvertible(t, RingElem(ring, d))

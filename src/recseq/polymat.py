@@ -47,10 +47,17 @@ lam, from :func:`_denominator_lcm`, puts the products of
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
-from .kernels import binomial_convolution_values, binomial_transform_values, cauchy_values, termwise_values
+from .kernels import (
+    binomial_convolution_values,
+    binomial_transform_values,
+    cauchy_values,
+    recurrence_values,
+    termwise_values,
+)
 from .ring import RingElem, RingMismatch, RingSpec
 
 class NotMonic(ValueError):
@@ -171,19 +178,16 @@ def _scaled(values, scale: int, mu: int = 1) -> list:
     return out
 
 
-def _unscaled(ring: RingSpec, zs, scale: int, mu: int = 1) -> list:
-    """The raw values z_k / (scale * mu^k) of ``ring`` from the integers of :func:`_scaled`.
+def _unscaled(ring: RingSpec, zs, scale: int, mu: int = 1):
+    """An iterator over the raw values z_k / (scale * mu^k) of ``ring``, from the integers of :func:`_scaled`.
 
-    Only Q has a denominator: there each output is one ``Fraction``.
-    Over Z and Z/m, scale = mu = 1 and ``zs`` are the values as they are.
+    Only Q has a denominator: there each output is one ``Fraction``,
+    made as the iterator reaches it.  Over Z and Z/m, scale = mu = 1 and
+    ``zs`` are the values as they are.
     """
     if ring.kind != RingSpec.RATIONALS:
-        return zs
-    out = []
-    for z in zs:
-        out.append(Fraction(z, scale))
-        scale *= mu
-    return out
+        return iter(zs)
+    return map(Fraction, zs, accumulate(repeat(mu), mul, initial=scale))
 
 
 def _trimmed(values) -> tuple:
@@ -209,20 +213,19 @@ def _power_sums(cs, count: int, modulus: int | None) -> list:
     """Power sums s_0..s_{count-1} of the roots of a monic polynomial.
 
     ``cs`` are integer coefficients c_0..c_d low-to-high (c_d = 1).
-    Newton's identities, division-free:
-    s_k = -(k c_{d-k} + sum_{i=1}^{min(k-1,d)} c_{d-i} s_{k-i}), where the
-    first term is dropped once k > d.  With a ``modulus`` every s_k is
-    reduced.
+    Newton's identities, division-free, give
+    s_k = -(k c_{d-k} + sum_{i=1}^{k-1} c_{d-i} s_{k-i}) for k < d; from
+    s_d on, the power sums follow the recurrence of the polynomial itself,
+    s_k = -sum_{i=1}^{d} c_{d-i} s_{k-i}, with s_0 = d.  With a
+    ``modulus`` every s_k past s_0 is reduced.
     """
     d = len(cs) - 1
     high = cs[-2::-1]  # high[i - 1] = c_{d-i}
     s = [d]
-    for k in range(1, count):
-        acc = sum(map(mul, high, reversed(s)))
-        if k <= d:
-            acc += (k - d) * high[k - 1]  # the sum used s_0 = d where k belongs
+    for k in range(1, d):
+        acc = sum(map(mul, high, reversed(s))) + (k - d) * high[k - 1]  # the sum used s_0 = d where k belongs
         s.append(-acc % modulus if modulus else -acc)
-    return s
+    return recurrence_values([-c for c in high], s, count, modulus)
 
 
 def _split_by_modulus(k: int, m: int) -> tuple[int, int]:
@@ -320,7 +323,7 @@ def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
             high.append(c * pow(k1, -1, modulus) % modulus if k1 > 1 else c)
     if m is not None:
         high = [c % m for c in high]
-    return Poly._of(ring, reversed(_unscaled(ring, high, 1, mu)))
+    return Poly._of(ring, [*_unscaled(ring, high, 1, mu)][::-1])
 
 
 def composed_product(p: Poly, q: Poly) -> Poly:
@@ -362,4 +365,4 @@ def composed_newton(p: Poly, q: Poly) -> Poly:
     """
     xs, ys, lam, modulus = _root_power_sums(p, q, shifted=True)
     sums = binomial_transform_values(termwise_values(mul, xs, ys, modulus), -lam * lam, modulus)
-    return _composed(p.ring, list(sums), lam * lam, modulus)
+    return _composed(p.ring, sums, lam * lam, modulus)

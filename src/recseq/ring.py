@@ -10,7 +10,7 @@ reduced into ``[0, m)``, so equality is structural everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 
 class RingMismatch(ValueError):
@@ -168,12 +168,7 @@ class RingElem:
 
     def is_unit(self) -> bool:
         """True iff the element has a multiplicative inverse in its ring."""
-        kind = self.ring.kind
-        if kind == RingSpec.INTEGERS:
-            return self.value in (1, -1)
-        if kind == RingSpec.RATIONALS:
-            return self.value != 0
-        return gcd(self.value, self.ring.modulus) == 1
+        return self.ring.unit_inverse(self.value) is not None
 
     def inv(self) -> "RingElem":
         """Multiplicative inverse; raises :class:`NotAUnit` if none exists."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -460,3 +461,17 @@ class TestSelftestVerb:
         assert run_cli(capsys, "selftest", "--format", "structured") == (
             1, "[\n  " + ",\n  ".join(structured) + "\n]\n", ""
         )
+
+
+def test_readme_command_line_examples_exit_0(capsys, monkeypatch):
+    # every recseq line of README's "Command line" block, continuations
+    # joined, runs through cli.main; selftest has its own CI step
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = f.read().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("recseq ")]
+    assert lines[-1] == "recseq selftest" and len(lines) == 8
+    monkeypatch.delenv("RECSEQ_PREFIX", raising=False)
+    for line in lines[:-1]:
+        code, _, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert (line, code, err) == (line, 0, "")

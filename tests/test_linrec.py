@@ -20,6 +20,7 @@ from recseq import (
     Poly,
     RingElem,
     RingMismatch,
+    RingSpec,
     Zmod,
     alternating_ones,
     binomial_transform,
@@ -329,29 +330,28 @@ class TestNewtonInverse:
         assert exc.value.index == 1
 
     def test_stops_at_the_first_non_unit(self, monkeypatch):
-        # count the binomial-transform values produced: no value past the
-        # first non-unit may be computed, whatever the requested length
-        produced = []
-        transform = linrec.binomial_transform_values
+        # count the unit checks: no value past the first non-unit may be
+        # checked, whatever the requested length
+        checked = []
+        unit_inverse = RingSpec.unit_inverse
 
-        def spy(*args, **kwargs):
-            for value in transform(*args, **kwargs):
-                produced.append(value)
-                yield value
+        def spy(ring, value):
+            checked.append(value)
+            return unit_inverse(ring, value)
 
-        monkeypatch.setattr(linrec, "binomial_transform_values", spy)
+        monkeypatch.setattr(RingSpec, "unit_inverse", spy)
         zero_first = LinRec(
             Poly(QQ, [RingElem(QQ, Fraction(-2, 5)), RingElem(QQ, Fraction(3, 2)), QQ.one]),
             [QQ.zero, RingElem(QQ, Fraction(2, 5))],
         )
         for a, index in [(zero_first, 0), (ones(ZZ), 1), (alternating_ones(MOD), 1)]:
-            produced.clear()
+            checked.clear()
             with pytest.raises(NotInvertible) as exc:
                 newton_inverse(a, 200)
-            assert (exc.value.index, len(produced)) == (index, index + 1)
-            produced.clear()
+            assert (exc.value.index, len(checked)) == (index, index + 1)
+            checked.clear()
             assert is_newton_invertible(a, 200).first_failure == index
-            assert len(produced) == index + 1
+            assert len(checked) == index + 1
 
 
 class TestIsomorphism:
@@ -528,10 +528,11 @@ def test_products_and_poly_arithmetic_over_q_hand_the_kernels_only_ints(monkeypa
     They scale the operands to integers by the lcm of their denominators
     and make one ``Fraction`` per output.  Two callers still pass
     ``Fraction`` values, and the test shows that its spy sees them:
-    ``LinRec.term_values``, not yet moved onto the scaled unroll (which
-    measured no slower: see the README); and the Newton inverse, whose
-    output denominators grow with k so that a common-denominator version
-    gained only 1.05x.
+    ``LinRec.term_values``, which stays on the ``Fraction`` unroll (the
+    scaled unroll measured 1.5-7.5x slower where the terms stay small
+    while lam^n grows: see the README); and the Newton inverse's binomial
+    convolution, whose output denominators grow with k so that a
+    common-denominator version gained only 1.05x.
     """
     calls, fractions = [], []
 
@@ -633,7 +634,7 @@ def test_newton_values_combine_root_power_sums(shift, modulus):
         assert xs == power_sums([a + shift for a in roots_a])
         assert ys == power_sums([b + shift for b in roots_b])
         zs = kernels.binomial_transform_values(kernels.termwise_values(mul, xs, ys, modulus), -shift * shift, modulus)
-        assert list(zs) == power_sums([shift * a + shift * b + a * b for a in roots_a for b in roots_b])
+        assert zs == power_sums([shift * a + shift * b + a * b for a in roots_a for b in roots_b])
 
 
 def _direct_binomial_convolution(xs, ys, modulus):
@@ -700,7 +701,7 @@ def _unit_transform_linrec(ring, u):
     return LinRec(Poly(ring, [one + u * u, ring.from_int(2), one]), [one, u - one])
 
 
-INVERSE_RINGS = [ZZ, QQ, Zmod(12), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)]
+INVERSE_RINGS = [ZZ, QQ, Zmod(12), Zmod(720), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)]
 
 
 def test_long_inverse_over_a_prime_field_matches_the_reference():
@@ -713,12 +714,17 @@ def test_long_inverse_over_a_prime_field_matches_the_reference():
 
 @pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
 def test_raw_value_inverse_matches_oracles(ring):
-    k = 40
+    # k = 40 at order 2, and k = 1, order - 1 and order at order 3, where
+    # the shifted unroll returns only (part of) its initial values; over Q
+    # also charpolys with lam = 6 and 10.  5 is no unit mod 720, 7 is
     rng = random.Random(41)
-    u = RingElem(ring, Fraction(3, 2)) if ring == QQ else ring.from_int(1 if ring == ZZ else 5)
-    cases = [_unit_transform_linrec(ring, u)] + [random_linrec(rng, ring, 2) for _ in range(4)]
+    u = RingElem(ring, Fraction(3, 2)) if ring == QQ else ring.from_int({ZZ: 1, Zmod(720): 7}.get(ring, 5))
+    cases = [(_unit_transform_linrec(ring, u), 40)] + [(random_linrec(rng, ring, 2), 40) for _ in range(4)]
+    cases += [(random_linrec(rng, ring, 3), k) for k in (1, 2, 3)]
+    if ring == QQ:
+        cases += [(_q_linrec(rng, lam, 3), k) for lam in (6, 10) for k in (1, 2, 3, 40)]
     invertible = 0
-    for a in cases:
+    for a, k in cases:
         d = _reference_transform(a, k)
         first = next((t for t, x in enumerate(d) if not x.is_unit()), None)
         report = is_newton_invertible(a, k)
