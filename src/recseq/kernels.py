@@ -12,7 +12,8 @@ convolution pass ``Fraction`` values, so :func:`binomial_transform_values`
 sees only integers.  Where a function takes a ``modulus``, each result
 is reduced mod m as soon as it is formed; with ``modulus=None`` the
 arithmetic is exact.  One copy of each loop serves Z, Q and Z/m for
-every m.
+every m.  Every term unroll runs :func:`recurrence_values`, so a
+negative term count raises ``ValueError`` there, on every route.
 
 The products run on these loops: :func:`termwise_values` (sum and
 Hadamard), :func:`cauchy_values` (Cauchy) and
@@ -48,7 +49,9 @@ BACKEND = "python"
 
 
 def recurrence_values(hs, init, count: int, modulus: int | None = None) -> list:
-    """The first ``count`` terms of a_n = sum_i hs[i] a_(n-1-i), from ``init``, for any ``count >= 0``."""
+    """The first ``count`` terms of a_n = sum_i hs[i] a_(n-1-i) from ``init``; ``ValueError`` if ``count < 0``."""
+    if count < 0:
+        raise ValueError("term count must be >= 0")
     vals = list(init[:count])
     for _ in range(len(vals), count):
         acc = sum(map(mul, hs, reversed(vals)))

@@ -29,11 +29,10 @@ product's shifted unroll, as the integers delta lam^t d_t.  Term
 unrolling (``term_values``) and the inverse's binomial convolution pass
 ``Fraction`` values to the loops.  ``term_values`` stays on the
 ``Fraction`` unroll: scaled, the unrolled numbers grow like lam^n even
-where the terms stay small, and the scaled unroll with one ``Fraction``
-per term measured 1.5-1.7x slower for a_n = 1 and 7.0-7.5x for
-a_n = 1 + 2^-n (lam = 6, n = 10^4; see the README).  The inverse's
-output denominators grow so fast that a common denominator gained only
-1.05x.  Terms are unrolled for printing in
+where the terms stay small, so the scaled unroll with one ``Fraction``
+per term is slower on such sequences; the inverse's output denominators
+grow so fast that a common denominator barely pays.  The README gives
+the measurements.  Terms are unrolled for printing in
 ``term_strings(k)``, which the CLI calls.  Over Z, and over Q when the
 charpoly has integer coefficients (lam = 1), it runs the same loop on
 the ``Decimal`` integers delta a_n, whose ``str`` takes linear time, and
@@ -175,8 +174,6 @@ class LinRec:
 
     def term_values(self, k: int) -> list:
         """The first ``k`` terms as raw values, in the canonical form of ``initial_values``."""
-        if k < 0:
-            raise ValueError("term count must be >= 0")
         hs = [-c for c in self.charpoly.values[-2::-1]]  # h_1..h_N
         return recurrence_values(hs, self.initial_values, k, self.ring.modulus)
 
@@ -352,41 +349,32 @@ def newton(a: LinRec, b: LinRec) -> LinRec:
     return _product(p, zs, delta * delta, lam * lam)
 
 
-def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:
-    """Newton product computed as [(a * 1) Hadamard (b * 1)] * e.
-
-    Both inner products are Hurwitz products against the all-ones
-    sequence, the outer one against the alternating-sign sequence; this
-    is an independent route to the same terms as :func:`newton`.
-    """
-    _require_same_ring(a, b)
-    one_seq = ones(a.ring)
-    mixed = hadamard(hurwitz(a, one_seq), hurwitz(b, one_seq))
-    return hurwitz(mixed, alternating_ones(a.ring))
-
-
 def binomial_transform(a: LinRec) -> LinRec:
-    """a -> a Hurwitz 1, i.e. b_n = sum_i C(n,i) a_i."""
+    """a -> a Hurwitz 1, i.e. b_n = sum_i C(n,i) a_i; also named ``newton_to_hadamard``.
+
+    This is psi^-1: termwise it carries Newton products onto Hadamard
+    products and preserves sums.
+    """
     return hurwitz(a, ones(a.ring))
 
 
 def inverse_binomial_transform(a: LinRec) -> LinRec:
-    """a -> a Hurwitz e with e = ((-1)^n); inverts the binomial transform."""
+    """a -> a Hurwitz e with e = ((-1)^n); also named ``hadamard_to_newton``.
+
+    This is psi, the isomorphism of the Hadamard algebra onto the Newton
+    algebra, and the inverse of the binomial transform psi^-1: termwise
+    it turns Hadamard products into Newton products and preserves sums.
+    """
     return hurwitz(a, alternating_ones(a.ring))
 
 
-def hadamard_to_newton(a: LinRec) -> LinRec:
-    """The isomorphism carrying the Hadamard algebra onto the Newton algebra.
-
-    Maps a to its inverse binomial transform; termwise it turns Hadamard
-    products into Newton products and preserves sums.
-    """
-    return inverse_binomial_transform(a)
+hadamard_to_newton = inverse_binomial_transform
+newton_to_hadamard = binomial_transform
 
 
-def newton_to_hadamard(a: LinRec) -> LinRec:
-    """Inverse of :func:`hadamard_to_newton` (the binomial transform)."""
-    return binomial_transform(a)
+def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:
+    """The Newton product as psi(psi^-1(a) Hadamard psi^-1(b)), a route independent of :func:`newton`."""
+    return hadamard_to_newton(hadamard(newton_to_hadamard(a), newton_to_hadamard(b)))
 
 
 def _unit_inverses(a: LinRec, k: int):

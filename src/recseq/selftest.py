@@ -93,11 +93,29 @@ def _pairs(seed: int, ring: RingSpec, count: int, degrees=(1, 2, 3)) -> list[tup
     return out
 
 
-def _closure_run(pairs, oracle_kind: str, compose, extra: int = 20) -> tuple[bool, str]:
+# Each closure case once, keyed by its oracle kind: the seed offset of its
+# pairs, the charpoly rule that criteria 1, 3 and 6 check the oracle's
+# prefixes against, and the constructor whose products criterion 7 checks.
+_CLOSURE_CASES = {
+    "hurwitz": (1, composed_sum, hurwitz),
+    "newton": (3, composed_newton, newton),
+    "hadamard": (61, composed_product, hadamard),
+    "cauchy": (62, mul, cauchy),
+    "sum": (63, mul, seq_sum),
+}
+
+
+def _closure_pairs(seed: int, offset: int) -> list[tuple[LinRec, LinRec]]:
+    return _pairs(seed * 100 + offset, _MOD_RING, 100)
+
+
+def _closure_run(seed: int, oracle_kind: str) -> tuple[bool, str]:
     """Direct-formula prefixes must satisfy the composed charpoly recurrence."""
+    offset, compose, _ = _CLOSURE_CASES[oracle_kind]
+    pairs = _closure_pairs(seed, offset)
     for idx, (a, b) in enumerate(pairs):
         p = compose(a.charpoly, b.charpoly)
-        length = (len(p.values) - 1) + extra
+        length = (len(p.values) - 1) + 20
         prefix = direct_product_oracle(oracle_kind, a.terms(length), b.terms(length))
         report = satisfies_recurrence(prefix, p)
         if not report.passed:
@@ -107,8 +125,7 @@ def _closure_run(pairs, oracle_kind: str, compose, extra: int = 20) -> tuple[boo
 
 def criterion_1(seed: int) -> tuple[bool, str]:
     """Hurwitz closure: binomial-convolution prefixes recur with the composed sum."""
-    pairs = _pairs(seed * 100 + 1, _MOD_RING, 100)
-    ok, detail = _closure_run(pairs, "hurwitz", composed_sum)
+    ok, detail = _closure_run(seed, "hurwitz")
     return ok, detail + f" over {_MOD_RING}, degrees 1-3, prefix deg+20"
 
 
@@ -125,8 +142,7 @@ def criterion_2(seed: int) -> tuple[bool, str]:
 
 def criterion_3(seed: int) -> tuple[bool, str]:
     """Newton closure plus the 1x1 root law u + v + uv."""
-    pairs = _pairs(seed * 100 + 3, _MOD_RING, 100)
-    ok, detail = _closure_run(pairs, "newton", composed_newton)
+    ok, detail = _closure_run(seed, "newton")
     if not ok:
         return False, detail
     rng = random.Random(seed * 100 + 31)
@@ -180,35 +196,20 @@ def criterion_5(seed: int) -> tuple[bool, str]:
 
 def criterion_6(seed: int) -> tuple[bool, str]:
     """Hadamard, Cauchy and sum closures against their charpolys."""
-    setups = [
-        ("hadamard", composed_product, 61),
-        ("cauchy", mul, 62),
-        ("sum", mul, 63),
-    ]
     details = []
-    for kind, compose, offset in setups:
-        pairs = _pairs(seed * 100 + offset, _MOD_RING, 100)
-        ok, detail = _closure_run(pairs, kind, compose)
+    for kind in ("hadamard", "cauchy", "sum"):
+        ok, detail = _closure_run(seed, kind)
         if not ok:
             return False, f"{kind}: {detail}"
         details.append(f"{kind} {detail}")
     return True, "; ".join(details) + f" over {_MOD_RING}"
 
 
-_PRODUCTS_136 = [
-    (1, hurwitz),
-    (3, newton),
-    (61, hadamard),
-    (62, cauchy),
-    (63, seq_sum),
-]
-
-
 def criterion_7(seed: int) -> tuple[bool, str]:
     """Rationality criterion on every product constructed in criteria 1, 3, 6."""
     total = 0
-    for offset, constructor in _PRODUCTS_136:
-        for idx, (a, b) in enumerate(_pairs(seed * 100 + offset, _MOD_RING, 100)):
+    for offset, _, constructor in _CLOSURE_CASES.values():
+        for idx, (a, b) in enumerate(_closure_pairs(seed, offset)):
             c = constructor(a, b)
             report = ogf_poly_check(c, extra=50)
             if not report.passed:

@@ -20,7 +20,7 @@ from recseq.cli import (
     parse_sequence,
 )
 from recseq.polymat import NotMonic
-from recseq.ring import QQ, ZZ
+from recseq.ring import QQ, ZZ, RingElem
 
 from conftest import linrecs
 
@@ -463,15 +463,45 @@ class TestSelftestVerb:
         )
 
 
+def _readme_block(heading, fence):
+    """The first ``fence`` code block under README's ``heading``."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        return f.read().split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
 def test_readme_command_line_examples_exit_0(capsys, monkeypatch):
     # every recseq line of README's "Command line" block, continuations
     # joined, runs through cli.main; selftest has its own CI step
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as f:
-        block = f.read().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("## Command line", "```sh\n")
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("recseq ")]
     assert lines[-1] == "recseq selftest" and len(lines) == 8
     monkeypatch.delenv("RECSEQ_PREFIX", raising=False)
     for line in lines[:-1]:
         code, _, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
         assert (line, code, err) == (line, 0, "")
+
+
+def test_readme_python_quickstart_values():
+    # README's "Python quickstart" block runs line by line; each expression
+    # line's comment starts with the repr of its value
+    namespace = {}
+    checked = []
+    for line in _readme_block("## Python quickstart", "```python\n").splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README", "eval")
+        except SyntaxError:
+            exec(line, namespace)
+            continue
+        value = repr(eval(expression, namespace))
+        assert comment.strip().startswith(value), (code, value)
+        checked.append(code.strip())
+    assert checked == [
+        "h.charpoly",
+        "h.charpoly.values",
+        "h.initial",
+        "h.term_values(6)",
+        "charpoly(kron_sum(companion(fib.charpoly), companion(fib.charpoly))) == h.charpoly",
+    ]
+    assert namespace["inv"] == [RingElem(QQ, Fraction(-1, 2) ** n) for n in range(5)]

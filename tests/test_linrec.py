@@ -748,28 +748,38 @@ def _integer_charpoly_unrolls(draw):
     """A sequence with an integer charpoly, over Z or Q, and a count.
 
     Over Z: order 1-6, coefficients and initial values in [-3, 3], and a
-    count in 0-400.  Over Q: order 1-4, coefficients in [-3, 3], initial
-    values with denominators in {1, 2, 3, 6, 7, 12, 30}, and a count of
-    0, 1, the order, the order + 1 or 300.
+    count in -order..400.  Over Q: order 1-4, coefficients in [-3, 3],
+    initial values with denominators in {1, 2, 3, 6, 7, 12, 30}, and a
+    count of -order, -1, 0, 1, the order, the order + 1 or 300.
     """
     if draw(st.booleans()):
         order = draw(st.integers(1, 6))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
         init = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
-        return LinRec(Poly.from_ints(ZZ, coeffs + [1]), [ZZ.from_int(v) for v in init]), draw(st.integers(0, 400))
+        return LinRec(Poly.from_ints(ZZ, coeffs + [1]), [ZZ.from_int(v) for v in init]), draw(st.integers(-order, 400))
     order = draw(st.integers(1, 4))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
     fraction = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 6, 7, 12, 30]))
     init = draw(st.lists(fraction, min_size=order, max_size=order))
-    k = draw(st.sampled_from([0, 1, order, order + 1, 300]))
+    k = draw(st.sampled_from([-order, -1, 0, 1, order, order + 1, 300]))
     return LinRec(Poly.from_ints(QQ, coeffs + [1]), [RingElem(QQ, v) for v in init]), k
+
+
+def _assert_count_rejected(a, k):
+    # every route, Decimal or str of the values, raises for a negative count
+    for unroll in (a.term_values, a.term_strings, a.terms):
+        with pytest.raises(ValueError, match=r"^term count must be >= 0$"):
+            unroll(k)
 
 
 @given(_integer_charpoly_unrolls())
 @settings(max_examples=120, deadline=None)
 def test_term_strings_over_z_are_the_strings_of_term_values(case):
     a, k = case
-    assert a.term_strings(k) == [str(v) for v in a.term_values(k)]
+    if k < 0:
+        _assert_count_rejected(a, k)
+    else:
+        assert a.term_strings(k) == [str(v) for v in a.term_values(k)]
 
 
 @pytest.mark.parametrize(
@@ -807,10 +817,24 @@ def test_term_strings_over_z_are_the_strings_of_term_values(case):
         ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", 0),
         ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", 3),
         ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", 4),
+        # negative counts, -1 and -order, raise over Z, over Q with lam = 1
+        # and with lam > 1, and over Z/m
+        ("ring=Z;p=[-1,-1,1];init=[0,1]", -1),
+        ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", -1),
+        ("ring=Z;p=[1,2,3,1];init=[-4,0,5]", -3),
+        ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", -1),
+        ("ring=Q;p=[1,2,3,1];init=[-4/3,0,5/2]", -3),
+        ("ring=Q;p=[-1/6,1,-11/6,1];init=[2,3/2,5/4]", -1),
+        ("ring=Q;p=[-1/6,1,-11/6,1];init=[2,3/2,5/4]", -3),
+        ("ring=Zmod:12;p=[1,2,3,1];init=[8,0,5]", -1),
+        ("ring=Zmod:12;p=[1,2,3,1];init=[8,0,5]", -3),
     ],
 )
 def test_term_strings_over_z_on_edge_cases(text, k):
     a = parse_sequence(text)
+    if k < 0:
+        _assert_count_rejected(a, k)
+        return
     want = [str(v) for v in a.term_values(k)]
     assert a.term_strings(k) == want
     # the caller's decimal context neither leaks in nor is changed
