@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 failed verification or non-invertible input,
 digits (4300 by default), which is refused with the interpreter's own
 message and nothing on stdout.  ``--format structured`` emits a JSON tree
 whose numeric leaves are strings, so arbitrary-precision values survive
-intact.  Terms are printed from ``LinRec.term_strings``.
+intact.  Terms are printed from ``LinRec.term_strings``, and the
+``terms:`` line is written from those strings, word by word, so a call
+holds its term strings once and never a joined copy of the line.
 """
 
 from __future__ import annotations
@@ -191,12 +193,19 @@ def _default_prefix() -> int:
     return value
 
 
-def _emit(args, plain_lines: list[str], structured: dict | list) -> None:
+def _emit(args, plain_lines: list[str], structured: dict | list, terms: list[str] | None = None) -> None:
+    """Print ``structured`` as JSON, or the plain lines and then, if given, the ``terms:`` line.
+
+    The ``terms:`` line is written from its words, so no joined copy of
+    the output is made.
+    """
     if args.format == "structured":
         print(json.dumps(structured, sort_keys=True, indent=2))
     else:
         for line in plain_lines:
             print(line)
+        if terms is not None:
+            print("terms:", *terms or [""])  # "terms: " when there are none
 
 
 _SEQ_OPS = {
@@ -224,7 +233,7 @@ _TRANSFORMS = {
 def _cmd_terms(args) -> int:
     seq = parse_sequence(args.sequence)
     terms = seq.term_strings(args.count)
-    _emit(args, [f"terms: {' '.join(terms)}"], {"ring": str(seq.ring), "terms": terms})
+    _emit(args, [], {"ring": str(seq.ring), "terms": terms}, terms)
     return 0
 
 
@@ -239,7 +248,6 @@ def _cmd_sequence(args) -> int:
     plain = [f"sequence: {result}", f"charpoly: {result.charpoly}"]
     if args.verb == "op":
         plain.append(f"initial: [{','.join(initial)}]")
-    plain.append(f"terms: {' '.join(terms)}")
     _emit(
         args,
         plain,
@@ -250,6 +258,7 @@ def _cmd_sequence(args) -> int:
             "initial": initial,
             "terms": terms,
         },
+        terms,
     )
     return 0
 
@@ -282,7 +291,7 @@ def _cmd_invert(args) -> int:
             },
         )
         return 1
-    _emit(args, [f"terms: {' '.join(terms)}"], {"invertible": True, "ring": str(seq.ring), "terms": terms})
+    _emit(args, [], {"invertible": True, "ring": str(seq.ring), "terms": terms}, terms)
     return 0
 
 

@@ -13,7 +13,11 @@ sees only integers.  Where a function takes a ``modulus``, each result
 is reduced mod m as soon as it is formed; with ``modulus=None`` the
 arithmetic is exact.  One copy of each loop serves Z, Q and Z/m for
 every m.  Every term unroll runs :func:`recurrence_values`, so a
-negative term count raises ``ValueError`` there, on every route.
+negative term count raises ``ValueError`` there, on every route.  It
+takes the monic charpoly low-to-high, as ``Poly.values`` and the scaled
+coefficient lists of :mod:`recseq.polymat` hold it, and negates its
+coefficients into the step of the recurrence itself; over ``Decimal``
+that negation is exact only in the caller's exact context.
 
 The products run on these loops: :func:`termwise_values` (sum and
 Hadamard), :func:`cauchy_values` (Cauchy) and
@@ -48,10 +52,17 @@ from operator import add, mul, sub
 BACKEND = "python"
 
 
-def recurrence_values(hs, init, count: int, modulus: int | None = None) -> list:
-    """The first ``count`` terms of a_n = sum_i hs[i] a_(n-1-i) from ``init``; ``ValueError`` if ``count < 0``."""
+def recurrence_values(cs, init, count: int, modulus: int | None = None) -> list:
+    """The first ``count`` terms from ``init`` of the sequence with monic charpoly ``cs``.
+
+    ``cs`` holds c_0..c_N low-to-high (c_N = 1, never read), as
+    ``Poly.values`` does, and the terms follow
+    a_n = -(c_(N-1) a_(n-1) + ... + c_0 a_(n-N)).  ``ValueError`` if
+    ``count < 0``.
+    """
     if count < 0:
         raise ValueError("term count must be >= 0")
+    hs = [-c for c in cs[-2::-1]]  # hs[i] multiplies a_(n-1-i)
     vals = list(init[:count])
     for _ in range(len(vals), count):
         acc = sum(map(mul, hs, reversed(vals)))

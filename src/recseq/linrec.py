@@ -11,7 +11,9 @@ operands' terms.  The composed operations run the same loop on the power
 sums of the roots.  The Newton product is the Hadamard product
 conjugated by the binomial transform; the transform of an operand is
 again recurrent, with the charpoly's roots shifted by one (by lam on
-the scaled terms), so it is unrolled from its own recurrence, and one
+the scaled terms), so it is unrolled from its own recurrence by
+:func:`~recseq.polymat._shifted_unroll`, the unroll that gives
+:func:`~recseq.polymat.composed_newton` its shifted power sums, and one
 O(D^2) transform table is left.
 
 A :class:`LinRec` holds raw values (``int``, or ``Fraction`` over Q;
@@ -36,7 +38,9 @@ the measurements.  Terms are unrolled for printing in
 ``term_strings(k)``, which the CLI calls.  Over Z, and over Q when the
 charpoly has integer coefficients (lam = 1), it runs the same loop on
 the ``Decimal`` integers delta a_n, whose ``str`` takes linear time, and
-reduces each by gcd(z mod delta, delta); Z is the case delta = 1.  Over
+reduces each by gcd(z mod delta, delta); Z is the case delta = 1.  The
+loop, and the kernel's negation of the ``Decimal`` coefficients, run in
+a context that cannot round, whatever the caller's context is.  Over
 Q with lam > 1, and over Z/m, it gives ``str`` of ``term_values(k)``.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
@@ -88,7 +92,7 @@ from .polymat import (
     _denominator_lcm,
     _scaled,
     _scaled_values,
-    _taylor_shift,
+    _shifted_unroll,
     _unscaled,
     composed_newton,
     composed_product,
@@ -174,8 +178,7 @@ class LinRec:
 
     def term_values(self, k: int) -> list:
         """The first ``k`` terms as raw values, in the canonical form of ``initial_values``."""
-        hs = [-c for c in self.charpoly.values[-2::-1]]  # h_1..h_N
-        return recurrence_values(hs, self.initial_values, k, self.ring.modulus)
+        return recurrence_values(self.charpoly.values, self.initial_values, k, self.ring.modulus)
 
     def term_strings(self, k: int) -> list[str]:
         """The first ``k`` terms as printed: ``str`` of each of ``term_values(k)``.
@@ -199,12 +202,11 @@ class LinRec:
         if self.ring.kind == RingSpec.INTEGERS_MOD or _denominator_lcm(cs) != 1:
             return [str(v) for v in self.term_values(k)]
         delta = _denominator_lcm(self.initial_values)
-        hs = [Decimal(-c.numerator) for c in cs[-2::-1]]
         init = [Decimal(z) for z in _scaled(self.initial_values, delta)]
         limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit before 3.10.7
         out = []
-        with localcontext(_EXACT):
-            for z in recurrence_values(hs, init, k):
+        with localcontext(_EXACT):  # the kernel negates the coefficients in this context
+            for z in recurrence_values([Decimal(c.numerator) for c in cs], init, k):
                 g = gcd(int(z % delta), delta) if delta > 1 else 1
                 if g > 1:
                     z //= g  # exact
@@ -260,21 +262,14 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
 def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = False) -> list:
     """The integers delta lam^n a_n for n < ``count``, unrolled without a ``Fraction``.
 
-    They follow the recurrence with the integer coefficients h_i lam^i,
-    the charpoly lam^N p(t / lam), from delta lam^n a_n for n < N.  With
-    ``shifted``, the result is their shifted binomial transform B_lam
-    instead: that is again a recurrent sequence, whose charpoly has the
-    roots plus lam (:func:`~recseq.polymat._taylor_shift`) and whose
-    first N terms are B_lam of the first N, so it too is unrolled in
-    O(count N).
+    They follow the recurrence of the integer charpoly lam^N p(t / lam)
+    from delta lam^n a_n for n < N.  With ``shifted``, the result is
+    their shifted binomial transform B_lam instead, the same sequence
+    with every root plus lam, which :func:`~recseq.polymat._shifted_unroll`
+    also unrolls in O(count N).
     """
-    m = a.ring.modulus
-    cs = _scaled_values(a.charpoly, lam)
-    init = _scaled(a.initial_values, delta, lam)
-    if shifted:
-        cs = _taylor_shift(cs, lam)
-        init = binomial_transform_values(init, lam, m)
-    return recurrence_values([-c for c in cs[-2::-1]], init, count, m)
+    cs, init = _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
+    return _shifted_unroll(cs, init, count, a.ring.modulus, lam if shifted else 0)
 
 
 def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False):
@@ -298,27 +293,22 @@ def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False)
     return p, xs, ys, lam, delta
 
 
-def _product(p: Poly, zs, scale: int, mu: int) -> LinRec:
-    """The product with charpoly p whose initial terms are z_k / (scale * mu^k) (see :func:`_unscaled`)."""
-    return LinRec._of(p, _unscaled(p.ring, zs, scale, mu))
-
-
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
     """Termwise sum; characteristic polynomial p_a * p_b."""
     p, xs, ys, lam, delta = _scaled_operands(a, b, mul)
-    return _product(p, termwise_values(add, xs, ys, p.ring.modulus), delta, lam)
+    return LinRec._of(p, _unscaled(p.ring, termwise_values(add, xs, ys, p.ring.modulus), delta, lam))
 
 
 def cauchy(a: LinRec, b: LinRec) -> LinRec:
     """Convolution product c_n = sum a_i b_{n-i}; charpoly p_a * p_b."""
     p, xs, ys, lam, delta = _scaled_operands(a, b, mul)
-    return _product(p, cauchy_values(xs, ys, p.ring.modulus), delta * delta, lam)
+    return LinRec._of(p, _unscaled(p.ring, cauchy_values(xs, ys, p.ring.modulus), delta * delta, lam))
 
 
 def hadamard(a: LinRec, b: LinRec) -> LinRec:
     """Termwise product; charpoly is the composed product of charpolys."""
     p, xs, ys, lam, delta = _scaled_operands(a, b, composed_product)
-    return _product(p, termwise_values(mul, xs, ys, p.ring.modulus), delta * delta, lam * lam)
+    return LinRec._of(p, _unscaled(p.ring, termwise_values(mul, xs, ys, p.ring.modulus), delta * delta, lam * lam))
 
 
 def hurwitz(a: LinRec, b: LinRec) -> LinRec:
@@ -329,7 +319,7 @@ def hurwitz(a: LinRec, b: LinRec) -> LinRec:
     resultant).
     """
     p, xs, ys, lam, delta = _scaled_operands(a, b, composed_sum)
-    return _product(p, binomial_convolution_values(xs, ys, p.ring.modulus), delta * delta, lam)
+    return LinRec._of(p, _unscaled(p.ring, binomial_convolution_values(xs, ys, p.ring.modulus), delta * delta, lam))
 
 
 def newton(a: LinRec, b: LinRec) -> LinRec:
@@ -346,7 +336,7 @@ def newton(a: LinRec, b: LinRec) -> LinRec:
     p, xs, ys, lam, delta = _scaled_operands(a, b, composed_newton, shifted=True)
     m = p.ring.modulus
     zs = binomial_transform_values(termwise_values(mul, xs, ys, m), -lam * lam, m)
-    return _product(p, zs, delta * delta, lam * lam)
+    return LinRec._of(p, _unscaled(p.ring, zs, delta * delta, lam * lam))
 
 
 def binomial_transform(a: LinRec) -> LinRec:

@@ -20,10 +20,14 @@ power-sum sequences, gives the power sums of the combined roots: the
 Hadamard or Hurwitz loop of :mod:`recseq.kernels`, the same loop that
 gives a product's initial conditions.  The Newton product is the
 Hadamard product conjugated by the binomial transform, which on roots is
-a shift: :func:`composed_newton` shifts the roots of each operand
-polynomial (:func:`_taylor_shift`, O(d^2) for degree d) before the power
-sums, multiplies them termwise and shifts the result back with one
-binomial transform.  Newton's identities run backwards recover the
+a shift: :func:`composed_newton` shifts the roots of each operand, and
+so its power sums, multiplies them termwise and shifts the result back
+with one binomial transform.  The operands' shift is
+:func:`_shifted_unroll`, O(d^2) for degree d: it Taylor-shifts the
+charpoly and transforms the first d values, then unrolls.  The products
+of :mod:`recseq.linrec` run the same unroll on the Newton product's
+operand terms and on the Newton inverse's divisors, with initial terms
+in place of power sums.  Newton's identities run backwards recover the
 polynomial (Bostan, Flajolet, Salvy, Schost, "Fast computation of
 special resultants", 2006).  That is a few O(D^2) passes for
 D = deg p * deg q.  The oracles that compute the same
@@ -209,15 +213,16 @@ def _require_charpoly_operand(p: Poly) -> None:
         raise DegreeZero("expected degree >= 1")
 
 
-def _power_sums(cs, count: int, modulus: int | None) -> list:
-    """Power sums s_0..s_{count-1} of the roots of a monic polynomial.
+def _power_sums(cs, modulus: int | None) -> list:
+    """Power sums s_0..s_(d-1) of the roots of a monic polynomial of degree d.
 
     ``cs`` are integer coefficients c_0..c_d low-to-high (c_d = 1).
-    Newton's identities, division-free, give
-    s_k = -(k c_{d-k} + sum_{i=1}^{k-1} c_{d-i} s_{k-i}) for k < d; from
-    s_d on, the power sums follow the recurrence of the polynomial itself,
-    s_k = -sum_{i=1}^{d} c_{d-i} s_{k-i}, with s_0 = d.  With a
-    ``modulus`` every s_k past s_0 is reduced.
+    Newton's identities, division-free, give s_0 = d and
+    s_k = -(k c_{d-k} + sum_{i=1}^{k-1} c_{d-i} s_{k-i}) for 0 < k < d.
+    From s_d on, the power sums follow the recurrence of the polynomial
+    itself, so these d are the initial values that
+    :func:`_shifted_unroll` continues.  With a ``modulus`` every s_k
+    past s_0 is reduced.
     """
     d = len(cs) - 1
     high = cs[-2::-1]  # high[i - 1] = c_{d-i}
@@ -225,7 +230,7 @@ def _power_sums(cs, count: int, modulus: int | None) -> list:
     for k in range(1, d):
         acc = sum(map(mul, high, reversed(s))) + (k - d) * high[k - 1]  # the sum used s_0 = d where k belongs
         s.append(-acc % modulus if modulus else -acc)
-    return recurrence_values([-c for c in high], s, count, modulus)
+    return s
 
 
 def _split_by_modulus(k: int, m: int) -> tuple[int, int]:
@@ -255,18 +260,34 @@ def _taylor_shift(cs, s: int) -> list:
     return cs
 
 
+def _shifted_unroll(cs, init, count: int, modulus: int | None, shift: int) -> list:
+    """The first ``count`` terms of the recurrence ``cs`` from ``init``, with every root plus ``shift``.
+
+    Adding s to the roots takes the terms to their shifted binomial
+    transform B_s (:func:`~recseq.kernels.binomial_transform_values`),
+    again a recurrent sequence: its charpoly is ``cs`` Taylor-shifted by
+    s and its first N terms are B_s of the first N, for N = len(init)
+    the order.  So it costs O(N^2) before the O(count N) unroll.
+    A ``shift`` of 0 is the plain unroll.
+    """
+    if shift:
+        cs, init = _taylor_shift(cs, shift), binomial_transform_values(init, shift, modulus)
+    return recurrence_values(cs, init, count, modulus)
+
+
 def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
     """``(xs, ys, lam, modulus)``: the power sums s_0..s_D of lam a and of lam b.
 
     a runs over the roots of p, b over those of q, D = deg p * deg q.
     These are what a product's loop in :mod:`recseq.kernels` combines
     into the power sums of the combined roots; :func:`_composed` turns
-    those back into the polynomial.  With ``shifted`` (the Newton
+    those back into the polynomial.  Newton's identities give the first
+    d sums of each operand (:func:`_power_sums`), and the recurrence of
+    its charpoly unrolls the rest.  With ``shifted`` (the Newton
     product) they are the power sums of lam a + lam and lam b + lam
-    instead: each scaled polynomial is Taylor-shifted by lam before
-    Newton's identities run, which costs O(d^2) for degree d, where
-    shifting the power sums would cost O(D^2).  One integer core serves
-    every ring:
+    instead: :func:`_shifted_unroll` shifts the d initial sums and the
+    charpoly, which costs O(d^2) for degree d, where shifting all D + 1
+    sums would cost O(D^2).  One integer core serves every ring:
 
     * Over Q the roots are scaled to algebraic integers: with lam the
       lcm of all coefficient denominators, the power sums are those of
@@ -283,10 +304,10 @@ def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
     lam = _denominator_lcm(p.values + q.values)
     m = p.ring.modulus
     modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
+    shift = lam if shifted else 0
     cp, cq = _scaled_values(p, lam), _scaled_values(q, lam)
-    if shifted:
-        cp, cq = _taylor_shift(cp, lam), _taylor_shift(cq, lam)
-    return _power_sums(cp, count, modulus), _power_sums(cq, count, modulus), lam, modulus
+    xs, ys = (_shifted_unroll(cs, _power_sums(cs, modulus), count, modulus, shift) for cs in (cp, cq))
+    return xs, ys, lam, modulus
 
 
 def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
@@ -357,11 +378,11 @@ def composed_newton(p: Poly, q: Poly) -> Poly:
     The Newton product is the Hadamard product conjugated by the binomial
     transform, and on roots that is a shift: on the scaled roots,
     lam^2 (a + b + a*b) = (lam a + lam)(lam b + lam) - lam^2.  So the
-    operands' roots are shifted by lam (:func:`_taylor_shift`), the power
-    sums of the shifted roots multiply termwise, and one shifted binomial
-    transform B_(-lam^2) moves the products' power sums back.  Equals the
-    characteristic polynomial of A (x) I + I (x) B + A (x) B; closes the
-    Newton product of sequences.  Identity: t.
+    operands' roots are shifted by lam (:func:`_shifted_unroll`), the
+    power sums of the shifted roots multiply termwise, and one shifted
+    binomial transform B_(-lam^2) moves the products' power sums back.
+    Equals the characteristic polynomial of A (x) I + I (x) B + A (x) B;
+    closes the Newton product of sequences.  Identity: t.
     """
     xs, ys, lam, modulus = _root_power_sums(p, q, shifted=True)
     sums = binomial_transform_values(termwise_values(mul, xs, ys, modulus), -lam * lam, modulus)

@@ -152,6 +152,54 @@ class TestVerbs:
         assert code_alias == code_full == 0
         assert out_alias == out_full
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            pytest.param(["terms", "-s", FIB_Z], "terms: \n", id="terms"),
+            pytest.param(
+                ["op", "--kind", "newton", "-a", FIB_Q, "-b", "ring=Q;p=[-2,1];init=[1]"],
+                "sequence: ring=Q;p=[1,-7,1];init=[0,3]\ncharpoly: [1,-7,1]\ninitial: [0,3]\nterms: \n",
+                id="op",
+            ),
+            pytest.param(
+                ["transform", "--kind", "binomial", "-s", "ring=Zmod:12;p=[-1,-1,1];init=[0,1]"],
+                "sequence: ring=Zmod:12;p=[1,9,1];init=[0,1]\ncharpoly: [1,9,1]\nterms: \n",
+                id="transform",
+            ),
+            pytest.param(
+                ["psi", "-s", "ring=Q;p=[-1/2,1];init=[1/3]"],
+                "sequence: ring=Q;p=[1/2,1];init=[1/3]\ncharpoly: [1/2,1]\nterms: \n",
+                id="psi",
+            ),
+            pytest.param(
+                ["terms", "-s", FIB_Z, "--format", "structured"],
+                '{\n  "ring": "Z",\n  "terms": []\n}\n',
+                id="terms-structured",
+            ),
+            pytest.param(
+                ["op", "--kind", "newton", "-a", FIB_Q, "-b", "ring=Q;p=[-2,1];init=[1]", "--format", "structured"],
+                '{\n  "charpoly": [\n    "1",\n    "-7",\n    "1"\n  ],\n  "initial": [\n    "0",\n    "3"\n  ],\n'
+                '  "kind": "newton",\n  "ring": "Q",\n  "terms": []\n}\n',
+                id="op-structured",
+            ),
+            pytest.param(
+                ["transform", "--kind", "binomial", "-s", "ring=Zmod:12;p=[-1,-1,1];init=[0,1]", "--format", "structured"],
+                '{\n  "charpoly": [\n    "1",\n    "9",\n    "1"\n  ],\n  "initial": [\n    "0",\n    "1"\n  ],\n'
+                '  "kind": "binomial",\n  "ring": "Zmod:12",\n  "terms": []\n}\n',
+                id="transform-structured",
+            ),
+            pytest.param(
+                ["psi", "-s", "ring=Q;p=[-1/2,1];init=[1/3]", "--format", "structured"],
+                '{\n  "charpoly": [\n    "1/2",\n    "1"\n  ],\n  "initial": [\n    "1/3"\n  ],\n'
+                '  "kind": "psi",\n  "ring": "Q",\n  "terms": []\n}\n',
+                id="psi-structured",
+            ),
+        ],
+    )
+    def test_zero_terms(self, capsys, argv, out):
+        # plain output keeps the space after "terms:" when no term follows
+        assert run_cli(capsys, *argv, "-n", "0") == (0, out, "")
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["terms", "-s", FIB_Q, "--bogus"])

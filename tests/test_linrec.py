@@ -613,10 +613,11 @@ def _poly_from_roots(roots) -> list:
 @pytest.mark.parametrize("modulus", [None, 12, 2**61 - 1], ids=str)
 @pytest.mark.parametrize("shift", [1, 2, 3, 5])
 def test_newton_values_combine_root_power_sums(shift, modulus):
-    # the power sums of the Taylor-shifted polynomials are those of the
-    # roots a + s and b + s; multiplied termwise and moved back by the
-    # shifted binomial transform B_(-s^2), as composed_newton does, they
-    # are those of s a + s b + a b.  The references are built from the roots
+    # Newton's identities give the first power sums of each polynomial, and
+    # the shifted unroll continues them as those of the roots a + s and
+    # b + s; multiplied termwise and moved back by the shifted binomial
+    # transform B_(-s^2), as composed_newton does, they are those of
+    # s a + s b + a b.  The references are built from the roots
     rng = random.Random(31 * shift + 7)
     count = 12
 
@@ -628,8 +629,8 @@ def test_newton_values_combine_root_power_sums(shift, modulus):
         roots_a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         roots_b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         xs, ys = (
-            polymat._power_sums(polymat._taylor_shift(_poly_from_roots(roots), shift), count, modulus)
-            for roots in (roots_a, roots_b)
+            polymat._shifted_unroll(cs, polymat._power_sums(cs, modulus), count, modulus, shift)
+            for cs in (_poly_from_roots(roots_a), _poly_from_roots(roots_b))
         )
         assert xs == power_sums([a + shift for a in roots_a])
         assert ys == power_sums([b + shift for b in roots_b])
@@ -859,9 +860,9 @@ def test_term_strings_over_z_on_edge_cases(text, k):
 def test_term_strings_unroll_on_decimals_when_lam_is_1(text, want, monkeypatch):
     kinds = []
 
-    def spy(hs, init, count, modulus=None):
+    def spy(cs, init, count, modulus=None):
         kinds.append({type(v) for v in init})
-        return recurrence(hs, init, count, modulus)
+        return recurrence(cs, init, count, modulus)
 
     recurrence = linrec.recurrence_values
     monkeypatch.setattr(linrec, "recurrence_values", spy)
