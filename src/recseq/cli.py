@@ -11,11 +11,21 @@ raw terms: ``ring=<ring>;terms=<list>`` (verification inputs only)
 Exit codes: 0 success, 1 failed verification or non-invertible input,
 2 parse/usage errors, or a value longer than ``sys.get_int_max_str_digits()``
 digits (4300 by default), which is refused with the interpreter's own
-message and nothing on stdout.  ``--format structured`` emits a JSON tree
-whose numeric leaves are strings, so arbitrary-precision values survive
-intact.  Terms are printed from ``LinRec.term_strings``, and the
-``terms:`` line is written from those strings, word by word, so a call
-holds its term strings once and never a joined copy of the line.
+message and nothing on stdout.  141 when the reader closes stdout before
+the output ends, as ``recseq terms ... | head`` does: the call stops at
+its next write, prints nothing on stderr, and exits with the status a
+shell reports for a program that SIGPIPE ended (128 + 13).
+``--format structured`` emits a JSON tree whose numeric leaves are
+strings, so arbitrary-precision values survive intact.
+
+Terms are printed as a stream: ``LinRec.term_string_chunks`` yields
+lists of at most ``kernels.CHUNK`` term strings, and each list is one
+write, to the ``terms:`` line or, element by element, into the JSON
+``terms`` array.  So a call holds one list of terms at a time, however
+many it prints (``invert`` holds its k terms, which its O(k^2) inverse
+needs anyway).  The first list is taken before anything is written, and
+a term past the int/str limit is found before the first list, so a
+refusal leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
+from .kernels import CHUNK
 from .linrec import (
     DEFAULT_PREFIX,
     LinRec,
@@ -53,6 +65,10 @@ class ParseError(ValueError):
 # ParseError, InvariantError, NotMonic, DegreeZero and RingMismatch all
 # subclass ValueError; NotAUnit is an ArithmeticError.
 _INPUT_ERRORS = (ValueError, NotAUnit)
+
+# The exit status when the reader closes stdout early, as a shell reports
+# a program that SIGPIPE ended: 128 + 13
+_CLOSED_STDOUT = 141
 
 # ASCII digits only: int() alone would also take "1_0" and non-ASCII digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -193,19 +209,39 @@ def _default_prefix() -> int:
     return value
 
 
-def _emit(args, plain_lines: list[str], structured: dict | list, terms: list[str] | None = None) -> None:
+def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> None:
     """Print ``structured`` as JSON, or the plain lines and then, if given, the ``terms:`` line.
 
-    The ``terms:`` line is written from its words, so no joined copy of
-    the output is made.
+    ``terms`` is an iterable of lists of term strings: the words of the
+    ``terms:`` line, and in structured output the ``terms`` member that
+    is added to ``structured``.  Its first list is taken before anything
+    is written, so an error in it leaves stdout empty; then each list is
+    one write.  The JSON array is spliced into the text of the rest,
+    element by element, byte for byte as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes the whole.
     """
+    chunks = iter(terms or ())
+    chunk = next(chunks, None)
     if args.format == "structured":
-        print(json.dumps(structured, sort_keys=True, indent=2))
+        text = json.dumps(structured if terms is None else {**structured, "terms": []}, sort_keys=True, indent=2)
+        if chunk is None:
+            print(text)
+            return
+        head, _, tail = text.rpartition('"terms": []')  # a JSON string cannot contain this unescaped
+        start, sep, end, word = head + '"terms": [\n    ', ",\n    ", f"\n  ]{tail}\n", encode_basestring_ascii
     else:
         for line in plain_lines:
             print(line)
-        if terms is not None:
-            print("terms:", *terms or [""])  # "terms: " when there are none
+        if terms is None:
+            return
+        start, sep, end, word = "terms: ", " ", "\n", str
+    write = sys.stdout.write
+    write(start)
+    if chunk is not None:
+        write(sep.join(map(word, chunk)))
+        for chunk in chunks:
+            write(sep + sep.join(map(word, chunk)))
+    write(end)
 
 
 _SEQ_OPS = {
@@ -232,8 +268,7 @@ _TRANSFORMS = {
 
 def _cmd_terms(args) -> int:
     seq = parse_sequence(args.sequence)
-    terms = seq.term_strings(args.count)
-    _emit(args, [], {"ring": str(seq.ring), "terms": terms}, terms)
+    _emit(args, [], {"ring": str(seq.ring)}, seq.term_string_chunks(args.count))
     return 0
 
 
@@ -244,7 +279,6 @@ def _cmd_sequence(args) -> int:
     else:
         result = _TRANSFORMS[args.kind](parse_sequence(args.sequence))
     initial = _strings(result.initial_values)
-    terms = result.term_strings(args.count)
     plain = [f"sequence: {result}", f"charpoly: {result.charpoly}"]
     if args.verb == "op":
         plain.append(f"initial: [{','.join(initial)}]")
@@ -256,9 +290,8 @@ def _cmd_sequence(args) -> int:
             "ring": str(result.ring),
             "charpoly": _strings(result.charpoly.values),
             "initial": initial,
-            "terms": terms,
         },
-        terms,
+        result.term_string_chunks(args.count),
     )
     return 0
 
@@ -291,7 +324,8 @@ def _cmd_invert(args) -> int:
             },
         )
         return 1
-    _emit(args, [], {"invertible": True, "ring": str(seq.ring), "terms": terms}, terms)
+    chunks = (terms[i : i + CHUNK] for i in range(0, len(terms), CHUNK))
+    _emit(args, [], {"invertible": True, "ring": str(seq.ring)}, chunks)
     return 0
 
 
@@ -444,7 +478,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered cannot be written; send it to devnull, or
+        # the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _CLOSED_STDOUT
     except NotInvertible as exc:
         print(f"not invertible: {exc}", file=sys.stderr)
         return 1

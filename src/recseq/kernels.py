@@ -2,8 +2,8 @@
 
 Every function here takes and returns plain values -- ``int`` over Z and
 Z/m, ``int`` or ``Fraction`` over Q, and ``Decimal`` integers over Z and
-Q when ``LinRec.term_strings`` unrolls terms for printing from an integer
-charpoly, in a context that cannot round -- never
+Q when ``LinRec.term_string_chunks`` unrolls terms for printing from an
+integer charpoly, in a context that cannot round -- never
 :class:`~recseq.ring.RingElem` objects.  Over Q
 the products and polynomial arithmetic pass integers scaled by a common
 denominator and divide once per output; only term
@@ -18,6 +18,10 @@ takes the monic charpoly low-to-high, as ``Poly.values`` and the scaled
 coefficient lists of :mod:`recseq.polymat` hold it, and negates its
 coefficients into the step of the recurrence itself; over ``Decimal``
 that negation is exact only in the caller's exact context.
+:func:`recurrence_chunks` gives the same terms in lists of at most
+``CHUNK``, each unrolled by :func:`recurrence_values` from the last
+terms of the one before, for the callers that stream: printing and the
+Newton inverse's divisors.  The products keep the one list.
 
 The products run on these loops: :func:`termwise_values` (sum and
 Hadamard), :func:`cauchy_values` (Cauchy) and
@@ -51,6 +55,9 @@ from operator import add, mul, sub
 # recseq is pure Python; the name stays for code that records it
 BACKEND = "python"
 
+# Terms per list of recurrence_chunks, the unit in which terms are printed
+CHUNK = 256
+
 
 def recurrence_values(cs, init, count: int, modulus: int | None = None) -> list:
     """The first ``count`` terms from ``init`` of the sequence with monic charpoly ``cs``.
@@ -68,6 +75,26 @@ def recurrence_values(cs, init, count: int, modulus: int | None = None) -> list:
         acc = sum(map(mul, hs, reversed(vals)))
         vals.append(acc % modulus if modulus else acc)
     return vals
+
+
+def recurrence_chunks(cs, init, count: int, modulus: int | None = None):
+    """``recurrence_values(cs, init, count, modulus)`` as consecutive lists of at most ``CHUNK`` terms.
+
+    Each chunk is :func:`recurrence_values` again, seeded with the last N
+    terms before it (N the order), so the iterator holds one chunk and N
+    terms however many it yields.  ``count = 0`` yields nothing; a
+    negative count raises ``ValueError`` at the first ``next``.
+    """
+    order = len(cs) - 1
+    window, start, done = init, 0, 0  # window holds the terms from index start on
+    while True:
+        vals = recurrence_values(cs, window, min(done + CHUNK, count) - start, modulus)
+        if start + len(vals) == done:
+            return
+        yield vals[done - start :]
+        done = start + len(vals)
+        if len(vals) >= order:
+            window, start = vals[-order:], done - order
 
 
 def termwise_values(op, xs, ys, modulus: int | None = None) -> list:

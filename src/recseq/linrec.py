@@ -34,14 +34,20 @@ unrolling (``term_values``) and the inverse's binomial convolution pass
 where the terms stay small, so the scaled unroll with one ``Fraction``
 per term is slower on such sequences; the inverse's output denominators
 grow so fast that a common denominator barely pays.  The README gives
-the measurements.  Terms are unrolled for printing in
-``term_strings(k)``, which the CLI calls.  Over Z, and over Q when the
-charpoly has integer coefficients (lam = 1), it runs the same loop on
-the ``Decimal`` integers delta a_n, whose ``str`` takes linear time, and
-reduces each by gcd(z mod delta, delta); Z is the case delta = 1.  The
-loop, and the kernel's negation of the ``Decimal`` coefficients, run in
-a context that cannot round, whatever the caller's context is.  Over
-Q with lam > 1, and over Z/m, it gives ``str`` of ``term_values(k)``.
+the measurements.  Terms are printed from ``term_string_chunks(k)``, an
+iterator over lists of at most ``kernels.CHUNK`` strings, which the CLI
+writes as they come; ``term_strings(k)`` is the same strings in one
+list.  Over Z, and over Q when the charpoly has integer coefficients
+(lam = 1), it runs the same loop on the ``Decimal`` integers
+delta a_n, whose ``str`` takes linear time, and reduces each by
+gcd(z mod delta, delta); Z is the case delta = 1.  The loop, and the
+kernel's negation of the ``Decimal`` coefficients, run chunk by chunk
+in a context that cannot round, whatever the caller's context is.
+Before the first chunk, a pass over the ``int`` unroll finds any term
+too long for the int/str limit, so a refusal comes before the first
+string.  Over Z/m it gives ``str`` of the chunked unroll, and over Q
+with lam > 1 ``str`` of ``term_values(k)``, checked whole first.  So
+printing holds O(``CHUNK``) terms, except over Q with lam > 1.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
@@ -75,13 +81,17 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
+from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import add, mul
 
 from .kernels import (
+    CHUNK,
     binomial_convolution_values,
     binomial_transform_values,
     cauchy_values,
+    recurrence_chunks,
     recurrence_values,
     termwise_values,
 )
@@ -183,36 +193,76 @@ class LinRec:
     def term_strings(self, k: int) -> list[str]:
         """The first ``k`` terms as printed: ``str`` of each of ``term_values(k)``.
 
-        Over Z, and over Q when the charpoly has integer coefficients
-        (lam = 1), the integers delta a_n are unrolled on ``Decimal``
-        values in a context that cannot round, since ``str`` of a
-        ``Decimal`` takes linear time and that of an ``int`` or a
-        ``Fraction`` quadratic; delta is the lcm of the denominators of
-        the initial values, 1 over Z.  Each term prints as z/g over
-        delta/g with g = gcd(z mod delta, delta), which is the reduced
-        fraction, without the ``/1`` when g = delta.  A numerator longer
-        than ``sys.get_int_max_str_digits()`` is formatted through
-        ``int``, so the interpreter raises its own ``ValueError``, as
-        ``str`` of the value would.  Over Z/m, and over Q with lam > 1,
-        the strings are ``str`` of the values: with lam > 1 the scaled
-        terms can share large powers of lam with delta lam^n, and
-        reducing them measured up to 6.5x slower (see the README).
+        The chunks of :meth:`term_string_chunks`, in one list.
         """
-        cs = self.charpoly.values
-        if self.ring.kind == RingSpec.INTEGERS_MOD or _denominator_lcm(cs) != 1:
-            return [str(v) for v in self.term_values(k)]
-        delta = _denominator_lcm(self.initial_values)
-        init = [Decimal(z) for z in _scaled(self.initial_values, delta)]
+        return list(chain.from_iterable(self.term_string_chunks(k)))
+
+    def term_string_chunks(self, k: int):
+        """An iterator over the first ``k`` terms as printed, in lists of at most ``kernels.CHUNK``.
+
+        The strings are ``str`` of ``term_values(k)``.  A term that ``str``
+        refuses, with a numerator or denominator longer than
+        ``sys.get_int_max_str_digits()`` digits, raises the interpreter's
+        own ``ValueError`` before the first list is made, so a caller
+        that writes the lists as they come writes nothing.  The routes:
+
+        * Over Z, and over Q when the charpoly has integer coefficients
+          (lam = 1), the integers delta a_n are unrolled twice, in
+          chunks; delta is the lcm of the denominators of the initial
+          values, 1 over Z.  The first pass, on ``int``, only looks for
+          a term past the limit (:func:`_refuse_past_the_limit`).  The
+          second runs on ``Decimal`` values, since ``str`` of a
+          ``Decimal`` takes linear time and that of an ``int`` or a
+          ``Fraction`` quadratic, in a context that cannot round.  That
+          context is entered for each chunk and left before the chunk is
+          yielded, so the caller's context holds while the iterator
+          waits.  Each term prints as z/g over delta/g with
+          g = gcd(z mod delta, delta), the reduced fraction, without the
+          ``/1`` when g = delta.
+        * Over Z/m the values are unrolled in chunks; no residue passes
+          the limit.
+        * Over Q with lam > 1 the values are ``term_values(k)``, one
+          list, checked whole before the first chunk is formatted: with
+          lam > 1 the scaled terms can share large powers of lam with
+          delta lam^n, and reducing them measured up to 6.5x slower (see
+          the README).
+        """
+        cs, init, m = self.charpoly.values, self.initial_values, self.ring.modulus
         limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit before 3.10.7
-        out = []
-        with localcontext(_EXACT):  # the kernel negates the coefficients in this context
-            for z in recurrence_values([Decimal(c.numerator) for c in cs], init, k):
-                g = gcd(int(z % delta), delta) if delta > 1 else 1
-                if g > 1:
-                    z //= g  # exact
-                s = str(int(z)) if limit and z.adjusted() >= limit else str(z)
-                out.append(s if g == delta else f"{s}/{delta // g}")
-        return out
+        if m is not None:
+            for chunk in recurrence_chunks(cs, init, k, m):
+                yield list(map(str, chunk))
+            return
+        if _denominator_lcm(cs) != 1:
+            values = self.term_values(k)
+            if limit:
+                _refuse_past_the_limit(values, 10**limit)
+            for i in range(0, len(values), CHUNK):
+                yield list(map(str, values[i : i + CHUNK]))
+            return
+        delta = _denominator_lcm(init)
+        zs = _scaled(init, delta)
+        if limit:
+            bound = 10**limit
+            for chunk in recurrence_chunks([c.numerator for c in cs], zs, k):
+                if delta >= bound or min(chunk) <= -bound or max(chunk) >= bound:
+                    _refuse_past_the_limit((Fraction(z, delta) for z in chunk), bound)
+        chunks = recurrence_chunks([Decimal(c.numerator) for c in cs], [Decimal(z) for z in zs], k)
+        while True:
+            with localcontext(_EXACT):  # the kernel negates the coefficients in this context
+                chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                if delta == 1:
+                    strings = list(map(str, chunk))
+                else:
+                    strings = []
+                    for z in chunk:
+                        g = gcd(int(z % delta), delta)
+                        if g > 1:
+                            z //= g  # exact
+                        strings.append(str(z) if g == delta else f"{z}/{delta // g}")
+            yield strings
 
     def __add__(self, other):
         if not isinstance(other, LinRec):
@@ -233,6 +283,19 @@ class LinRec:
 
     def __repr__(self):
         return f"LinRec({self})"
+
+
+def _refuse_past_the_limit(values, bound: int) -> None:
+    """Raise the interpreter's ``ValueError`` at the first of ``values`` that ``str`` refuses.
+
+    ``values`` are ``int`` or ``Fraction``, and ``bound`` is 10^limit for
+    the int/str limit: ``str`` refuses a numerator or denominator of more
+    than limit digits.  It is called on that value only, so the message
+    is the interpreter's.
+    """
+    for v in values:
+        if v.denominator >= bound or not -bound < v.numerator < bound:
+            str(v)
 
 
 def _seq(ring: RingSpec, poly_ints, init_ints) -> LinRec:
@@ -259,17 +322,18 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = False) -> list:
+def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = False, chunked: bool = False):
     """The integers delta lam^n a_n for n < ``count``, unrolled without a ``Fraction``.
 
     They follow the recurrence of the integer charpoly lam^N p(t / lam)
     from delta lam^n a_n for n < N.  With ``shifted``, the result is
     their shifted binomial transform B_lam instead, the same sequence
     with every root plus lam, which :func:`~recseq.polymat._shifted_unroll`
-    also unrolls in O(count N).
+    also unrolls in O(count N).  One list, or with ``chunked`` an
+    iterator over lists of at most ``kernels.CHUNK``.
     """
     cs, init = _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
-    return _shifted_unroll(cs, init, count, a.ring.modulus, lam if shifted else 0)
+    return _shifted_unroll(cs, init, count, a.ring.modulus, lam if shifted else 0, chunked)
 
 
 def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False):
@@ -371,14 +435,16 @@ def _unit_inverses(a: LinRec, k: int):
     """1 / d_t for t < k, d_t = sum_s C(t,s) a_s the binomial transform of the terms.
 
     A generator that raises :class:`NotInvertible` at the first d_t that
-    is not a unit.  The d_t are read from the shifted unroll of the
-    Newton product (:func:`_scaled_terms`), which gives the integers
-    delta lam^t d_t; each is divided and checked as it is reached, so no
-    ring value past the first failure is made.
+    is not a unit.  The d_t are read chunk by chunk from the shifted
+    unroll of the Newton product (:func:`_scaled_terms`), which gives the
+    integers delta lam^t d_t; each is divided and checked as it is
+    reached, so a failure at index t unrolls O(t + ``kernels.CHUNK``)
+    terms whatever ``k`` is, and makes no ring value past it.
     """
     ring = a.ring
     lam, delta = _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
-    for t, d in enumerate(_unscaled(ring, _scaled_terms(a, lam, delta, k, shifted=True), delta, lam)):
+    zs = chain.from_iterable(_scaled_terms(a, lam, delta, k, shifted=True, chunked=True))
+    for t, d in enumerate(_unscaled(ring, zs, delta, lam)):
         r = ring.unit_inverse(d)
         if r is None:
             raise NotInvertible(t, RingElem(ring, d))
@@ -427,6 +493,7 @@ def newton_inverse(a: LinRec, k: int) -> list[RingElem]:
     if k < 1:
         raise ValueError("term count must be >= 1")
     ring = a.ring
+    inverses = list(_unit_inverses(a, k))
     alternating = [(-1) ** j for j in range(k)]
-    raw = binomial_convolution_values(list(_unit_inverses(a, k)), alternating, ring.modulus)
+    raw = binomial_convolution_values(inverses, alternating, ring.modulus)
     return [RingElem(ring, b) for b in raw]

@@ -59,6 +59,7 @@ from .kernels import (
     binomial_convolution_values,
     binomial_transform_values,
     cauchy_values,
+    recurrence_chunks,
     recurrence_values,
     termwise_values,
 )
@@ -260,7 +261,7 @@ def _taylor_shift(cs, s: int) -> list:
     return cs
 
 
-def _shifted_unroll(cs, init, count: int, modulus: int | None, shift: int) -> list:
+def _shifted_unroll(cs, init, count: int, modulus: int | None, shift: int, chunked: bool = False):
     """The first ``count`` terms of the recurrence ``cs`` from ``init``, with every root plus ``shift``.
 
     Adding s to the roots takes the terms to their shifted binomial
@@ -268,11 +269,13 @@ def _shifted_unroll(cs, init, count: int, modulus: int | None, shift: int) -> li
     again a recurrent sequence: its charpoly is ``cs`` Taylor-shifted by
     s and its first N terms are B_s of the first N, for N = len(init)
     the order.  So it costs O(N^2) before the O(count N) unroll.
-    A ``shift`` of 0 is the plain unroll.
+    A ``shift`` of 0 is the plain unroll.  The terms come as one list,
+    or with ``chunked`` as the lazy chunks of
+    :func:`~recseq.kernels.recurrence_chunks`.
     """
     if shift:
         cs, init = _taylor_shift(cs, shift), binomial_transform_values(init, shift, modulus)
-    return recurrence_values(cs, init, count, modulus)
+    return (recurrence_chunks if chunked else recurrence_values)(cs, init, count, modulus)
 
 
 def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):

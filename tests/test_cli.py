@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from recseq import cli, selftest
+from recseq import cli, kernels, newton_inverse, selftest
 from recseq.cli import (
     ParseError,
     parse_element,
@@ -339,6 +339,125 @@ class TestIntStrLimit:
             sys.set_int_max_str_digits(old)
         assert (code, err) == (0, "")
         assert out.split()[1:] == ["1" + "0" * n for n in range(4301)]
+
+
+CHUNK = kernels.CHUNK
+STREAM_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+Q_LAM_1 = "ring=Q;p=[-1,-1,1];init=[1/2,-2/3]"  # delta = 6
+Q_LAM_2 = "ring=Q;p=[-1/2,-1,1];init=[1/3,1]"
+
+
+def _whole_output(argv, structured):
+    """What ``argv`` prints, built from the library in one piece: ``json.dumps`` or one joined line."""
+    verb, n = argv[0], int(argv[-1])
+    if verb in ("terms", "invert"):
+        seq = parse_sequence(argv[2])
+        if verb == "terms":
+            fields, terms = {}, [str(v) for v in seq.term_values(n)]
+        else:
+            fields, terms = {"invertible": True}, [str(v) for v in newton_inverse(seq, n)]
+        fields.update(ring=str(seq.ring), terms=terms)
+        lines = [f"terms: {' '.join(terms)}"]
+    else:
+        if verb == "op":
+            result = cli._SEQ_OPS[argv[2]](parse_sequence(argv[4]), parse_sequence(argv[6]))
+        else:
+            result = cli._TRANSFORMS[argv[2]](parse_sequence(argv[4]))
+        terms = [str(v) for v in result.term_values(n)]
+        initial = [str(v) for v in result.initial_values]
+        fields = {
+            "kind": argv[2],
+            "ring": str(result.ring),
+            "charpoly": [str(v) for v in result.charpoly.values],
+            "initial": initial,
+            "terms": terms,
+        }
+        lines = [f"sequence: {result}", f"charpoly: {result.charpoly}"]
+        if verb == "op":
+            lines.append(f"initial: [{','.join(initial)}]")
+        lines.append(f"terms: {' '.join(terms)}")
+    return json.dumps(fields, sort_keys=True, indent=2) + "\n" if structured else "\n".join(lines) + "\n"
+
+
+_STREAMED = [
+    pytest.param(["terms", "-s", FIB_Z], id="terms-Z"),
+    pytest.param(["terms", "-s", Q_LAM_1], id="terms-Q"),
+    pytest.param(["terms", "-s", Q_LAM_2], id="terms-Q-lam2"),
+    pytest.param(["terms", "-s", "ring=Zmod:12;p=[-1,-1,1];init=[0,1]"], id="terms-Zmod:12"),
+    pytest.param(["op", "--kind", "hurwitz", "-a", Q_LAM_1, "-b", "ring=Q;p=[-2,1];init=[1/5]"], id="op-Q"),
+    pytest.param(["op", "--kind", "newton", "-a", f"ring=Zmod:{2**61 - 1};p=[-1,-1,1];init=[0,1]",
+                  "-b", f"ring=Zmod:{2**61 - 1};p=[-2,1];init=[1]"], id="op-Zmod"),
+    pytest.param(["transform", "--kind", "psi", "-s", FIB_Z], id="transform-Z"),
+    pytest.param(["transform", "--kind", "binomial", "-s", Q_LAM_2], id="transform-Q-lam2"),
+]
+
+
+class TestStream:
+    """Terms are written chunk by chunk, with the same bytes as the whole output."""
+
+    @pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
+    @pytest.mark.parametrize("count", STREAM_COUNTS)
+    @pytest.mark.parametrize("argv", _STREAMED)
+    def test_stream_is_the_whole_output(self, capsys, argv, count, structured):
+        argv = [*argv, "-n", str(count)]
+        fmt = ["--format", "structured"] if structured else []
+        assert run_cli(capsys, *argv, *fmt) == (0, _whole_output(argv, structured), "")
+
+    @pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
+    @pytest.mark.parametrize("count", STREAM_COUNTS[1:])  # invert takes -n >= 1
+    def test_invert_stream_is_the_whole_output(self, capsys, count, structured):
+        argv = ["invert", "-s", "ring=Zmod:10007;p=[-1,-1,1];init=[1,1]", "-n", str(count)]
+        fmt = ["--format", "structured"] if structured else []
+        assert run_cli(capsys, *argv, *fmt) == (0, _whole_output(argv, structured), "")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["terms", "-s", POWERS_OF_TEN, "--format", "structured"], id="terms-structured"),
+            pytest.param(
+                ["op", "--kind", "hadamard", "-a", POWERS_OF_TEN, "-b", "ring=Z;p=[-1,1];init=[1]",
+                 "--format", "structured"],
+                id="op-structured",
+            ),
+            pytest.param(["terms", "-s", THIRDS_OF_POWERS_OF_TEN, "--format", "structured"], id="terms-Q-structured"),
+            # lam = 10: a_n = 10^-n, whose denominator passes the limit
+            pytest.param(["terms", "-s", "ring=Q;p=[-1/10,1];init=[1]"], id="terms-Q-lam10"),
+            pytest.param(
+                ["terms", "-s", "ring=Q;p=[-1/10,1];init=[1]", "--format", "structured"], id="terms-Q-lam10-structured"
+            ),
+        ],
+    )
+    def test_refusal_past_the_first_chunk_leaves_stdout_empty(self, capsys, argv):
+        # the first term too long for str comes at index 4300, many chunks in
+        assert run_cli(capsys, *argv, "-n", "4301") == (2, "", f"error: {_limit_message()}\n")
+        code, out, err = run_cli(capsys, *argv, "-n", "4300")
+        assert (code, err) == (0, "")
+        assert TEN_4299 in out  # the last term, 4300 digits, is printed
+
+    def test_invert_stops_at_the_first_non_unit(self, capsys):
+        # the failure at index 0 reads one chunk of the divisors, not 10^6
+        argv = ["invert", "-s", "ring=Zmod:12;p=[-1,-1,1];init=[0,1]", "-n", "1000000"]
+        want = "not invertible: binomial-transform value at index 0 is not a unit\n"
+        assert run_cli(capsys, *argv) == (1, want, "")
+
+    @pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
+    def test_closed_stdout_ends_quietly(self, structured):
+        # a reader that stops early, as `| head -c 20` does: no traceback,
+        # exit 141, the status a shell reports for a program ended by SIGPIPE
+        argv = ["terms", "-s", "ring=Zmod:10007;p=[-1,-1,1];init=[0,1]", "-n", "300000"]
+        argv += ["--format", "structured"] if structured else []
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "recseq.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+        assert head == (b'{\n  "ring": "Zmod:10' if structured else b"terms: 0 1 1 2 3 5 8")
 
 
 class TestVerifyVerb:

@@ -2,6 +2,8 @@
 
 import decimal
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -352,6 +354,32 @@ class TestNewtonInverse:
             checked.clear()
             assert is_newton_invertible(a, 200).first_failure == index
             assert len(checked) == index + 1
+
+    def test_unrolls_only_to_the_first_non_unit(self, monkeypatch):
+        # the divisors are read chunk by chunk: a failure at index t costs
+        # about t + CHUNK unrolled terms, however many terms were asked for
+        produced = []
+        unroll = kernels.recurrence_values
+
+        def spy(cs, init, count, modulus=None):
+            out = unroll(cs, init, count, modulus)
+            produced.append(len(out))
+            return out
+
+        monkeypatch.setattr(kernels, "recurrence_values", spy)
+        field = Zmod(10007)
+        # d_t = t - 600, zero mod the prime 10007 first at t = 600
+        d = LinRec(Poly.from_ints(field, [1, -2, 1]), [field.from_int(-600), field.from_int(-599)])
+        late = inverse_binomial_transform(d)
+        zmod12 = LinRec(Poly.from_ints(Zmod(12), [-1, -1, 1]), [Zmod(12).zero, Zmod(12).one])
+        for a, index in [(zmod12, 0), (ones(ZZ), 1), (late, 600)]:
+            for check in (lambda: newton_inverse(a, 10**6), lambda: is_newton_invertible(a, 10**6)):
+                produced.clear()
+                try:
+                    assert check().first_failure == index
+                except NotInvertible as exc:
+                    assert exc.index == index
+                assert 0 < sum(produced) <= index + 2 * kernels.CHUNK
 
 
 class TestIsomorphism:
@@ -858,18 +886,95 @@ def test_term_strings_over_z_on_edge_cases(text, k):
     ids=["Z", "Q", "Q-delta6", "Q-lam2", "Zmod:12", f"Zmod:{2**61 - 1}"],
 )
 def test_term_strings_unroll_on_decimals_when_lam_is_1(text, want, monkeypatch):
-    kinds = []
+    calls = []  # (unroll, the types of its initial values)
 
-    def spy(cs, init, count, modulus=None):
-        kinds.append({type(v) for v in init})
-        return recurrence(cs, init, count, modulus)
+    def spy(name):
+        unroll = getattr(linrec, name)
 
-    recurrence = linrec.recurrence_values
-    monkeypatch.setattr(linrec, "recurrence_values", spy)
+        def wrapper(cs, init, count, modulus=None):
+            calls.append((name, {type(v) for v in init}))
+            return unroll(cs, init, count, modulus)
+
+        return wrapper
+
+    for name in ("recurrence_values", "recurrence_chunks"):
+        monkeypatch.setattr(linrec, name, spy(name))
     a = parse_sequence(text)
-    assert a.term_strings(30) == [str(v) for v in a.term_values(30)]
-    assert kinds[0] == {want}
-    assert all(kind == {type(a.initial_values[0])} for kind in kinds[1:])
+    strings = a.term_strings(30)
+    printing = calls[:]
+    calls.clear()
+    assert strings == [str(v) for v in a.term_values(30)]
+    assert calls == [("recurrence_values", {type(a.initial_values[0])})]
+    # the strings come from the last unroll: chunks, except over Q with
+    # lam > 1; on the Decimal route a first pass on int looks for a term
+    # past the int/str limit
+    assert printing[-1] == ("recurrence_values" if want is Fraction else "recurrence_chunks", {want})
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    assert printing[:-1] == ([("recurrence_chunks", {int})] if want is decimal.Decimal and limit else [])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+def test_recurrence_chunks_are_recurrence_values_in_chunks(chunk, monkeypatch):
+    # chunks of at most CHUNK terms, none empty, that join to the one list,
+    # also where the order exceeds CHUNK and a window spans several chunks
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    rng = random.Random(chunk)
+    for order in range(1, 6):
+        for modulus in (None, 12, 10007):
+            cs = [rng.randint(-3, 3) for _ in range(order)] + [1]
+            init = [rng.randint(-5, 5) for _ in range(order)]
+            counts = {0, 1, order - 1, order, order + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + order}
+            for count in sorted(counts):
+                chunks = list(kernels.recurrence_chunks(cs, init, count, modulus))
+                assert all(1 <= len(c) <= chunk for c in chunks)
+                assert [v for c in chunks for v in c] == kernels.recurrence_values(cs, init, count, modulus)
+            with pytest.raises(ValueError, match=r"^term count must be >= 0$"):
+                next(kernels.recurrence_chunks(cs, init, -1, modulus))
+
+
+@pytest.mark.parametrize(
+    "text", ["ring=Z;p=[-1,-1,1];init=[3,-2]", "ring=Q;p=[-1,-1,1];init=[1/2,-2/3]"], ids=["Z", "Q"]
+)
+def test_term_string_chunks_leave_the_callers_context_between_chunks(text):
+    # the exact context is entered for each chunk and left before it is
+    # yielded: while the iterator waits, the caller's precision 5 holds,
+    # and the exact context, which traps Inexact, does not
+    a = parse_sequence(text)
+    k = 2 * kernels.CHUNK + 1
+    got = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        for chunk in a.term_string_chunks(k):
+            assert decimal.getcontext() is ctx and ctx.prec == 5
+            assert decimal.Decimal(1) / 3 == decimal.Decimal("0.33333")
+            got += chunk
+    assert got == [str(v) for v in a.term_values(k)]
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [("ring=Zmod:10007;p=[-1,-1,1];init=[0,1]", 10**5), ("ring=Z;p=[-1,-1,1];init=[0,1]", 10**4)],
+    ids=["Zmod:10007", "Z"],
+)
+def test_term_string_chunks_hold_one_chunk(text, k):
+    # the stream holds a chunk or two of strings, the list all k: Fibonacci
+    # over Z reaches 2090 digits at 10^4 terms
+    a = parse_sequence(text)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def drain():
+        for _ in a.term_string_chunks(k):
+            pass
+
+    stream, whole = peak(drain), peak(lambda: a.term_strings(k))
+    assert stream * 5 < whole, (stream, whole)
 
 
 def test_decimal_is_the_c_module():
