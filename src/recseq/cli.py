@@ -3,7 +3,8 @@
 Grammars
 --------
 ring:      ``Z`` | ``Q`` | ``Zmod:<m>``
-element:   integer ``-12``, rational ``3/4`` (Q only), residue ``5``
+element:   integer ``-12``, rational ``3/4`` (Q only), residue ``5``;
+           integers of any length
 poly:      coefficient list low-to-high, e.g. ``[-1,-1,1]`` for t^2 - t - 1
 sequence:  ``ring=<ring>;p=<poly>;init=<list>``
 raw terms: ``ring=<ring>;terms=<list>`` (verification inputs only)
@@ -22,10 +23,12 @@ Terms are printed as a stream: ``LinRec.term_string_chunks`` yields
 lists of at most ``kernels.CHUNK`` term strings, and each list is one
 write, to the ``terms:`` line or, element by element, into the JSON
 ``terms`` array.  So a call holds one list of terms at a time, however
-many it prints (``invert`` holds its k terms, which its O(k^2) inverse
-needs anyway).  The first list is taken before anything is written, and
-a term past the int/str limit is found before the first list, so a
-refusal leaves stdout empty.
+many it prints, except over Q with lam > 1, where the lists are checked
+as they are unrolled and held until the last has passed.  ``invert``
+passes its k terms as one list, since its O(k^2) inverse holds them all
+anyway.  The first list is taken before anything is written, and a term
+past the int/str limit is found before the first list, so a refusal
+leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .kernels import CHUNK
 from .linrec import (
     DEFAULT_PREFIX,
     LinRec,
@@ -75,14 +78,17 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_integer(text: str) -> int:
-    """An integer literal; ValueError unless it matches ``[+-]?[0-9]+``.
+    """An integer literal of any length; ValueError unless it matches ``[+-]?[0-9]+``.
 
-    Surrounding whitespace is ignored, as ``int()`` ignores it.
+    Surrounding whitespace is ignored, as ``int()`` ignores it.  The
+    conversion goes through ``Decimal``, which the int/str limit does not
+    bound: a literal longer than ``sys.get_int_max_str_digits()`` digits
+    is well formed, and only printing it is refused.
     """
     text = text.strip()
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"invalid integer literal {text!r}")
-    return int(text)
+    return int(Decimal(text))
 
 
 def parse_ring(text: str) -> RingSpec:
@@ -324,8 +330,7 @@ def _cmd_invert(args) -> int:
             },
         )
         return 1
-    chunks = (terms[i : i + CHUNK] for i in range(0, len(terms), CHUNK))
-    _emit(args, [], {"invertible": True, "ring": str(seq.ring)}, chunks)
+    _emit(args, [], {"invertible": True, "ring": str(seq.ring)}, [terms])
     return 0
 
 

@@ -7,8 +7,9 @@ integer charpoly, in a context that cannot round -- never
 :class:`~recseq.ring.RingElem` objects.  Over Q
 the products and polynomial arithmetic pass integers scaled by a common
 denominator and divide once per output; only term
-unrolling (``LinRec.term_values``) and the Newton inverse's binomial
-convolution pass ``Fraction`` values, so :func:`binomial_transform_values`
+unrolling (``LinRec.term_values``, and printing over Q when the charpoly
+has a denominator) and the Newton inverse's binomial convolution pass
+``Fraction`` values, so :func:`binomial_transform_values`
 sees only integers.  Where a function takes a ``modulus``, each result
 is reduced mod m as soon as it is formed; with ``modulus=None`` the
 arithmetic is exact.  One copy of each loop serves Z, Q and Z/m for
@@ -20,8 +21,10 @@ coefficients into the step of the recurrence itself; over ``Decimal``
 that negation is exact only in the caller's exact context.
 :func:`recurrence_chunks` gives the same terms in lists of at most
 ``CHUNK``, each unrolled by :func:`recurrence_values` from the last
-terms of the one before, for the callers that stream: printing and the
-Newton inverse's divisors.  The products keep the one list.
+terms of the one before.  Each caller picks one of the two itself: the
+products and the composed operations take the one list; printing and
+the Newton inverse's divisors take the chunks, so that they can refuse
+or stop at index t after O(t + ``CHUNK``) terms.
 
 The products run on these loops: :func:`termwise_values` (sum and
 Hadamard), :func:`cauchy_values` (Cauchy) and

@@ -11,8 +11,8 @@ operands' terms.  The composed operations run the same loop on the power
 sums of the roots.  The Newton product is the Hadamard product
 conjugated by the binomial transform; the transform of an operand is
 again recurrent, with the charpoly's roots shifted by one (by lam on
-the scaled terms), so it is unrolled from its own recurrence by
-:func:`~recseq.polymat._shifted_unroll`, the unroll that gives
+the scaled terms), so it is unrolled from its own recurrence, shifted by
+:func:`~recseq.polymat._shifted`, the shift that gives
 :func:`~recseq.polymat.composed_newton` its shifted power sums, and one
 O(D^2) transform table is left.
 
@@ -27,7 +27,10 @@ the integers delta lam^n a_n, the product's loop combines them, and each
 output is divided once, into one ``Fraction`` over Q.  Over Z and Z/m,
 lam = delta = 1 and nothing is divided.  The Newton inverse divides by
 the binomial transform d of the terms and reads it from the Newton
-product's shifted unroll, as the integers delta lam^t d_t.  Term
+product's shifted unroll, as the integers delta lam^t d_t.  Every
+unroll of such integers starts from one recurrence,
+:func:`_scaled_recurrence`, and each caller unrolls it as one list
+(the products) or in chunks (the inverse's divisors, and printing).  Term
 unrolling (``term_values``) and the inverse's binomial convolution pass
 ``Fraction`` values to the loops.  ``term_values`` stays on the
 ``Fraction`` unroll: scaled, the unrolled numbers grow like lam^n even
@@ -45,9 +48,12 @@ kernel's negation of the ``Decimal`` coefficients, run chunk by chunk
 in a context that cannot round, whatever the caller's context is.
 Before the first chunk, a pass over the ``int`` unroll finds any term
 too long for the int/str limit, so a refusal comes before the first
-string.  Over Z/m it gives ``str`` of the chunked unroll, and over Q
-with lam > 1 ``str`` of ``term_values(k)``, checked whole first.  So
-printing holds O(``CHUNK``) terms, except over Q with lam > 1.
+string.  Over Z/m, and over Q with lam > 1, it gives ``str`` of the
+chunked unroll of the values; over Q each chunk is checked against the
+limit as it is unrolled, and the chunks are held until the last has
+passed.  So printing holds O(``CHUNK``) terms, except over Q with
+lam > 1, and a refusal at index t unrolls O(t + ``CHUNK``) terms on
+every route.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
@@ -87,7 +93,6 @@ from math import gcd
 from operator import add, mul
 
 from .kernels import (
-    CHUNK,
     binomial_convolution_values,
     binomial_transform_values,
     cauchy_values,
@@ -102,7 +107,7 @@ from .polymat import (
     _denominator_lcm,
     _scaled,
     _scaled_values,
-    _shifted_unroll,
+    _shifted,
     _unscaled,
     composed_newton,
     composed_product,
@@ -204,50 +209,49 @@ class LinRec:
         refuses, with a numerator or denominator longer than
         ``sys.get_int_max_str_digits()`` digits, raises the interpreter's
         own ``ValueError`` before the first list is made, so a caller
-        that writes the lists as they come writes nothing.  The routes:
+        that writes the lists as they come writes nothing.  Two routes:
 
         * Over Z, and over Q when the charpoly has integer coefficients
-          (lam = 1), the integers delta a_n are unrolled twice, in
-          chunks; delta is the lcm of the denominators of the initial
-          values, 1 over Z.  The first pass, on ``int``, only looks for
-          a term past the limit (:func:`_refuse_past_the_limit`).  The
-          second runs on ``Decimal`` values, since ``str`` of a
-          ``Decimal`` takes linear time and that of an ``int`` or a
-          ``Fraction`` quadratic, in a context that cannot round.  That
-          context is entered for each chunk and left before the chunk is
-          yielded, so the caller's context holds while the iterator
-          waits.  Each term prints as z/g over delta/g with
-          g = gcd(z mod delta, delta), the reduced fraction, without the
-          ``/1`` when g = delta.
-        * Over Z/m the values are unrolled in chunks; no residue passes
-          the limit.
-        * Over Q with lam > 1 the values are ``term_values(k)``, one
-          list, checked whole before the first chunk is formatted: with
-          lam > 1 the scaled terms can share large powers of lam with
-          delta lam^n, and reducing them measured up to 6.5x slower (see
+          (lam = 1), the integers delta a_n of :func:`_scaled_recurrence`
+          are unrolled twice, in chunks; delta is the lcm of the
+          denominators of the initial values, 1 over Z.  The first pass,
+          on ``int``, only looks for a term past the limit
+          (:func:`_refuse_past_the_limit`).  The second runs on
+          ``Decimal`` values, since ``str`` of a ``Decimal`` takes linear
+          time and that of an ``int`` or a ``Fraction`` quadratic, in a
+          context that cannot round.  That context is entered for each
+          chunk and left before the chunk is yielded, so the caller's
+          context holds while the iterator waits.  Each term prints as
+          z/g over delta/g with g = gcd(z mod delta, delta), the reduced
+          fraction, without the ``/1`` when g = delta.
+        * Over Z/m, and over Q with lam > 1, the strings are ``str`` of
+          the chunked unroll of the values themselves.  No residue
+          passes the limit, so over Z/m each chunk is yielded as it is
+          unrolled.  Over Q each chunk is checked as it is unrolled, and
+          the checked chunks are held until the last has passed: a
+          refusal at index t costs O(t + ``kernels.CHUNK``) terms, and
+          printing holds all k.  With lam > 1 the scaled terms can share
+          large powers of lam with delta lam^n, and reducing them
+          measured up to 6.5x slower than the ``Fraction`` unroll (see
           the README).
         """
         cs, init, m = self.charpoly.values, self.initial_values, self.ring.modulus
         limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit before 3.10.7
-        if m is not None:
-            for chunk in recurrence_chunks(cs, init, k, m):
+        bound = 10**limit
+        if m is not None or _denominator_lcm(cs) != 1:
+            chunks = recurrence_chunks(cs, init, k, m)
+            if m is None and limit:  # Q with lam > 1: check every chunk before the first is printed
+                chunks = [_refuse_past_the_limit(chunk, bound) for chunk in chunks]
+            for chunk in chunks:
                 yield list(map(str, chunk))
             return
-        if _denominator_lcm(cs) != 1:
-            values = self.term_values(k)
-            if limit:
-                _refuse_past_the_limit(values, 10**limit)
-            for i in range(0, len(values), CHUNK):
-                yield list(map(str, values[i : i + CHUNK]))
-            return
         delta = _denominator_lcm(init)
-        zs = _scaled(init, delta)
+        cs, zs = _scaled_recurrence(self, 1, delta)
         if limit:
-            bound = 10**limit
-            for chunk in recurrence_chunks([c.numerator for c in cs], zs, k):
+            for chunk in recurrence_chunks(cs, zs, k):
                 if delta >= bound or min(chunk) <= -bound or max(chunk) >= bound:
                     _refuse_past_the_limit((Fraction(z, delta) for z in chunk), bound)
-        chunks = recurrence_chunks([Decimal(c.numerator) for c in cs], [Decimal(z) for z in zs], k)
+        chunks = recurrence_chunks([Decimal(c) for c in cs], [Decimal(z) for z in zs], k)
         while True:
             with localcontext(_EXACT):  # the kernel negates the coefficients in this context
                 chunk = next(chunks, None)
@@ -285,8 +289,8 @@ class LinRec:
         return f"LinRec({self})"
 
 
-def _refuse_past_the_limit(values, bound: int) -> None:
-    """Raise the interpreter's ``ValueError`` at the first of ``values`` that ``str`` refuses.
+def _refuse_past_the_limit(values, bound: int):
+    """``values``, once checked: the interpreter's ``ValueError`` at the first that ``str`` refuses.
 
     ``values`` are ``int`` or ``Fraction``, and ``bound`` is 10^limit for
     the int/str limit: ``str`` refuses a numerator or denominator of more
@@ -296,6 +300,7 @@ def _refuse_past_the_limit(values, bound: int) -> None:
     for v in values:
         if v.denominator >= bound or not -bound < v.numerator < bound:
             str(v)
+    return values
 
 
 def _seq(ring: RingSpec, poly_ints, init_ints) -> LinRec:
@@ -322,18 +327,18 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _scaled_terms(a: LinRec, lam: int, delta: int, count: int, shifted: bool = False, chunked: bool = False):
-    """The integers delta lam^n a_n for n < ``count``, unrolled without a ``Fraction``.
+def _scaled_recurrence(a: LinRec, lam: int, delta: int, shift: int = 0) -> tuple:
+    """``(cs, init)``: the integer recurrence of delta lam^n a_n, with every root plus ``shift``.
 
-    They follow the recurrence of the integer charpoly lam^N p(t / lam)
-    from delta lam^n a_n for n < N.  With ``shifted``, the result is
-    their shifted binomial transform B_lam instead, the same sequence
-    with every root plus lam, which :func:`~recseq.polymat._shifted_unroll`
-    also unrolls in O(count N).  One list, or with ``chunked`` an
-    iterator over lists of at most ``kernels.CHUNK``.
+    The integers delta lam^n a_n follow the recurrence of the integer
+    charpoly lam^N p(t / lam) from delta lam^n a_n for n < N.  A
+    ``shift`` s takes them to their shifted binomial transform B_s
+    (:func:`~recseq.polymat._shifted`).  The caller unrolls the result
+    with :func:`~recseq.kernels.recurrence_values` or
+    :func:`~recseq.kernels.recurrence_chunks`.
     """
     cs, init = _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
-    return _shifted_unroll(cs, init, count, a.ring.modulus, lam if shifted else 0, chunked)
+    return _shifted(cs, init, shift, a.ring.modulus)
 
 
 def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False):
@@ -350,10 +355,12 @@ def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False)
     """
     _require_same_ring(a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
-    need = len(p.values) - 1
+    need, m = len(p.values) - 1, p.ring.modulus
     lam = _denominator_lcm(a.charpoly.values + b.charpoly.values)
     delta = _denominator_lcm(a.initial_values + b.initial_values)
-    xs, ys = _scaled_terms(a, lam, delta, need, shifted), _scaled_terms(b, lam, delta, need, shifted)
+    shift = lam if shifted else 0
+    xs = recurrence_values(*_scaled_recurrence(a, lam, delta, shift), need, m)
+    ys = recurrence_values(*_scaled_recurrence(b, lam, delta, shift), need, m)
     return p, xs, ys, lam, delta
 
 
@@ -436,14 +443,15 @@ def _unit_inverses(a: LinRec, k: int):
 
     A generator that raises :class:`NotInvertible` at the first d_t that
     is not a unit.  The d_t are read chunk by chunk from the shifted
-    unroll of the Newton product (:func:`_scaled_terms`), which gives the
-    integers delta lam^t d_t; each is divided and checked as it is
-    reached, so a failure at index t unrolls O(t + ``kernels.CHUNK``)
-    terms whatever ``k`` is, and makes no ring value past it.
+    unroll of the Newton product (:func:`_scaled_recurrence` shifted by
+    lam), which gives the integers delta lam^t d_t; each is divided and
+    checked as it is reached, so a failure at index t unrolls
+    O(t + ``kernels.CHUNK``) terms whatever ``k`` is, and makes no ring
+    value past it.
     """
     ring = a.ring
     lam, delta = _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
-    zs = chain.from_iterable(_scaled_terms(a, lam, delta, k, shifted=True, chunked=True))
+    zs = chain.from_iterable(recurrence_chunks(*_scaled_recurrence(a, lam, delta, lam), k, ring.modulus))
     for t, d in enumerate(_unscaled(ring, zs, delta, lam)):
         r = ring.unit_inverse(d)
         if r is None:

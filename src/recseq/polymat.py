@@ -22,18 +22,18 @@ gives a product's initial conditions.  The Newton product is the
 Hadamard product conjugated by the binomial transform, which on roots is
 a shift: :func:`composed_newton` shifts the roots of each operand, and
 so its power sums, multiplies them termwise and shifts the result back
-with one binomial transform.  The operands' shift is
-:func:`_shifted_unroll`, O(d^2) for degree d: it Taylor-shifts the
-charpoly and transforms the first d values, then unrolls.  The products
-of :mod:`recseq.linrec` run the same unroll on the Newton product's
-operand terms and on the Newton inverse's divisors, with initial terms
-in place of power sums.  Newton's identities run backwards recover the
-polynomial (Bostan, Flajolet, Salvy, Schost, "Fast computation of
-special resultants", 2006).  That is a few O(D^2) passes for
-D = deg p * deg q.  The oracles that compute the same
-polynomials independently -- the Kronecker constructions on companion
-matrices with Berkowitz, and :func:`~recseq.verify.resultant_shift` --
-live in :mod:`recseq.verify`.
+with one binomial transform.  The operands' shift is :func:`_shifted`,
+O(d^2) for degree d: it Taylor-shifts the charpoly and transforms the
+first d values, and the shifted recurrence is then unrolled.  The
+products of :mod:`recseq.linrec` shift the same way the recurrences of
+the Newton product's operand terms and of the Newton inverse's
+divisors, with initial terms in place of power sums.  Newton's
+identities run backwards recover the polynomial (Bostan, Flajolet,
+Salvy, Schost, "Fast computation of special resultants", 2006).  That
+is a few O(D^2) passes for D = deg p * deg q.  The oracles that compute
+the same polynomials independently -- the Kronecker constructions on
+companion matrices with Berkowitz, and
+:func:`~recseq.verify.resultant_shift` -- live in :mod:`recseq.verify`.
 
 Everything works over any of the supported commutative rings, including
 Z/m with composite m: no division by a ring element ever happens.  The
@@ -59,7 +59,6 @@ from .kernels import (
     binomial_convolution_values,
     binomial_transform_values,
     cauchy_values,
-    recurrence_chunks,
     recurrence_values,
     termwise_values,
 )
@@ -221,9 +220,9 @@ def _power_sums(cs, modulus: int | None) -> list:
     Newton's identities, division-free, give s_0 = d and
     s_k = -(k c_{d-k} + sum_{i=1}^{k-1} c_{d-i} s_{k-i}) for 0 < k < d.
     From s_d on, the power sums follow the recurrence of the polynomial
-    itself, so these d are the initial values that
-    :func:`_shifted_unroll` continues.  With a ``modulus`` every s_k
-    past s_0 is reduced.
+    itself, so these d are the initial values from which
+    :func:`_root_power_sums` unrolls the rest.  With a ``modulus``
+    every s_k past s_0 is reduced.
     """
     d = len(cs) - 1
     high = cs[-2::-1]  # high[i - 1] = c_{d-i}
@@ -261,21 +260,20 @@ def _taylor_shift(cs, s: int) -> list:
     return cs
 
 
-def _shifted_unroll(cs, init, count: int, modulus: int | None, shift: int, chunked: bool = False):
-    """The first ``count`` terms of the recurrence ``cs`` from ``init``, with every root plus ``shift``.
+def _shifted(cs, init, shift: int, modulus: int | None) -> tuple:
+    """``(cs, init)`` for the recurrence ``cs`` from ``init`` with every root plus ``shift``.
 
     Adding s to the roots takes the terms to their shifted binomial
     transform B_s (:func:`~recseq.kernels.binomial_transform_values`),
     again a recurrent sequence: its charpoly is ``cs`` Taylor-shifted by
     s and its first N terms are B_s of the first N, for N = len(init)
-    the order.  So it costs O(N^2) before the O(count N) unroll.
-    A ``shift`` of 0 is the plain unroll.  The terms come as one list,
-    or with ``chunked`` as the lazy chunks of
-    :func:`~recseq.kernels.recurrence_chunks`.
+    the order.  So the shift costs O(N^2), and the caller unrolls the
+    result in O(count N).  A ``shift`` of 0 returns ``cs`` and ``init``
+    as they are.
     """
-    if shift:
-        cs, init = _taylor_shift(cs, shift), binomial_transform_values(init, shift, modulus)
-    return (recurrence_chunks if chunked else recurrence_values)(cs, init, count, modulus)
+    if not shift:
+        return cs, init
+    return _taylor_shift(cs, shift), binomial_transform_values(init, shift, modulus)
 
 
 def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
@@ -288,9 +286,9 @@ def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
     d sums of each operand (:func:`_power_sums`), and the recurrence of
     its charpoly unrolls the rest.  With ``shifted`` (the Newton
     product) they are the power sums of lam a + lam and lam b + lam
-    instead: :func:`_shifted_unroll` shifts the d initial sums and the
-    charpoly, which costs O(d^2) for degree d, where shifting all D + 1
-    sums would cost O(D^2).  One integer core serves every ring:
+    instead: :func:`_shifted` shifts the d initial sums and the charpoly
+    before the unroll, which costs O(d^2) for degree d, where shifting
+    all D + 1 sums would cost O(D^2).  One integer core serves every ring:
 
     * Over Q the roots are scaled to algebraic integers: with lam the
       lcm of all coefficient denominators, the power sums are those of
@@ -308,8 +306,10 @@ def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
     m = p.ring.modulus
     modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
     shift = lam if shifted else 0
-    cp, cq = _scaled_values(p, lam), _scaled_values(q, lam)
-    xs, ys = (_shifted_unroll(cs, _power_sums(cs, modulus), count, modulus, shift) for cs in (cp, cq))
+    xs, ys = (
+        recurrence_values(*_shifted(cs, _power_sums(cs, modulus), shift, modulus), count, modulus)
+        for cs in (_scaled_values(p, lam), _scaled_values(q, lam))
+    )
     return xs, ys, lam, modulus
 
 
@@ -381,7 +381,7 @@ def composed_newton(p: Poly, q: Poly) -> Poly:
     The Newton product is the Hadamard product conjugated by the binomial
     transform, and on roots that is a shift: on the scaled roots,
     lam^2 (a + b + a*b) = (lam a + lam)(lam b + lam) - lam^2.  So the
-    operands' roots are shifted by lam (:func:`_shifted_unroll`), the
+    operands' roots are shifted by lam (:func:`_shifted`), the
     power sums of the shifted roots multiply termwise, and one shifted
     binomial transform B_(-lam^2) moves the products' power sums back.
     Equals the characteristic polynomial of A (x) I + I (x) B + A (x) B;

@@ -20,7 +20,7 @@ from recseq.cli import (
     parse_sequence,
 )
 from recseq.polymat import NotMonic
-from recseq.ring import QQ, ZZ, RingElem
+from recseq.ring import QQ, ZZ, RingElem, Zmod
 
 from conftest import linrecs
 
@@ -33,6 +33,8 @@ def run_cli(capsys, *argv):
 
 FIB_Q = "ring=Q;p=[-1,-1,1];init=[0,1]"
 FIB_Z = "ring=Z;p=[-1,-1,1];init=[0,1]"
+LONG = "3" * 4400  # a well-formed literal longer than the int/str limit
+LONG_VALUE = (10**4400 - 1) // 3
 
 
 class TestParsing:
@@ -65,6 +67,14 @@ class TestParsing:
         for text in ("1/_2", "\u0663/4", "3/\u0664", "/4", "3/"):
             with pytest.raises(ParseError):
                 parse_element(QQ, text)
+
+    def test_integer_literals_of_any_length(self):
+        # the int/str limit bounds printing, not parsing
+        assert parse_element(ZZ, LONG).value == LONG_VALUE
+        assert parse_element(Zmod(7), LONG).value == LONG_VALUE % 7
+        assert parse_element(QQ, f"-1/{LONG}").value == Fraction(-1, LONG_VALUE)
+        assert parse_element(QQ, f"{LONG}/3").value == Fraction(LONG_VALUE, 3)
+        assert parse_ring(f"Zmod:{LONG}").modulus == LONG_VALUE
 
     def test_sequence_round_trip(self):
         seq = parse_sequence(FIB_Q)
@@ -288,14 +298,15 @@ assert "recseq.verify" in sys.modules
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def _limit_message() -> str:
+def _limit_message(value: int = 10**4300) -> str:
     try:
-        str(10**4300)
+        str(value)
     except ValueError as exc:
         return str(exc)
     raise AssertionError("Python's int/str limit is off")
 
 
+IMPULSE_MOD_LONG = f"ring=Zmod:{LONG};p=[0,1];init=[1]"
 POWERS_OF_TEN = "ring=Z;p=[-10,1];init=[1]"  # a_n = 10^n
 THIRDS_OF_POWERS_OF_TEN = "ring=Q;p=[-10,1];init=[1/3]"  # a_n = 10^n / 3
 TEN_4299 = "1" + "0" * 4299  # 10^4299: 4300 digits
@@ -329,6 +340,29 @@ class TestIntStrLimit:
         assert out.split()[-1] == last
         code, out, err = run_cli(capsys, *argv, "-n", "4301")
         assert (code, out, err) == (2, "", f"error: {_limit_message()}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["terms", "-s", f"ring=Z;p=[-1,1];init=[{LONG}]"], id="element-Z"),
+            pytest.param(["terms", "-s", f"ring=Q;p=[-1,1];init=[-1/{LONG}]"], id="rational-Q"),
+            pytest.param(["terms", "-s", f"ring=Q;p=[-{LONG}/2,1];init=[1]"], id="rational-Q-lam2"),
+            # the modulus is formatted: in the ring of the structured
+            # fields, which terms builds for plain output too, and in the
+            # sequence line of op
+            pytest.param(["terms", "-s", IMPULSE_MOD_LONG], id="modulus"),
+            pytest.param(["op", "--kind", "sum", "-a", IMPULSE_MOD_LONG, "-b", IMPULSE_MOD_LONG], id="modulus-op"),
+        ],
+    )
+    def test_long_literals_parse_and_printing_refuses_them(self, capsys, argv):
+        # well-formed input: the refusal is the interpreter's, when the
+        # value is printed, and stdout stays empty
+        assert run_cli(capsys, *argv, "-n", "2") == (2, "", f"error: {_limit_message(LONG_VALUE)}\n")
+
+    def test_long_literal_reduces_mod_m(self, capsys):
+        r = LONG_VALUE % 7
+        argv = ["terms", "-s", f"ring=Zmod:7;p=[-1,1];init=[{LONG}]", "-n", "3"]
+        assert run_cli(capsys, *argv) == (0, f"terms: {r} {r} {r}\n", "")
 
     def test_no_limit_prints_every_term(self, capsys):
         old = sys.get_int_max_str_digits()

@@ -656,10 +656,11 @@ def test_newton_values_combine_root_power_sums(shift, modulus):
     for _ in range(5):
         roots_a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         roots_b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
-        xs, ys = (
-            polymat._shifted_unroll(cs, polymat._power_sums(cs, modulus), count, modulus, shift)
+        shifted = (
+            polymat._shifted(cs, polymat._power_sums(cs, modulus), shift, modulus)
             for cs in (_poly_from_roots(roots_a), _poly_from_roots(roots_b))
         )
+        xs, ys = (kernels.recurrence_values(cs, init, count, modulus) for cs, init in shifted)
         assert xs == power_sums([a + shift for a in roots_a])
         assert ys == power_sums([b + shift for b in roots_b])
         zs = kernels.binomial_transform_values(kernels.termwise_values(mul, xs, ys, modulus), -shift * shift, modulus)
@@ -905,10 +906,9 @@ def test_term_strings_unroll_on_decimals_when_lam_is_1(text, want, monkeypatch):
     calls.clear()
     assert strings == [str(v) for v in a.term_values(30)]
     assert calls == [("recurrence_values", {type(a.initial_values[0])})]
-    # the strings come from the last unroll: chunks, except over Q with
-    # lam > 1; on the Decimal route a first pass on int looks for a term
-    # past the int/str limit
-    assert printing[-1] == ("recurrence_values" if want is Fraction else "recurrence_chunks", {want})
+    # the strings come from the last unroll, in chunks; on the Decimal
+    # route a first pass on int looks for a term past the int/str limit
+    assert printing[-1] == ("recurrence_chunks", {want})
     limit = getattr(sys, "get_int_max_str_digits", int)()
     assert printing[:-1] == ([("recurrence_chunks", {int})] if want is decimal.Decimal and limit else [])
 
@@ -975,6 +975,30 @@ def test_term_string_chunks_hold_one_chunk(text, k):
 
     stream, whole = peak(drain), peak(lambda: a.term_strings(k))
     assert stream * 5 < whole, (stream, whole)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_term_string_chunks_refuse_early_when_lam_exceeds_1(monkeypatch):
+    # over Q with lam = 10 each chunk is checked as it is unrolled: the
+    # first term past the int/str limit, at index t, is refused after at
+    # most t + 2 CHUNK unrolled terms, not all k, and before any string
+    a = parse_sequence("ring=Q;p=[-1/10,-1/10,1];init=[0,1]")
+    k, bound = 6000, 10 ** sys.get_int_max_str_digits()
+    terms = (v for chunk in kernels.recurrence_chunks(a.charpoly.values, a.initial_values, k) for v in chunk)
+    t = next(i for i, v in enumerate(terms) if v.denominator >= bound or not -bound < v.numerator < bound)
+    assert t < k - 2 * kernels.CHUNK
+    produced = []
+    unroll = kernels.recurrence_values
+
+    def spy(cs, init, count, modulus=None):
+        out = unroll(cs, init, count, modulus)
+        produced.append(len(out))
+        return out
+
+    monkeypatch.setattr(kernels, "recurrence_values", spy)
+    with pytest.raises(ValueError, match="integer string conversion"):
+        next(a.term_string_chunks(k))
+    assert t < sum(produced) <= t + 2 * kernels.CHUNK
 
 
 def test_decimal_is_the_c_module():
