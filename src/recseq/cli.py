@@ -3,8 +3,8 @@
 Grammars
 --------
 ring:      ``Z`` | ``Q`` | ``Zmod:<m>``
-element:   integer ``-12``, rational ``3/4`` (Q only), residue ``5``;
-           integers of any length
+element:   integer ``-12``, rational ``3/4`` (Q only); over Z/m any
+           integer, reduced mod m; integers of any length
 poly:      coefficient list low-to-high, e.g. ``[-1,-1,1]`` for t^2 - t - 1
 sequence:  ``ring=<ring>;p=<poly>;init=<list>``
 raw terms: ``ring=<ring>;terms=<list>`` (verification inputs only)
@@ -224,12 +224,15 @@ def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> 
     is written, so an error in it leaves stdout empty; then each list is
     one write.  The JSON array is spliced into the text of the rest,
     element by element, byte for byte as ``json.dumps(..., sort_keys=True,
-    indent=2)`` writes the whole.
+    indent=2)`` writes the whole.  A field that is no JSON type, such as
+    the ring, is written as its ``str``: it is formatted for structured
+    output only, so plain output never refuses a modulus that it does
+    not print.
     """
     chunks = iter(terms or ())
     chunk = next(chunks, None)
     if args.format == "structured":
-        text = json.dumps(structured if terms is None else {**structured, "terms": []}, sort_keys=True, indent=2)
+        text = json.dumps(structured if terms is None else {**structured, "terms": []}, sort_keys=True, indent=2, default=str)
         if chunk is None:
             print(text)
             return
@@ -274,7 +277,7 @@ _TRANSFORMS = {
 
 def _cmd_terms(args) -> int:
     seq = parse_sequence(args.sequence)
-    _emit(args, [], {"ring": str(seq.ring)}, seq.term_string_chunks(args.count))
+    _emit(args, [], {"ring": seq.ring}, seq.term_string_chunks(args.count))
     return 0
 
 
@@ -293,7 +296,7 @@ def _cmd_sequence(args) -> int:
         plain,
         {
             "kind": args.kind,
-            "ring": str(result.ring),
+            "ring": result.ring,
             "charpoly": _strings(result.charpoly.values),
             "initial": initial,
         },
@@ -310,7 +313,7 @@ def _cmd_charpoly_op(args) -> int:
     _emit(
         args,
         [f"result: {result}"],
-        {"kind": args.kind, "ring": str(ring), "result": _strings(result.values)},
+        {"kind": args.kind, "ring": ring, "result": _strings(result.values)},
     )
     return 0
 
@@ -330,7 +333,7 @@ def _cmd_invert(args) -> int:
             },
         )
         return 1
-    _emit(args, [], {"invertible": True, "ring": str(seq.ring)}, [terms])
+    _emit(args, [], {"invertible": True, "ring": seq.ring}, [terms])
     return 0
 
 

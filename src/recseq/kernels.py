@@ -28,15 +28,15 @@ or stop at index t after O(t + ``CHUNK``) terms.
 
 The products run on these loops: :func:`termwise_values` (sum and
 Hadamard), :func:`cauchy_values` (Cauchy) and
-:func:`binomial_convolution_values` (Hurwitz); the Newton product is the
-Hadamard product conjugated by the binomial transform, so it runs
-:func:`termwise_values` between shifted binomial transforms
-(:func:`binomial_transform_values`).  :mod:`recseq.linrec` applies them
-to the operands' terms to get the initial conditions;
-:mod:`recseq.polymat` applies the same loops to the power sums of the
-roots of two characteristic polynomials, which they turn into the power
-sums of the combined roots, and runs polynomial ``+``, ``-`` and ``*`` on
-the sum and Cauchy loops.  :class:`~recseq.polymat.Poly` and
+:func:`binomial_convolution_values` (Hurwitz); the Newton product runs
+:func:`termwise_values` between root shifts and one
+:func:`binomial_transform_values`.  Which loop each product runs, and
+how, is written once, in :func:`recseq.polymat._product_values`: it
+gives the initial conditions of :mod:`recseq.linrec`'s products from the
+operands' terms, and the power sums of the combined roots of the
+composed operations from those of two characteristic polynomials.
+:mod:`recseq.polymat` also runs polynomial ``+``, ``-`` and ``*`` on the
+sum and Cauchy loops.  :class:`~recseq.polymat.Poly` and
 :class:`~recseq.linrec.LinRec` hold raw values, so the values pass
 straight through; ring elements are built only when a caller reads them.
 

@@ -5,16 +5,11 @@ initial conditions; term generation unrolls the recurrence exactly.  The
 five products (termwise sum, Hadamard, Cauchy, Hurwitz, Newton) each
 return a new :class:`LinRec`.  A product is two things: a rule for the
 characteristic polynomial (the polynomial product p_a * p_b, or one of
-the composed operations in :mod:`recseq.polymat`) and its loop in
-:mod:`recseq.kernels`, which gives the initial conditions from the
-operands' terms.  The composed operations run the same loop on the power
-sums of the roots.  The Newton product is the Hadamard product
-conjugated by the binomial transform; the transform of an operand is
-again recurrent, with the charpoly's roots shifted by one (by lam on
-the scaled terms), so it is unrolled from its own recurrence, shifted by
-:func:`~recseq.polymat._shifted`, the shift that gives
-:func:`~recseq.polymat.composed_newton` its shifted power sums, and one
-O(D^2) transform table is left.
+the composed operations in :mod:`recseq.polymat`) and its loop, which
+gives the initial conditions from the operands' terms.  Each product's
+loop has one copy, :func:`~recseq.polymat._product_values`, which the
+composed operations run on the power sums of the roots; the Newton
+product's conjugation by the binomial transform is told there.
 
 A :class:`LinRec` holds raw values (``int``, or ``Fraction`` over Q;
 residues reduced into [0, m)), and so does its :class:`~recseq.polymat.Poly`.
@@ -24,13 +19,13 @@ hand them integers only, as :mod:`recseq.polymat` does for the
 charpolys: with lam the lcm of the denominators of both charpolys and
 delta that of both operands' initial values, each operand is unrolled as
 the integers delta lam^n a_n, the product's loop combines them, and each
-output is divided once, into one ``Fraction`` over Q.  Over Z and Z/m,
-lam = delta = 1 and nothing is divided.  The Newton inverse divides by
-the binomial transform d of the terms and reads it from the Newton
-product's shifted unroll, as the integers delta lam^t d_t.  Every
-unroll of such integers starts from one recurrence,
-:func:`_scaled_recurrence`, and each caller unrolls it as one list
-(the products) or in chunks (the inverse's divisors, and printing).  Term
+output is divided once by its scale (``polymat._SCALES``), into one
+``Fraction`` over Q.  Over Z and Z/m, lam = delta = 1 and nothing is
+divided.  The Newton inverse divides by the binomial transform d of the
+terms and reads it from a root-shifted unroll, as the integers
+delta lam^t d_t.  Every unroll of such integers starts from one
+recurrence, :func:`_scaled_recurrence`, and each caller unrolls it as one
+list (the products) or in chunks (the inverse's divisors, and printing).  Term
 unrolling (``term_values``) and the inverse's binomial convolution pass
 ``Fraction`` values to the loops.  ``term_values`` stays on the
 ``Fraction`` unroll: scaled, the unrolled numbers grow like lam^n even
@@ -90,21 +85,16 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Inv
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import add, mul
+from operator import mul
 
-from .kernels import (
-    binomial_convolution_values,
-    binomial_transform_values,
-    cauchy_values,
-    recurrence_chunks,
-    recurrence_values,
-    termwise_values,
-)
+from .kernels import binomial_convolution_values, recurrence_chunks, recurrence_values
 from .polymat import (
     DegreeZero,
     NotMonic,
     Poly,
+    _SCALES,
     _denominator_lcm,
+    _product_values,
     _scaled,
     _scaled_values,
     _shifted,
@@ -327,59 +317,52 @@ def _require_same_ring(a: LinRec, b: LinRec) -> None:
         raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
 
 
-def _scaled_recurrence(a: LinRec, lam: int, delta: int, shift: int = 0) -> tuple:
-    """``(cs, init)``: the integer recurrence of delta lam^n a_n, with every root plus ``shift``.
+def _scaled_recurrence(a: LinRec, lam: int, delta: int) -> tuple:
+    """``(cs, init)``: the integer recurrence of delta lam^n a_n.
 
     The integers delta lam^n a_n follow the recurrence of the integer
-    charpoly lam^N p(t / lam) from delta lam^n a_n for n < N.  A
-    ``shift`` s takes them to their shifted binomial transform B_s
-    (:func:`~recseq.polymat._shifted`).  The caller unrolls the result
-    with :func:`~recseq.kernels.recurrence_values` or
-    :func:`~recseq.kernels.recurrence_chunks`.
+    charpoly lam^N p(t / lam) from delta lam^n a_n for n < N.  The
+    caller unrolls it with :func:`~recseq.kernels.recurrence_values` or
+    :func:`~recseq.kernels.recurrence_chunks`, or hands it to
+    :func:`~recseq.polymat._product_values`.
     """
-    cs, init = _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
-    return _shifted(cs, init, shift, a.ring.modulus)
+    return _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
 
 
-def _scaled_operands(a: LinRec, b: LinRec, charpoly_rule, shifted: bool = False):
-    """``(p, xs, ys, lam, delta)``: p = ``charpoly_rule(p_a, p_b)`` and the operands' terms as integers.
+def _product(kind: str, a: LinRec, b: LinRec, charpoly_rule) -> LinRec:
+    """The product ``kind`` of a and b, with charpoly ``charpoly_rule(p_a, p_b)``.
 
-    xs and ys are delta lam^n a_n and delta lam^n b_n for n < deg p, the
-    terms that a product's loop in :mod:`recseq.kernels` combines into
-    the initial conditions; with ``shifted`` (the Newton product) they
-    are the shifted binomial transforms B_lam of those.  lam is the lcm
-    of the denominators of both charpolys' coefficients, the scale of
-    :func:`~recseq.polymat._root_power_sums`, and delta that of both
-    operands' initial values.  Over Z and Z/m, lam = delta = 1 and xs,
-    ys are the terms themselves, or their binomial transforms.
+    The initial conditions are :func:`~recseq.polymat._product_values` of
+    the operands' scaled recurrences (:func:`_scaled_recurrence`), each
+    output divided once by its scale from ``_SCALES``.  lam is the lcm of
+    the denominators of both charpolys' coefficients, the scale of
+    :func:`~recseq.polymat._composed_by`, and delta that of both
+    operands' initial values.  Over Z and Z/m, lam = delta = 1 and
+    nothing is divided.
     """
     _require_same_ring(a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
-    need, m = len(p.values) - 1, p.ring.modulus
     lam = _denominator_lcm(a.charpoly.values + b.charpoly.values)
     delta = _denominator_lcm(a.initial_values + b.initial_values)
-    shift = lam if shifted else 0
-    xs = recurrence_values(*_scaled_recurrence(a, lam, delta, shift), need, m)
-    ys = recurrence_values(*_scaled_recurrence(b, lam, delta, shift), need, m)
-    return p, xs, ys, lam, delta
+    ra, rb = _scaled_recurrence(a, lam, delta), _scaled_recurrence(b, lam, delta)
+    zs = _product_values(kind, ra, rb, lam, len(p.values) - 1, p.ring.modulus)
+    i, j = _SCALES[kind]
+    return LinRec._of(p, _unscaled(p.ring, zs, delta**i, lam**j))
 
 
 def seq_sum(a: LinRec, b: LinRec) -> LinRec:
     """Termwise sum; characteristic polynomial p_a * p_b."""
-    p, xs, ys, lam, delta = _scaled_operands(a, b, mul)
-    return LinRec._of(p, _unscaled(p.ring, termwise_values(add, xs, ys, p.ring.modulus), delta, lam))
+    return _product("sum", a, b, mul)
 
 
 def cauchy(a: LinRec, b: LinRec) -> LinRec:
     """Convolution product c_n = sum a_i b_{n-i}; charpoly p_a * p_b."""
-    p, xs, ys, lam, delta = _scaled_operands(a, b, mul)
-    return LinRec._of(p, _unscaled(p.ring, cauchy_values(xs, ys, p.ring.modulus), delta * delta, lam))
+    return _product("cauchy", a, b, mul)
 
 
 def hadamard(a: LinRec, b: LinRec) -> LinRec:
     """Termwise product; charpoly is the composed product of charpolys."""
-    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_product)
-    return LinRec._of(p, _unscaled(p.ring, termwise_values(mul, xs, ys, p.ring.modulus), delta * delta, lam * lam))
+    return _product("hadamard", a, b, composed_product)
 
 
 def hurwitz(a: LinRec, b: LinRec) -> LinRec:
@@ -389,25 +372,18 @@ def hurwitz(a: LinRec, b: LinRec) -> LinRec:
     characteristic polynomials (equivalently the normalized shifted
     resultant).
     """
-    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_sum)
-    return LinRec._of(p, _unscaled(p.ring, binomial_convolution_values(xs, ys, p.ring.modulus), delta * delta, lam))
+    return _product("hurwitz", a, b, composed_sum)
 
 
 def newton(a: LinRec, b: LinRec) -> LinRec:
     """Multinomial convolution c_n = sum C(n,i) C(i,j) a_i b_{n-j}.
 
     The characteristic polynomial is the composed Newton operation of the
-    operands' characteristic polynomials.  The Newton product is the
-    Hadamard product conjugated by the binomial transform: on the scaled
-    terms, c = B_(-lam^2)(B_lam(x) . B_lam(y)), as in
-    :func:`~recseq.polymat.composed_newton`, which gives
-    delta^2 lam^(2n) c_n.  The operands' transforms B_lam are unrolled
-    from their own recurrences, so one O(D^2) transform table remains.
+    operands' characteristic polynomials.  The terms are a Hadamard
+    product between root shifts, as in
+    :func:`~recseq.polymat._product_values`.
     """
-    p, xs, ys, lam, delta = _scaled_operands(a, b, composed_newton, shifted=True)
-    m = p.ring.modulus
-    zs = binomial_transform_values(termwise_values(mul, xs, ys, m), -lam * lam, m)
-    return LinRec._of(p, _unscaled(p.ring, zs, delta * delta, lam * lam))
+    return _product("newton", a, b, composed_newton)
 
 
 def binomial_transform(a: LinRec) -> LinRec:
@@ -442,16 +418,18 @@ def _unit_inverses(a: LinRec, k: int):
     """1 / d_t for t < k, d_t = sum_s C(t,s) a_s the binomial transform of the terms.
 
     A generator that raises :class:`NotInvertible` at the first d_t that
-    is not a unit.  The d_t are read chunk by chunk from the shifted
-    unroll of the Newton product (:func:`_scaled_recurrence` shifted by
-    lam), which gives the integers delta lam^t d_t; each is divided and
-    checked as it is reached, so a failure at index t unrolls
+    is not a unit.  The d_t are read chunk by chunk from the unroll of
+    :func:`_scaled_recurrence` with its roots shifted by lam
+    (:func:`~recseq.polymat._shifted`, as for the Newton product's
+    operands), which gives the integers delta lam^t d_t; each is divided
+    and checked as it is reached, so a failure at index t unrolls
     O(t + ``kernels.CHUNK``) terms whatever ``k`` is, and makes no ring
     value past it.
     """
     ring = a.ring
     lam, delta = _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
-    zs = chain.from_iterable(recurrence_chunks(*_scaled_recurrence(a, lam, delta, lam), k, ring.modulus))
+    cs, init = _shifted(*_scaled_recurrence(a, lam, delta), lam, ring.modulus)
+    zs = chain.from_iterable(recurrence_chunks(cs, init, k, ring.modulus))
     for t, d in enumerate(_unscaled(ring, zs, delta, lam)):
         r = ring.unit_inverse(d)
         if r is None:

@@ -16,23 +16,16 @@ The composed operations never build a matrix.  Newton's identities give
 the power sums of each operand's roots, and the power sums of the roots
 of p form the linear recurrent sequence with characteristic polynomial p.
 So the product that the composed operation closes, applied to the two
-power-sum sequences, gives the power sums of the combined roots: the
-Hadamard or Hurwitz loop of :mod:`recseq.kernels`, the same loop that
-gives a product's initial conditions.  The Newton product is the
-Hadamard product conjugated by the binomial transform, which on roots is
-a shift: :func:`composed_newton` shifts the roots of each operand, and
-so its power sums, multiplies them termwise and shifts the result back
-with one binomial transform.  The operands' shift is :func:`_shifted`,
-O(d^2) for degree d: it Taylor-shifts the charpoly and transforms the
-first d values, and the shifted recurrence is then unrolled.  The
-products of :mod:`recseq.linrec` shift the same way the recurrences of
-the Newton product's operand terms and of the Newton inverse's
-divisors, with initial terms in place of power sums.  Newton's
-identities run backwards recover the polynomial (Bostan, Flajolet,
-Salvy, Schost, "Fast computation of special resultants", 2006).  That
-is a few O(D^2) passes for D = deg p * deg q.  The oracles that compute
-the same polynomials independently -- the Kronecker constructions on
-companion matrices with Berkowitz, and
+power-sum sequences, gives the power sums of the combined roots.
+:func:`_product_values` is the one copy of each product's arithmetic on
+integer recurrences, the Newton product's root shifts included: it gives
+the power sums here and a product's initial conditions in
+:mod:`recseq.linrec`, and ``_SCALES`` records each product's output
+scale.  Newton's identities run backwards recover the polynomial
+(Bostan, Flajolet, Salvy, Schost, "Fast computation of special
+resultants", 2006).  That is a few O(D^2) passes for D = deg p * deg q.
+The oracles that compute the same polynomials independently -- the
+Kronecker constructions on companion matrices with Berkowitz, and
 :func:`~recseq.verify.resultant_shift` -- live in :mod:`recseq.verify`.
 
 Everything works over any of the supported commutative rings, including
@@ -42,7 +35,7 @@ sizes: over Q the roots are scaled to algebraic integers and the result
 scaled back; over Z the division by k <= D is exact; over Z/m the core
 works modulo m times the m-part of D!, so each division by k is exact
 on the part of k that shares primes with m and an inverse on the rest
-(see :func:`_root_power_sums` and :func:`_composed`).  The same scale
+(see :func:`_composed_by` and :func:`_composed`).  The same scale
 lam, from :func:`_denominator_lcm`, puts the products of
 :mod:`recseq.linrec` on integers, and :func:`_scaled` and
 :func:`_unscaled` are the two ends of that scaling everywhere.
@@ -221,7 +214,7 @@ def _power_sums(cs, modulus: int | None) -> list:
     s_k = -(k c_{d-k} + sum_{i=1}^{k-1} c_{d-i} s_{k-i}) for 0 < k < d.
     From s_d on, the power sums follow the recurrence of the polynomial
     itself, so these d are the initial values from which
-    :func:`_root_power_sums` unrolls the rest.  With a ``modulus``
+    :func:`_product_values` unrolls the rest.  With a ``modulus``
     every s_k past s_0 is reduced.
     """
     d = len(cs) - 1
@@ -268,35 +261,72 @@ def _shifted(cs, init, shift: int, modulus: int | None) -> tuple:
     again a recurrent sequence: its charpoly is ``cs`` Taylor-shifted by
     s and its first N terms are B_s of the first N, for N = len(init)
     the order.  So the shift costs O(N^2), and the caller unrolls the
-    result in O(count N).  A ``shift`` of 0 returns ``cs`` and ``init``
-    as they are.
+    result in O(count N).
     """
-    if not shift:
-        return cs, init
     return _taylor_shift(cs, shift), binomial_transform_values(init, shift, modulus)
 
 
-def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
-    """``(xs, ys, lam, modulus)``: the power sums s_0..s_D of lam a and of lam b.
+# Each product's output on the scaled integers of _product_values: (i, j)
+# for delta^i lam^(j n) times its n-th value
+_SCALES = {"sum": (1, 1), "cauchy": (2, 1), "hadamard": (2, 2), "hurwitz": (2, 1), "newton": (2, 2)}
 
-    a runs over the roots of p, b over those of q, D = deg p * deg q.
-    These are what a product's loop in :mod:`recseq.kernels` combines
-    into the power sums of the combined roots; :func:`_composed` turns
-    those back into the polynomial.  Newton's identities give the first
-    d sums of each operand (:func:`_power_sums`), and the recurrence of
-    its charpoly unrolls the rest.  With ``shifted`` (the Newton
-    product) they are the power sums of lam a + lam and lam b + lam
-    instead: :func:`_shifted` shifts the d initial sums and the charpoly
-    before the unroll, which costs O(d^2) for degree d, where shifting
-    all D + 1 sums would cost O(D^2).  One integer core serves every ring:
+
+def _product_values(kind: str, a, b, lam: int, count: int, modulus: int | None) -> list:
+    """The first ``count`` values of the product ``kind`` of two integer recurrences ``a`` and ``b``.
+
+    ``a`` and ``b`` are ``(cs, init)`` pairs: an integer charpoly
+    low-to-high and its initial values, here unrolled with
+    :func:`~recseq.kernels.recurrence_values`.  ``kind`` picks the loop
+    of :mod:`recseq.kernels`: termwise ``add`` (sum) or ``mul``
+    (Hadamard), :func:`~recseq.kernels.cauchy_values` (Cauchy) or
+    :func:`~recseq.kernels.binomial_convolution_values` (Hurwitz).  This
+    is the one copy of each product's arithmetic: :mod:`recseq.linrec`
+    runs it on the operands' terms, scaled to the integers
+    delta lam^n a_n, for the initial conditions, and
+    :func:`_composed_by` on the power sums of the scaled roots for the
+    charpoly.  Either way, the n-th output is the wanted value times
+    delta^i lam^(j n), with (i, j) = ``_SCALES[kind]``.
+
+    The Newton product is the Hadamard product conjugated by the
+    binomial transform, and on roots that is a shift: on the scaled
+    roots, lam^2 (a + b + a*b) = (lam a + lam)(lam b + lam) - lam^2, and
+    on the scaled terms c = B_(-lam^2)(B_lam(x) . B_lam(y)), with B_s
+    the shifted binomial transform.  So for ``"newton"`` each operand's
+    roots are shifted by lam first (:func:`_shifted`, O(N^2) for order
+    N, where transforming all ``count`` values would cost O(count^2)),
+    the shifted unrolls multiply termwise, and one
+    :func:`~recseq.kernels.binomial_transform_values` by -lam^2 moves the
+    products back.
+    """
+    if kind == "newton":
+        a, b = _shifted(*a, lam, modulus), _shifted(*b, lam, modulus)
+    xs, ys = recurrence_values(*a, count, modulus), recurrence_values(*b, count, modulus)
+    if kind == "cauchy":
+        return cauchy_values(xs, ys, modulus)
+    if kind == "hurwitz":
+        return binomial_convolution_values(xs, ys, modulus)
+    zs = termwise_values(add if kind == "sum" else mul, xs, ys, modulus)
+    return binomial_transform_values(zs, -lam * lam, modulus) if kind == "newton" else zs
+
+
+def _composed_by(kind: str, p: Poly, q: Poly) -> Poly:
+    """The monic polynomial whose roots combine those of p and q as the product ``kind`` closes.
+
+    The power sums s_0..s_D of the combined roots, D = deg p * deg q,
+    are the product ``kind`` (:func:`_product_values`) of the power sums
+    of p's roots and of q's; :func:`_composed` turns them back into the
+    polynomial.  Newton's identities give the first d sums of each
+    operand (:func:`_power_sums`), and the recurrence of its charpoly
+    unrolls the rest.  One integer core serves every ring:
 
     * Over Q the roots are scaled to algebraic integers: with lam the
       lcm of all coefficient denominators, the power sums are those of
       lam^d p(t/lam) and lam^d q(t/lam), whose roots are lam a and lam b.
-      Over Z and Z/m, lam = 1.
+      The combined roots are then lam^j times the wanted ones, j from
+      ``_SCALES``.  Over Z and Z/m, lam = 1.
     * Over Z/m the residues are lifted and everything runs modulo
       M = m * P, P the m-part of D! (see :func:`_composed`).  For a prime
-      m > D, M = m.  Over Z and Q, ``modulus`` is None.
+      m > D, M = m.  Over Z and Q there is no modulus.
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
@@ -305,12 +335,8 @@ def _root_power_sums(p: Poly, q: Poly, shifted: bool = False):
     lam = _denominator_lcm(p.values + q.values)
     m = p.ring.modulus
     modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
-    shift = lam if shifted else 0
-    xs, ys = (
-        recurrence_values(*_shifted(cs, _power_sums(cs, modulus), shift, modulus), count, modulus)
-        for cs in (_scaled_values(p, lam), _scaled_values(q, lam))
-    )
-    return xs, ys, lam, modulus
+    a, b = ((cs, _power_sums(cs, modulus)) for cs in (_scaled_values(p, lam), _scaled_values(q, lam)))
+    return _composed(p.ring, _product_values(kind, a, b, lam, count, modulus), lam ** _SCALES[kind][1], modulus)
 
 
 def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
@@ -320,7 +346,7 @@ def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
 
     * Over Z the division by k is exact.
     * Over Z/m, ``sums`` are reduced modulo M = m * P (from
-      :func:`_root_power_sums`).  Each k <= D splits as k = k2 k1, where
+      :func:`_composed_by`).  Each k <= D splits as k = k2 k1, where
       the primes of k2 divide m and k1 is a unit mod m; P = prod k2.
       Dividing by k then drops the factor k2 from the modulus (the
       division is exact on the lift) and multiplies by the inverse of
@@ -358,8 +384,7 @@ def composed_product(p: Poly, q: Poly) -> Poly:
     polynomial of the Kronecker product of the companion matrices; closes
     the Hadamard product of sequences.  Identity: t - 1.
     """
-    xs, ys, lam, modulus = _root_power_sums(p, q)
-    return _composed(p.ring, termwise_values(mul, xs, ys, modulus), lam * lam, modulus)
+    return _composed_by("hadamard", p, q)
 
 
 def composed_sum(p: Poly, q: Poly) -> Poly:
@@ -371,22 +396,15 @@ def composed_sum(p: Poly, q: Poly) -> Poly:
     the companion matrices and :func:`~recseq.verify.resultant_shift`;
     closes the Hurwitz product of sequences.  Identity: t.
     """
-    xs, ys, lam, modulus = _root_power_sums(p, q)
-    return _composed(p.ring, binomial_convolution_values(xs, ys, modulus), lam, modulus)
+    return _composed_by("hurwitz", p, q)
 
 
 def composed_newton(p: Poly, q: Poly) -> Poly:
     """Monic polynomial with roots a + b + a*b over pairs of roots a, b.
 
-    The Newton product is the Hadamard product conjugated by the binomial
-    transform, and on roots that is a shift: on the scaled roots,
-    lam^2 (a + b + a*b) = (lam a + lam)(lam b + lam) - lam^2.  So the
-    operands' roots are shifted by lam (:func:`_shifted`), the
-    power sums of the shifted roots multiply termwise, and one shifted
-    binomial transform B_(-lam^2) moves the products' power sums back.
+    Its root power sums are the Newton product of those of p and q, a
+    Hadamard product between root shifts (see :func:`_product_values`).
     Equals the characteristic polynomial of A (x) I + I (x) B + A (x) B;
     closes the Newton product of sequences.  Identity: t.
     """
-    xs, ys, lam, modulus = _root_power_sums(p, q, shifted=True)
-    sums = binomial_transform_values(termwise_values(mul, xs, ys, modulus), -lam * lam, modulus)
-    return _composed(p.ring, sums, lam * lam, modulus)
+    return _composed_by("newton", p, q)

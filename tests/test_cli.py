@@ -348,9 +348,8 @@ class TestIntStrLimit:
             pytest.param(["terms", "-s", f"ring=Q;p=[-1,1];init=[-1/{LONG}]"], id="rational-Q"),
             pytest.param(["terms", "-s", f"ring=Q;p=[-{LONG}/2,1];init=[1]"], id="rational-Q-lam2"),
             # the modulus is formatted: in the ring of the structured
-            # fields, which terms builds for plain output too, and in the
-            # sequence line of op
-            pytest.param(["terms", "-s", IMPULSE_MOD_LONG], id="modulus"),
+            # output, and in the sequence line of op
+            pytest.param(["terms", "--format", "structured", "-s", IMPULSE_MOD_LONG], id="modulus"),
             pytest.param(["op", "--kind", "sum", "-a", IMPULSE_MOD_LONG, "-b", IMPULSE_MOD_LONG], id="modulus-op"),
         ],
     )
@@ -358,6 +357,19 @@ class TestIntStrLimit:
         # well-formed input: the refusal is the interpreter's, when the
         # value is printed, and stdout stays empty
         assert run_cli(capsys, *argv, "-n", "2") == (2, "", f"error: {_limit_message(LONG_VALUE)}\n")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["terms", "-s", f"ring=Zmod:{LONG};p=[-1,-1,1];init=[0,1]", "-n", "8"], "terms: 0 1 1 2 3 5 8 13"),
+            (["invert", "-s", IMPULSE_MOD_LONG, "-n", "3"], "terms: 1 0 0"),
+        ],
+        ids=["terms", "invert"],
+    )
+    def test_plain_output_does_not_format_the_modulus(self, capsys, argv, line):
+        # the ring appears only in structured output, so a plain call over
+        # a modulus past the limit prints its short residues
+        assert run_cli(capsys, *argv) == (0, line + "\n", "")
 
     def test_long_literal_reduces_mod_m(self, capsys):
         r = LONG_VALUE % 7

@@ -6,7 +6,6 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -550,6 +549,53 @@ def test_scaled_products_over_q_match_the_oracle(lam, product):
         _assert_canonical(c)
 
 
+def _reduced(x: LinRec, ring: RingSpec) -> LinRec:
+    # the image of x over Z or Q in Zmod(m): each value n/d goes to n d^-1 mod m
+    m = ring.modulus
+
+    def image(values):
+        return [ring.from_int(v.numerator * pow(v.denominator, -1, m)) for v in values]
+
+    return LinRec(Poly(ring, image(x.charpoly.values)), image(x.initial_values))
+
+
+def _assert_products_commute_with_reduction(product, a, b, ring):
+    # the products make an R-algebra for any commutative R, and reduction
+    # mod m is a ring map: reducing the product gives the product of the
+    # reduced operands, charpoly and initial values alike
+    assert product(_reduced(a, ring), _reduced(b, ring)) == _reduced(product(a, b), ring)
+
+
+@pytest.mark.parametrize("product", [seq_sum, hadamard, cauchy, hurwitz, newton], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "source, m", [(ZZ, 12), (ZZ, 720), (ZZ, 2**64), (QQ, 97), (QQ, 10007), (QQ, 2**61 - 1)], ids=lambda x: str(x)
+)
+def test_products_commute_with_reduction_mod_m(source, m, product):
+    # over Z any m, composite ones included, whose composed operations run
+    # modulo a lifted m P; over Q primes that divide no denominator (the
+    # denominators of _q_linrec have no prime factor past 5)
+    rng = random.Random(m + len(product.__name__))
+    for da in range(1, 5):
+        for db in range(1, 5):
+            for _ in range(2):
+                if source is ZZ:
+                    a, b = random_linrec(rng, ZZ, da), random_linrec(rng, ZZ, db)
+                else:
+                    lam = rng.choice([1, 6, 10])
+                    a, b = _q_linrec(rng, lam, da), _q_linrec(rng, lam, db)
+                _assert_products_commute_with_reduction(product, a, b, Zmod(m))
+
+
+@pytest.mark.parametrize("m", [12, 720])
+@pytest.mark.parametrize("product", [hadamard, hurwitz, newton], ids=lambda f: f.__name__)
+def test_products_commute_with_reduction_mod_m_at_degree_256(product, m):
+    # 16 x 16 operands: the power sums over Zmod(m) run modulo m times the
+    # m-part of 255!, and the Hurwitz loops take the Pascal route
+    rng = random.Random(256 + m)
+    a, b = random_linrec(rng, ZZ, 16), random_linrec(rng, ZZ, 16)
+    _assert_products_commute_with_reduction(product, a, b, Zmod(m))
+
+
 def test_products_and_poly_arithmetic_over_q_hand_the_kernels_only_ints(monkeypatch):
     """Over Q the five products and ``Poly`` ``+``, ``-``, ``*`` pass only ``int`` to the kernels.
 
@@ -643,8 +689,9 @@ def _poly_from_roots(roots) -> list:
 def test_newton_values_combine_root_power_sums(shift, modulus):
     # Newton's identities give the first power sums of each polynomial, and
     # the shifted unroll continues them as those of the roots a + s and
-    # b + s; multiplied termwise and moved back by the shifted binomial
-    # transform B_(-s^2), as composed_newton does, they are those of
+    # b + s; the Newton product of polymat._product_values, with s for
+    # lam, multiplies them termwise and moves the products back by the
+    # shifted binomial transform B_(-s^2), which gives those of
     # s a + s b + a b.  The references are built from the roots
     rng = random.Random(31 * shift + 7)
     count = 12
@@ -656,14 +703,11 @@ def test_newton_values_combine_root_power_sums(shift, modulus):
     for _ in range(5):
         roots_a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         roots_b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
-        shifted = (
-            polymat._shifted(cs, polymat._power_sums(cs, modulus), shift, modulus)
-            for cs in (_poly_from_roots(roots_a), _poly_from_roots(roots_b))
-        )
-        xs, ys = (kernels.recurrence_values(cs, init, count, modulus) for cs, init in shifted)
+        pairs = [(cs, polymat._power_sums(cs, modulus)) for cs in (_poly_from_roots(roots_a), _poly_from_roots(roots_b))]
+        xs, ys = (kernels.recurrence_values(*polymat._shifted(*pair, shift, modulus), count, modulus) for pair in pairs)
         assert xs == power_sums([a + shift for a in roots_a])
         assert ys == power_sums([b + shift for b in roots_b])
-        zs = kernels.binomial_transform_values(kernels.termwise_values(mul, xs, ys, modulus), -shift * shift, modulus)
+        zs = polymat._product_values("newton", *pairs, shift, count, modulus)
         assert zs == power_sums([shift * a + shift * b + a * b for a in roots_a for b in roots_b])
 
 
