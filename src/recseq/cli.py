@@ -23,8 +23,9 @@ Terms are printed as a stream: ``LinRec.term_string_chunks`` yields
 lists of at most ``kernels.CHUNK`` term strings, and each list is one
 write, to the ``terms:`` line or, element by element, into the JSON
 ``terms`` array.  So a call holds one list of terms at a time, however
-many it prints, except over Q with lam > 1, where the lists are checked
-as they are unrolled and held until the last has passed.  ``invert``
+many it prints, except over Q with lam > 1 and over a modulus longer
+than the int/str limit, where the lists are checked as they are
+unrolled and held until the last has passed, O(k) terms.  ``invert``
 passes its k terms as one list, since its O(k^2) inverse holds them all
 anyway.  The first list is taken before anything is written, and a term
 past the int/str limit is found before the first list, so a refusal

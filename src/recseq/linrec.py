@@ -21,11 +21,16 @@ delta that of both operands' initial values, each operand is unrolled as
 the integers delta lam^n a_n, the product's loop combines them, and each
 output is divided once by its scale (``polymat._SCALES``), into one
 ``Fraction`` over Q.  Over Z and Z/m, lam = delta = 1 and nothing is
-divided.  The Newton inverse divides by the binomial transform d of the
-terms and reads it from a root-shifted unroll, as the integers
-delta lam^t d_t.  Every unroll of such integers starts from one
-recurrence, :func:`_scaled_recurrence`, and each caller unrolls it as one
-list (the products) or in chunks (the inverse's divisors, and printing).  Term
+divided.  The binomial transform and its inverse (psi^-1 and psi) add
++1 or -1 to every root: :func:`_transformed` shifts the roots of the
+scaled recurrence with :func:`~recseq.polymat._shifted`, in O(N^2) for
+order N, where the Hurwitz product with the ones sequence would run a
+whole composed sum.  The Newton inverse divides by the binomial
+transform d of the terms and unrolls d, as the integers delta lam^t d_t
+with d's own lam and delta.  Every unroll of such integers starts from
+one recurrence, :func:`_scaled_recurrence`, and each caller unrolls it
+as one list (the products) or in chunks (the inverse's divisors, and
+printing), or shifts its roots (the transforms).  Term
 unrolling (``term_values``) and the inverse's binomial convolution pass
 ``Fraction`` values to the loops.  ``term_values`` stays on the
 ``Fraction`` unroll: scaled, the unrolled numbers grow like lam^n even
@@ -44,11 +49,12 @@ in a context that cannot round, whatever the caller's context is.
 Before the first chunk, a pass over the ``int`` unroll finds any term
 too long for the int/str limit, so a refusal comes before the first
 string.  Over Z/m, and over Q with lam > 1, it gives ``str`` of the
-chunked unroll of the values; over Q each chunk is checked against the
-limit as it is unrolled, and the chunks are held until the last has
-passed.  So printing holds O(``CHUNK``) terms, except over Q with
-lam > 1, and a refusal at index t unrolls O(t + ``CHUNK``) terms on
-every route.
+chunked unroll of the values; over Q, and over a modulus longer than the
+limit, each chunk is checked against the limit as it is unrolled, and
+the chunks are held until the last has passed.  So printing holds
+O(``CHUNK``) terms, except over Q with lam > 1 and over a modulus past
+10^limit, where it holds O(k), and a refusal at index t unrolls
+O(t + ``CHUNK``) terms on every route.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
@@ -215,12 +221,13 @@ class LinRec:
           z/g over delta/g with g = gcd(z mod delta, delta), the reduced
           fraction, without the ``/1`` when g = delta.
         * Over Z/m, and over Q with lam > 1, the strings are ``str`` of
-          the chunked unroll of the values themselves.  No residue
-          passes the limit, so over Z/m each chunk is yielded as it is
-          unrolled.  Over Q each chunk is checked as it is unrolled, and
-          the checked chunks are held until the last has passed: a
-          refusal at index t costs O(t + ``kernels.CHUNK``) terms, and
-          printing holds all k.  With lam > 1 the scaled terms can share
+          the chunked unroll of the values themselves.  Over Z/m with
+          m <= 10^limit no residue passes the limit, so each chunk is
+          yielded as it is unrolled.  Over Q, and over a longer modulus,
+          each chunk is checked as it is unrolled, and the checked
+          chunks are held until the last has passed: a refusal at index
+          t costs O(t + ``kernels.CHUNK``) terms, and printing holds all
+          k.  With lam > 1 the scaled terms can share
           large powers of lam with delta lam^n, and reducing them
           measured up to 6.5x slower than the ``Fraction`` unroll (see
           the README).
@@ -230,7 +237,7 @@ class LinRec:
         bound = 10**limit
         if m is not None or _denominator_lcm(cs) != 1:
             chunks = recurrence_chunks(cs, init, k, m)
-            if m is None and limit:  # Q with lam > 1: check every chunk before the first is printed
+            if limit and (m is None or m > bound):  # check every chunk before the first is printed
                 chunks = [_refuse_past_the_limit(chunk, bound) for chunk in chunks]
             for chunk in chunks:
                 yield list(map(str, chunk))
@@ -323,8 +330,10 @@ def _scaled_recurrence(a: LinRec, lam: int, delta: int) -> tuple:
     The integers delta lam^n a_n follow the recurrence of the integer
     charpoly lam^N p(t / lam) from delta lam^n a_n for n < N.  The
     caller unrolls it with :func:`~recseq.kernels.recurrence_values` or
-    :func:`~recseq.kernels.recurrence_chunks`, or hands it to
-    :func:`~recseq.polymat._product_values`.
+    :func:`~recseq.kernels.recurrence_chunks` (printing and
+    :func:`_unit_inverses`), or hands it to
+    :func:`~recseq.polymat._product_values` (:func:`_product`) or to
+    :func:`~recseq.polymat._shifted` (:func:`_transformed`).
     """
     return _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
 
@@ -386,13 +395,31 @@ def newton(a: LinRec, b: LinRec) -> LinRec:
     return _product("newton", a, b, composed_newton)
 
 
+def _transformed(a: LinRec, s: int) -> LinRec:
+    """a with every root plus s: b_n = sum_i C(n,i) s^(n-i) a_i, the shifted binomial transform B_s.
+
+    With lam and delta those of a, the scaled recurrence of a
+    (:func:`_scaled_recurrence`) has lam times a's roots.  Shifted by
+    s lam (:func:`~recseq.polymat._shifted`), it has lam times b's roots
+    and starts from the integers delta lam^n b_n.  So the charpoly is
+    unscaled by lam and the initial values by delta and lam.  O(N^2) for
+    order N.
+    """
+    ring = a.ring
+    lam, delta = _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
+    cs, zs = _shifted(*_scaled_recurrence(a, lam, delta), s * lam, ring.modulus)
+    return LinRec._of(Poly._of(ring, [*_unscaled(ring, cs[::-1], 1, lam)][::-1]), _unscaled(ring, zs, delta, lam))
+
+
 def binomial_transform(a: LinRec) -> LinRec:
     """a -> a Hurwitz 1, i.e. b_n = sum_i C(n,i) a_i; also named ``newton_to_hadamard``.
 
     This is psi^-1: termwise it carries Newton products onto Hadamard
-    products and preserves sums.
+    products and preserves sums.  Every root of a plus 1
+    (:func:`_transformed`); ``hurwitz(a, ones(a.ring))`` gives the same
+    sequence.
     """
-    return hurwitz(a, ones(a.ring))
+    return _transformed(a, 1)
 
 
 def inverse_binomial_transform(a: LinRec) -> LinRec:
@@ -401,8 +428,10 @@ def inverse_binomial_transform(a: LinRec) -> LinRec:
     This is psi, the isomorphism of the Hadamard algebra onto the Newton
     algebra, and the inverse of the binomial transform psi^-1: termwise
     it turns Hadamard products into Newton products and preserves sums.
+    Every root of a minus 1 (:func:`_transformed`);
+    ``hurwitz(a, alternating_ones(a.ring))`` gives the same sequence.
     """
-    return hurwitz(a, alternating_ones(a.ring))
+    return _transformed(a, -1)
 
 
 hadamard_to_newton = inverse_binomial_transform
@@ -410,7 +439,17 @@ newton_to_hadamard = binomial_transform
 
 
 def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:
-    """The Newton product as psi(psi^-1(a) Hadamard psi^-1(b)), a route independent of :func:`newton`."""
+    """The Newton product as psi(psi^-1(a) Hadamard psi^-1(b)), a second route to :func:`newton`.
+
+    Both routes reach :func:`~recseq.polymat._shifted`: here psi^-1 and
+    psi shift the roots by +1 and -1 (:func:`_transformed`), and
+    :func:`newton` shifts its operands' roots by lam.  They differ in the
+    charpoly rule, :func:`~recseq.polymat.composed_product` between two
+    Taylor shifts here and :func:`~recseq.polymat.composed_newton` there,
+    and in the last step, a shift by -1 here and B_(-lam^2) of the
+    termwise products there.  The direct oracles of :mod:`recseq.verify`,
+    which share no code with either, remain the independent check.
+    """
     return hadamard_to_newton(hadamard(newton_to_hadamard(a), newton_to_hadamard(b)))
 
 
@@ -418,22 +457,21 @@ def _unit_inverses(a: LinRec, k: int):
     """1 / d_t for t < k, d_t = sum_s C(t,s) a_s the binomial transform of the terms.
 
     A generator that raises :class:`NotInvertible` at the first d_t that
-    is not a unit.  The d_t are read chunk by chunk from the unroll of
-    :func:`_scaled_recurrence` with its roots shifted by lam
-    (:func:`~recseq.polymat._shifted`, as for the Newton product's
-    operands), which gives the integers delta lam^t d_t; each is divided
-    and checked as it is reached, so a failure at index t unrolls
+    is not a unit.  d is :func:`binomial_transform` of a, and the d_t are
+    read chunk by chunk from the unroll of its scaled recurrence
+    (:func:`_scaled_recurrence`), the integers delta lam^t d_t with lam
+    and delta those of d, which divide a's; each is divided and checked
+    as it is reached, so a failure at index t unrolls
     O(t + ``kernels.CHUNK``) terms whatever ``k`` is, and makes no ring
     value past it.
     """
-    ring = a.ring
-    lam, delta = _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
-    cs, init = _shifted(*_scaled_recurrence(a, lam, delta), lam, ring.modulus)
-    zs = chain.from_iterable(recurrence_chunks(cs, init, k, ring.modulus))
-    for t, d in enumerate(_unscaled(ring, zs, delta, lam)):
-        r = ring.unit_inverse(d)
+    ring, d = a.ring, binomial_transform(a)
+    lam, delta = _denominator_lcm(d.charpoly.values), _denominator_lcm(d.initial_values)
+    zs = chain.from_iterable(recurrence_chunks(*_scaled_recurrence(d, lam, delta), k, ring.modulus))
+    for t, v in enumerate(_unscaled(ring, zs, delta, lam)):
+        r = ring.unit_inverse(v)
         if r is None:
-            raise NotInvertible(t, RingElem(ring, d))
+            raise NotInvertible(t, RingElem(ring, v))
         yield r
 
 

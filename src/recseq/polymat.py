@@ -261,9 +261,13 @@ def _shifted(cs, init, shift: int, modulus: int | None) -> tuple:
     again a recurrent sequence: its charpoly is ``cs`` Taylor-shifted by
     s and its first N terms are B_s of the first N, for N = len(init)
     the order.  So the shift costs O(N^2), and the caller unrolls the
-    result in O(count N).
+    result in O(count N).  With a ``modulus`` both are reduced.  The
+    Newton product shifts its operands' roots here, and
+    :mod:`recseq.linrec` computes every binomial transform of a sequence
+    here.
     """
-    return _taylor_shift(cs, shift), binomial_transform_values(init, shift, modulus)
+    cs = _taylor_shift(cs, shift)
+    return [c % modulus for c in cs] if modulus else cs, binomial_transform_values(init, shift, modulus)
 
 
 # Each product's output on the scaled integers of _product_values: (i, j)

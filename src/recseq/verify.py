@@ -272,7 +272,12 @@ def decomposition_check(a: LinRec, b: LinRec, prefix: int) -> CheckReport:
 
     :func:`~recseq.linrec.newton` builds the product from the composed
     Newton charpoly; :func:`~recseq.linrec.newton_via_decomposition`
-    reaches it through Hurwitz and Hadamard products only.  A failure
+    reaches it through the two binomial transforms and a Hadamard
+    product.  Both routes shift roots with
+    :func:`~recseq.polymat._shifted`; they differ in the charpoly rule
+    and in the last step (see ``newton_via_decomposition``).  So this
+    check is not independent of the fast path: the direct oracles of
+    this module, such as :func:`direct_product_oracle`, are.  A failure
     names the decomposition's term as expected and the direct product's
     as actual.
     """

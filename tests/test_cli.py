@@ -371,6 +371,15 @@ class TestIntStrLimit:
         # a modulus past the limit prints its short residues
         assert run_cli(capsys, *argv) == (0, line + "\n", "")
 
+    def test_residues_of_a_long_modulus_are_checked_before_the_first_chunk(self, capsys):
+        # a_n = 10^(16 n) mod 10^4400 + 7: index 269 is the first term past
+        # the limit, after the first chunk has been unrolled, and its
+        # refusal must still leave stdout empty
+        seq = f"ring=Zmod:1{'0' * 4399}7;p=[-1{'0' * 16},1];init=[1]"
+        terms = " ".join("1" + "0" * (16 * n) for n in range(269))
+        assert run_cli(capsys, "terms", "-s", seq, "-n", "269") == (0, f"terms: {terms}\n", "")
+        assert run_cli(capsys, "terms", "-s", seq, "-n", "270") == (2, "", f"error: {_limit_message(10**4304)}\n")
+
     def test_long_literal_reduces_mod_m(self, capsys):
         r = LONG_VALUE % 7
         argv = ["terms", "-s", f"ring=Zmod:7;p=[-1,1];init=[{LONG}]", "-n", "3"]

@@ -596,6 +596,24 @@ def test_products_commute_with_reduction_mod_m_at_degree_256(product, m):
     _assert_products_commute_with_reduction(product, a, b, Zmod(m))
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(12), Zmod(720), Zmod(10007), Zmod(2**61 - 1), Zmod(2**64)], ids=str)
+def test_transforms_equal_hurwitz_products_with_ones(ring):
+    # the transforms shift every root by +-1; the Hurwitz products with
+    # ones and with alternating ones, a composed sum at D = N, are the
+    # reference, charpoly and raw initial values alike
+    rng = random.Random(len(str(ring)))
+    for order in [*range(1, 9), 64]:
+        if ring == QQ:
+            cases = [_q_linrec(rng, lam, order) for lam in (1, 6, 10)]
+        else:
+            cases = [random_linrec(rng, ring, order)]
+        for a in cases:
+            for transform, mate in [(binomial_transform, ones), (inverse_binomial_transform, alternating_ones)]:
+                b = transform(a)
+                assert b == hurwitz(a, mate(ring))
+                _assert_canonical(b)
+
+
 def test_products_and_poly_arithmetic_over_q_hand_the_kernels_only_ints(monkeypatch):
     """Over Q the five products and ``Poly`` ``+``, ``-``, ``*`` pass only ``int`` to the kernels.
 
@@ -1051,3 +1069,13 @@ def test_decimal_is_the_c_module():
     import _decimal
 
     assert decimal.Decimal is _decimal.Decimal
+
+
+def test_the_exact_context_raises_where_it_would_round():
+    # at MAX_PREC no integer operation of the printing route rounds, so
+    # its traps show only here: a result that loses a nonzero digit
+    # raises Inexact, and one that drops only zeros raises Rounded
+    with pytest.raises(decimal.Inexact):
+        linrec._EXACT.to_integral_exact(decimal.Decimal("1.5"))
+    with pytest.raises(decimal.Rounded):
+        linrec._EXACT.to_integral_exact(decimal.Decimal("1.0"))
