@@ -20,16 +20,19 @@ shell reports for a program that SIGPIPE ended (128 + 13).
 strings, so arbitrary-precision values survive intact.
 
 Terms are printed as a stream: ``LinRec.term_string_chunks`` yields
-lists of at most ``kernels.CHUNK`` term strings, and each list is one
-write, to the ``terms:`` line or, element by element, into the JSON
-``terms`` array.  So a call holds one list of terms at a time, however
-many it prints, except over Q with lam > 1 and over a modulus longer
-than the int/str limit, where the lists are checked as they are
-unrolled and held until the last has passed, O(k) terms.  ``invert``
-passes its k terms as one list, since its O(k^2) inverse holds them all
-anyway.  The first list is taken before anything is written, and a term
-past the int/str limit is found before the first list, so a refusal
-leaves stdout empty.
+lists of at most ``kernels.CHUNK`` term strings, and each list is joined
+into one write, to the ``terms:`` line or, element by element, into the
+JSON ``terms`` array; the separator before it is a write of its own.  So
+a call holds one chunk of terms at a time, however many it prints, and
+while a chunk is written, its joined text and the bytes that the text
+layer encodes from it are its only copies: the list is emptied before
+the write, and no earlier layer keeps the chunk.  The exceptions are Q
+with lam > 1 and a modulus longer than the int/str limit, where the
+lists are checked as they are unrolled and held until the last has
+passed, O(k) terms.  ``invert`` passes its k terms as one list, since
+its O(k^2) inverse holds them all anyway.  The first list is taken
+before anything is written, and a term past the int/str limit is found
+before the first list, so a refusal leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -223,9 +226,11 @@ def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> 
     ``terms:`` line, and in structured output the ``terms`` member that
     is added to ``structured``.  Its first list is taken before anything
     is written, so an error in it leaves stdout empty; then each list is
-    one write.  The JSON array is spliced into the text of the rest,
-    element by element, byte for byte as ``json.dumps(..., sort_keys=True,
-    indent=2)`` writes the whole.  A field that is no JSON type, such as
+    joined into one write (:func:`_write_joined`), after a write of the
+    separator from the list before, and emptied before that write.  Lists
+    are taken one at a time and none is kept.  The JSON array is spliced
+    into the text of the rest, element by element, byte for byte as
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes the whole.  A field that is no JSON type, such as
     the ring, is written as its ``str``: it is formatted for structured
     output only, so plain output never refuses a modulus that it does
     not print.
@@ -248,10 +253,26 @@ def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> 
     write = sys.stdout.write
     write(start)
     if chunk is not None:
-        write(sep.join(map(word, chunk)))
+        _write_joined(write, chunk, sep, word)
         for chunk in chunks:
-            write(sep + sep.join(map(word, chunk)))
+            write(sep)
+            _write_joined(write, chunk, sep, word)
     write(end)
+
+
+def _write_joined(write, words: list, sep: str, word) -> None:
+    """``write(sep.join(map(word, words)))``, with ``words`` emptied before the write.
+
+    At most two copies of the chunk are alive at each step: the words and
+    their printed forms while the forms replace them in the list, the
+    forms and the joined text while it is joined, and, once the list is
+    cleared, the text and the bytes that the text layer encodes from it
+    while it is written.
+    """
+    words[:] = map(word, words)
+    text = sep.join(words)
+    words.clear()
+    write(text)
 
 
 _SEQ_OPS = {

@@ -84,20 +84,26 @@ def recurrence_chunks(cs, init, count: int, modulus: int | None = None):
     """``recurrence_values(cs, init, count, modulus)`` as consecutive lists of at most ``CHUNK`` terms.
 
     Each chunk is :func:`recurrence_values` again, seeded with the last N
-    terms before it (N the order), so the iterator holds one chunk and N
-    terms however many it yields.  ``count = 0`` yields nothing; a
-    negative count raises ``ValueError`` at the first ``next``.
+    terms before it (N the order).  Between chunks the iterator holds
+    those N terms and no chunk: each is unrolled in a call that returns
+    it, so once the caller drops a chunk its terms are freed.
+    ``count = 0`` yields nothing; a negative count raises ``ValueError``
+    at the first ``next``.
     """
     order = len(cs) - 1
     window, start, done = init, 0, 0  # window holds the terms from index start on
-    while True:
+
+    def unroll():  # the next chunk, or None after the last
+        nonlocal window, start, done
         vals = recurrence_values(cs, window, min(done + CHUNK, count) - start, modulus)
         if start + len(vals) == done:
-            return
-        yield vals[done - start :]
-        done = start + len(vals)
+            return None
+        chunk, done = vals[done - start :], start + len(vals)
         if len(vals) >= order:
             window, start = vals[-order:], done - order
+        return chunk
+
+    return iter(unroll, None)
 
 
 def termwise_values(op, xs, ys, modulus: int | None = None) -> list:

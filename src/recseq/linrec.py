@@ -46,6 +46,8 @@ delta a_n, whose ``str`` takes linear time, and reduces each by
 gcd(z mod delta, delta); Z is the case delta = 1.  The loop, and the
 kernel's negation of the ``Decimal`` coefficients, run chunk by chunk
 in a context that cannot round, whatever the caller's context is.
+Neither the iterator nor ``recurrence_chunks`` keeps a chunk it has
+given out, so the list being printed is the only copy of its terms.
 Before the first chunk, a pass over the ``int`` unroll finds any term
 too long for the int/str limit, so a refusal comes before the first
 string.  Over Z/m, and over Q with lam > 1, it gives ``str`` of the
@@ -205,18 +207,24 @@ class LinRec:
         refuses, with a numerator or denominator longer than
         ``sys.get_int_max_str_digits()`` digits, raises the interpreter's
         own ``ValueError`` before the first list is made, so a caller
-        that writes the lists as they come writes nothing.  Two routes:
+        that writes the lists as they come writes nothing.  The iterator
+        keeps no list it has yielded, nor the values it made one from:
+        each list is made in a call that returns it, from a chunk that
+        :func:`~recseq.kernels.recurrence_chunks` does not keep either.
+        So once the caller drops a list, nothing of its chunk is left,
+        except where the chunks are held (below).  Two routes:
 
         * Over Z, and over Q when the charpoly has integer coefficients
           (lam = 1), the integers delta a_n of :func:`_scaled_recurrence`
           are unrolled twice, in chunks; delta is the lcm of the
           denominators of the initial values, 1 over Z.  The first pass,
           on ``int``, only looks for a term past the limit
-          (:func:`_refuse_past_the_limit`).  The second runs on
+          (:func:`_refuse_past_the_limit`), and keeps none of its chunks
+          once it ends.  The second runs on
           ``Decimal`` values, since ``str`` of a ``Decimal`` takes linear
           time and that of an ``int`` or a ``Fraction`` quadratic, in a
           context that cannot round.  That context is entered for each
-          chunk and left before the chunk is yielded, so the caller's
+          chunk and left before its list is yielded, so the caller's
           context holds while the iterator waits.  Each term prints as
           z/g over delta/g with g = gcd(z mod delta, delta), the reduced
           fraction, without the ``/1`` when g = delta.
@@ -239,31 +247,38 @@ class LinRec:
             chunks = recurrence_chunks(cs, init, k, m)
             if limit and (m is None or m > bound):  # check every chunk before the first is printed
                 chunks = [_refuse_past_the_limit(chunk, bound) for chunk in chunks]
-            for chunk in chunks:
-                yield list(map(str, chunk))
+            yield from map(_printed, chunks)
             return
         delta = _denominator_lcm(init)
         cs, zs = _scaled_recurrence(self, 1, delta)
-        if limit:
-            for chunk in recurrence_chunks(cs, zs, k):
-                if delta >= bound or min(chunk) <= -bound or max(chunk) >= bound:
-                    _refuse_past_the_limit((Fraction(z, delta) for z in chunk), bound)
+        if limit:  # the first pass; its chunks go with the generator expression
+            _refuse_past_the_limit(
+                (
+                    Fraction(z, delta)
+                    for chunk in recurrence_chunks(cs, zs, k)
+                    if delta >= bound or min(chunk) <= -bound or max(chunk) >= bound
+                    for z in chunk
+                ),
+                bound,
+            )
         chunks = recurrence_chunks([Decimal(c) for c in cs], [Decimal(z) for z in zs], k)
-        while True:
+
+        def strings():  # the next chunk as printed, or None after the last
             with localcontext(_EXACT):  # the kernel negates the coefficients in this context
                 chunk = next(chunks, None)
                 if chunk is None:
-                    return
+                    return None
                 if delta == 1:
-                    strings = list(map(str, chunk))
-                else:
-                    strings = []
-                    for z in chunk:
-                        g = gcd(int(z % delta), delta)
-                        if g > 1:
-                            z //= g  # exact
-                        strings.append(str(z) if g == delta else f"{z}/{delta // g}")
-            yield strings
+                    return _printed(chunk)
+                out = []
+                for z in chunk:
+                    g = gcd(int(z % delta), delta)
+                    if g > 1:
+                        z //= g  # exact
+                    out.append(str(z) if g == delta else f"{z}/{delta // g}")
+                return out
+
+        yield from iter(strings, None)
 
     def __add__(self, other):
         if not isinstance(other, LinRec):
@@ -284,6 +299,11 @@ class LinRec:
 
     def __repr__(self):
         return f"LinRec({self})"
+
+
+def _printed(values) -> list[str]:
+    """``str`` of each of ``values``, in a list."""
+    return list(map(str, values))
 
 
 def _refuse_past_the_limit(values, bound: int):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from recseq import QQ, ZZ, LinRec, Poly, RingElem, RingSpec, Zmod
+from recseq import QQ, ZZ, LinRec, Poly, RingElem, RingSpec, Zmod, kernels, linrec
 
 RINGS = [ZZ, QQ, Zmod(10007), Zmod(12)]
 RING_IDS = [str(r) for r in RINGS]
@@ -63,3 +63,37 @@ def int_values(terms) -> list[int]:
 @pytest.fixture
 def fib_z():
     return fib(ZZ)
+
+
+class UnrollBudget:
+    """Counts the terms of every ``recurrence_values`` call, and fails a call past ``limit``.
+
+    ``produced`` lists the length of each unroll.  A call that would take
+    their sum past ``limit`` raises ``AssertionError`` before it unrolls,
+    so code that unrolls far more than a test allows fails at once
+    instead of running without end.  There is no limit until
+    :meth:`reset` sets one.
+    """
+
+    def __init__(self, unroll):
+        self.unroll, self.produced, self.limit = unroll, [], None
+
+    def reset(self, limit: int) -> None:
+        self.produced.clear()
+        self.limit = limit
+
+    def __call__(self, cs, init, count, modulus=None):
+        if self.limit is not None and sum(self.produced) + count > self.limit:
+            raise AssertionError(f"unrolled {sum(self.produced)} terms, asked for {count} more, limit {self.limit}")
+        out = self.unroll(cs, init, count, modulus)
+        self.produced.append(len(out))
+        return out
+
+
+@pytest.fixture
+def unroll_budget(monkeypatch):
+    """An :class:`UnrollBudget` in place of ``recurrence_values``, in ``kernels`` and in ``linrec``."""
+    budget = UnrollBudget(kernels.recurrence_values)
+    for module in (kernels, linrec):
+        monkeypatch.setattr(module, "recurrence_values", budget)
+    return budget

@@ -96,8 +96,8 @@ MUTANTS = [
     Mutant(
         "no-first-pass",
         "linrec.py",
-        "        if limit:\n            for chunk in recurrence_chunks(cs, zs, k):",
-        "        if False:\n            for chunk in recurrence_chunks(cs, zs, k):",
+        "        if limit:  # the first pass",
+        "        if False:  # the first pass",
         [
             "tests/test_cli.py::TestIntStrLimit::test_limit_is_the_interpreters[terms]",
             "tests/test_cli.py::TestIntStrLimit::test_limit_is_the_interpreters[terms-Q]",
@@ -106,8 +106,8 @@ MUTANTS = [
     Mutant(
         "context-held-across-yield",
         "linrec.py",
-        'else f"{z}/{delta // g}")\n            yield strings',
-        'else f"{z}/{delta // g}")\n                yield strings',
+        "        yield from iter(strings, None)\n",
+        "        with localcontext(_EXACT):\n            yield from iter(strings, None)\n",
         [
             "tests/test_linrec.py::test_term_string_chunks_leave_the_callers_context_between_chunks[Z]",
             "tests/test_linrec.py::test_term_string_chunks_leave_the_callers_context_between_chunks[Q]",
@@ -120,6 +120,36 @@ MUTANTS = [
         "        if True:\n",
         [
             "tests/test_linrec.py::test_recurrence_chunks_are_recurrence_values_in_chunks[1]",
+        ],
+    ),
+    Mutant(
+        "first-chunk-pulled-after-the-start",
+        "cli.py",
+        "    chunk = next(chunks, None)\n",
+        "    chunk = [] if terms else None  # the first chunk is pulled in the loop, after the start is written\n",
+        [
+            "tests/test_cli.py::TestIntStrLimit::test_limit_is_the_interpreters[terms]",
+            "tests/test_cli.py::TestStream::test_refusal_past_the_first_chunk_leaves_stdout_empty[terms-Q-lam10]",
+            "tests/test_cli.py::test_grammar_fuzz_exit_codes_are_truthful",
+        ],
+    ),
+    Mutant(
+        "second-copy-of-the-chunk-at-its-write",
+        "cli.py",
+        "            write(sep)\n            _write_joined(write, chunk, sep, word)\n",
+        "            write(sep + sep.join(map(word, chunk)))\n",
+        [
+            "tests/test_cli.py::TestStream::test_a_chunk_is_written_from_one_copy",
+        ],
+    ),
+    Mutant(
+        "inverse-unroll-unchunked",
+        "linrec.py",
+        "zs = chain.from_iterable(recurrence_chunks(*_scaled_recurrence(d, lam, delta), k, ring.modulus))",
+        "zs = recurrence_values(*_scaled_recurrence(d, lam, delta), k, ring.modulus)",
+        [
+            "tests/test_linrec.py::TestNewtonInverse::test_unrolls_only_to_the_first_non_unit",
+            "tests/test_cli.py::TestStream::test_invert_stops_at_the_first_non_unit",
         ],
     ),
     Mutant(

@@ -1,14 +1,18 @@
 """CLI parsing, round trips, verbs, exit codes, and structured output."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recseq import cli, kernels, newton_inverse, selftest
 from recseq.cli import (
@@ -490,8 +494,46 @@ class TestStream:
         assert (code, err) == (0, "")
         assert TEN_4299 in out  # the last term, 4300 digits, is printed
 
-    def test_invert_stops_at_the_first_non_unit(self, capsys):
-        # the failure at index 0 reads one chunk of the divisors, not 10^6
+    def test_a_chunk_is_written_from_one_copy(self, monkeypatch):
+        # at 10^4 terms over Z a chunk is about half a megabyte of text;
+        # while it is written, the text and the bytes that the text layer
+        # encodes from it should be the only copies of the chunk alive:
+        # no list of its words, no second joined string, no Decimal or int
+        # chunk and no previous chunk.  The file is a real text file, so
+        # the encoded copy is traced.
+        argv = ["terms", "-s", "ring=Z;p=[-1,1,1];init=[3,-2]", "-n"]
+
+        def peak(count):
+            with open(os.devnull, "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                tracemalloc.start()
+                try:
+                    assert cli.main([*argv, count]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        class Longest:
+            size = 0
+
+            def write(self, text):
+                self.size = max(self.size, len(text))
+
+            def flush(self):
+                pass
+
+        longest = Longest()
+        monkeypatch.setattr(sys, "stdout", longest)
+        assert cli.main([*argv, "10000"]) == 0
+        peak("10")  # the first call warms the parser and the imports
+        grown = peak("10000") - peak("10")
+        assert longest.size > 500_000
+        assert grown < 2.5 * longest.size, (grown, longest.size)
+
+    def test_invert_stops_at_the_first_non_unit(self, capsys, unroll_budget):
+        # the failure at index 0 reads one chunk of the divisors, not 10^6;
+        # an unroll past 2 CHUNK terms fails before it runs
+        unroll_budget.reset(2 * kernels.CHUNK)
         argv = ["invert", "-s", "ring=Zmod:12;p=[-1,-1,1];init=[0,1]", "-n", "1000000"]
         want = "not invertible: binomial-transform value at index 0 is not a unit\n"
         assert run_cli(capsys, *argv) == (1, want, "")
@@ -727,3 +769,129 @@ def test_readme_python_quickstart_values():
         "charpoly(kron_sum(companion(fib.charpoly), companion(fib.charpoly))) == h.charpoly",
     ]
     assert namespace["inv"] == [RingElem(QQ, Fraction(-1, 2) ** n) for n in range(5)]
+
+
+# A grammar fuzz: command lines drawn from the CLI grammar, in which each
+# field is well formed or, now and then, broken.  Counts and degrees
+# stay small, so that each call takes milliseconds.  selftest, which takes
+# seconds, is left out.
+RING_TEXTS = ["Z", "Q", "Zmod:7", "Zmod:12", "Zmod:10007"]
+BROKEN_RINGS = ["Zmod:1", "Zmod:x", "GF:8", "", "Zmod:1_0"]
+BROKEN_ELEMENTS = ["x", "", "1_0", "1/0", "/4", "0x10", "1e3", "3/4"]  # 3/4 is broken outside Q
+# well formed, with terms past the int/str limit from index 4300 on
+LONG_SEQUENCES = [POWERS_OF_TEN, THIRDS_OF_POWERS_OF_TEN, "ring=Q;p=[-1/10,1];init=[1]"]
+
+
+def _field(draw, valid, broken, odds=10):
+    """A draw from ``valid``, or one time in ``odds`` one of the ``broken`` texts."""
+    # Hypothesis leans to the ends of a range and shrinks to its low end,
+    # so the high end breaks: a shrunk failure keeps only the broken
+    # fields that it needs
+    return draw(st.sampled_from(broken)) if draw(st.integers(1, odds)) == odds else draw(valid)
+
+
+def _element_texts(ring):
+    values = st.integers(-9, 9).map(str)
+    if ring == "Q":
+        values |= st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda nd: f"{nd[0]}/{nd[1]}")
+    return values
+
+
+@st.composite
+def _list_text(draw, ring, count):
+    # one time in forty: a sequence has up to seven elements, and most
+    # sequences should parse
+    return "[" + ",".join(_field(draw, _element_texts(ring), BROKEN_ELEMENTS, 40) for _ in range(count)) + "]"
+
+
+@st.composite
+def _poly_text(draw, ring, degree):
+    low = draw(_list_text(ring, degree))[1:-1]
+    return f"[{low},{_field(draw, st.just('1'), ['2', '0', '-1'])}]"  # the leading coefficient, monic or not
+
+
+@st.composite
+def _sequence_text(draw, ring=None, raw_terms=False):
+    if not raw_terms and draw(st.integers(1, 20)) == 20:
+        return draw(st.sampled_from(LONG_SEQUENCES))
+    ring = ring or _field(draw, st.sampled_from(RING_TEXTS), BROKEN_RINGS)
+    degree = draw(st.integers(1, 3))
+    if raw_terms:
+        fields = [f"ring={ring}", f"terms={draw(_list_text(ring, draw(st.integers(0, 8))))}"]
+    else:
+        init = _field(draw, st.just(degree), [degree - 1, degree + 1])
+        fields = [f"ring={ring}", f"p={draw(_poly_text(ring, degree))}", f"init={draw(_list_text(ring, init))}"]
+    broken = draw(st.integers(0, 20))
+    if broken == 20:
+        fields.pop(draw(st.integers(0, len(fields) - 1)))  # a missing field
+    elif broken == 19:
+        fields.append(draw(st.sampled_from(["extra=[1]", fields[0], "junk"])))  # unknown, duplicate, no "="
+    return ";".join(fields)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of the CLI grammar, with a few fields broken."""
+    verb = draw(st.sampled_from(["terms", "op", "charpoly-op", "invert", "transform", "psi", "verify"]))
+    ring = _field(draw, st.sampled_from(RING_TEXTS), BROKEN_RINGS)
+    if verb in ("invert", "verify"):
+        count = str(draw(st.integers(1, 20)))
+    else:  # now and then long enough for a refusal at the int/str limit
+        count = _field(draw, st.integers(0, 40).map(str), ["4300", "4301"], 15)
+    argv = [verb]
+    if verb == "op":
+        other = None if draw(st.integers(0, 10)) == 10 else ring  # mostly one ring for both
+        argv += ["--kind", draw(st.sampled_from(sorted(cli._SEQ_OPS)))]
+        argv += ["-a", draw(_sequence_text(ring)), "-b", draw(_sequence_text(other))]
+    elif verb == "charpoly-op":
+        argv += ["--kind", draw(st.sampled_from(sorted(cli._POLY_OPS))), "--ring", ring]
+        argv += ["-p", draw(_poly_text(ring, draw(st.integers(1, 3))))]
+        argv += ["-q", draw(_poly_text(ring, draw(st.integers(1, 3))))]
+    elif verb == "verify":
+        check = draw(st.sampled_from(["recurrence", "ogf", "decomposition", "morphism", "inverse"]))
+        argv += ["--check", check]
+        if check in ("decomposition", "morphism"):
+            argv += ["-a", draw(_sequence_text(ring)), "-b", draw(_sequence_text(ring))]
+            argv += ["--map", draw(st.sampled_from(["psi", "psi-inverse"]))] if check == "morphism" else []
+        else:
+            argv += ["-s", draw(_sequence_text(ring, raw_terms=check != "inverse" and draw(st.booleans())))]
+        if check in ("recurrence", "ogf") and draw(st.booleans()):
+            argv += ["-p", draw(_poly_text(ring, draw(st.integers(1, 3))))]
+        if check == "ogf":
+            argv += ["--extra", str(draw(st.integers(1, 10)))]
+        if draw(st.integers(0, 10)) == 10:  # the last option left out, mostly a required one
+            argv = argv[:-2]
+    else:
+        if verb == "transform":
+            argv += ["--kind", draw(st.sampled_from(sorted(cli._TRANSFORMS)))]
+        argv += ["-s", draw(_sequence_text(ring))]
+    if verb != "charpoly-op":
+        # verify's default prefix is 30; a count keeps its oracles cheap
+        if verb == "verify" or draw(st.booleans()):
+            argv += ["-n", _field(draw, st.just(count), ["-1", "0", "x", "1.5", ""])]
+    if draw(st.booleans()):
+        argv += ["--format", "structured"]
+    return argv
+
+
+@given(command_lines())
+@example(["terms", "-s", POWERS_OF_TEN, "-n", "4301"])
+@example(["op", "--kind", "cauchy", "-a", THIRDS_OF_POWERS_OF_TEN, "-b", "ring=Q;p=[0,1];init=[1]", "-n", "4301"])
+@example(["terms", "-s", "ring=Q;p=[-1/10,1];init=[1]", "-n", "4301", "--format", "structured"])
+@settings(max_examples=150, deadline=None)
+def test_grammar_fuzz_exit_codes_are_truthful(argv):
+    # main raises nothing: a malformed command line is argparse's exit 2,
+    # and every other outcome is main's return value; exit 1 is a failed
+    # check or a non-invertible input, so only verify and invert give it;
+    # exit 2 leaves stdout empty, because a refusal comes before the first
+    # byte
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse, on a malformed command line
+            code = exc.code
+            assert code == 2, (argv, err.getvalue())
+    assert code in (0, 1, 2), argv
+    assert code != 1 or argv[0] in ("verify", "invert"), (argv, out.getvalue())
+    assert code != 2 or out.getvalue() == "", (argv, out.getvalue())

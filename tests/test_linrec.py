@@ -354,18 +354,11 @@ class TestNewtonInverse:
             assert is_newton_invertible(a, 200).first_failure == index
             assert len(checked) == index + 1
 
-    def test_unrolls_only_to_the_first_non_unit(self, monkeypatch):
+    def test_unrolls_only_to_the_first_non_unit(self, unroll_budget):
         # the divisors are read chunk by chunk: a failure at index t costs
-        # about t + CHUNK unrolled terms, however many terms were asked for
-        produced = []
-        unroll = kernels.recurrence_values
-
-        def spy(cs, init, count, modulus=None):
-            out = unroll(cs, init, count, modulus)
-            produced.append(len(out))
-            return out
-
-        monkeypatch.setattr(kernels, "recurrence_values", spy)
+        # about t + CHUNK unrolled terms, however many terms were asked
+        # for; an unroll past t + 2 CHUNK fails before it runs, so code
+        # that reads all 10^6 divisors fails here instead of hanging
         field = Zmod(10007)
         # d_t = t - 600, zero mod the prime 10007 first at t = 600
         d = LinRec(Poly.from_ints(field, [1, -2, 1]), [field.from_int(-600), field.from_int(-599)])
@@ -373,12 +366,12 @@ class TestNewtonInverse:
         zmod12 = LinRec(Poly.from_ints(Zmod(12), [-1, -1, 1]), [Zmod(12).zero, Zmod(12).one])
         for a, index in [(zmod12, 0), (ones(ZZ), 1), (late, 600)]:
             for check in (lambda: newton_inverse(a, 10**6), lambda: is_newton_invertible(a, 10**6)):
-                produced.clear()
+                unroll_budget.reset(index + 2 * kernels.CHUNK)
                 try:
                     assert check().first_failure == index
                 except NotInvertible as exc:
                     assert exc.index == index
-                assert 0 < sum(produced) <= index + 2 * kernels.CHUNK
+                assert 0 < sum(unroll_budget.produced) <= index + 2 * kernels.CHUNK
 
 
 class TestIsomorphism:
