@@ -17,7 +17,9 @@ the output ends, as ``recseq terms ... | head`` does: the call stops at
 its next write, prints nothing on stderr, and exits with the status a
 shell reports for a program that SIGPIPE ended (128 + 13).
 ``--format structured`` emits a JSON tree whose numeric leaves are
-strings, so arbitrary-precision values survive intact.
+strings, so arbitrary-precision values survive intact.  No environment
+variable is read: a call's output and exit status depend only on its
+argv and the interpreter's int/str limit.
 
 Terms are printed as a stream: ``LinRec.term_string_chunks`` yields
 lists of at most ``kernels.CHUNK`` term strings, and each list is joined
@@ -50,6 +52,7 @@ from .linrec import (
     DEFAULT_PREFIX,
     LinRec,
     NotInvertible,
+    _printed,
     binomial_transform,
     cauchy,
     hadamard,
@@ -62,7 +65,7 @@ from .linrec import (
     seq_sum,
 )
 from .polymat import NotMonic, Poly, composed_newton, composed_product, composed_sum
-from .ring import NotAUnit, RingElem, RingSpec, ZZ, Zmod
+from .ring import NotAUnit, QQ, RingElem, RingSpec, ZZ, Zmod
 
 
 class ParseError(ValueError):
@@ -100,7 +103,7 @@ def parse_ring(text: str) -> RingSpec:
     if text == "Z":
         return ZZ
     if text == "Q":
-        return RingSpec(RingSpec.RATIONALS)
+        return QQ
     if text.startswith("Zmod:"):
         body = text[len("Zmod:") :]
         try:
@@ -201,24 +204,6 @@ def parse_sequence_or_terms(text: str):
     return parse_sequence(text)
 
 
-def _strings(values) -> list[str]:
-    """Raw values or ring elements as printed: both ``str()`` the same."""
-    return [str(v) for v in values]
-
-
-def _default_prefix() -> int:
-    raw = os.environ.get("RECSEQ_PREFIX", "")
-    if not raw:
-        return DEFAULT_PREFIX
-    try:
-        value = _parse_integer(raw)
-    except ValueError:
-        raise ParseError(f"RECSEQ_PREFIX must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ParseError("RECSEQ_PREFIX must be >= 1")
-    return value
-
-
 def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> None:
     """Print ``structured`` as JSON, or the plain lines and then, if given, the ``terms:`` line.
 
@@ -309,7 +294,7 @@ def _cmd_sequence(args) -> int:
         result = _SEQ_OPS[args.kind](parse_sequence(args.a), parse_sequence(args.b))
     else:
         result = _TRANSFORMS[args.kind](parse_sequence(args.sequence))
-    initial = _strings(result.initial_values)
+    initial = _printed(result.initial_values)
     plain = [f"sequence: {result}", f"charpoly: {result.charpoly}"]
     if args.verb == "op":
         plain.append(f"initial: [{','.join(initial)}]")
@@ -319,7 +304,7 @@ def _cmd_sequence(args) -> int:
         {
             "kind": args.kind,
             "ring": result.ring,
-            "charpoly": _strings(result.charpoly.values),
+            "charpoly": _printed(result.charpoly.values),
             "initial": initial,
         },
         result.term_string_chunks(args.count),
@@ -335,7 +320,7 @@ def _cmd_charpoly_op(args) -> int:
     _emit(
         args,
         [f"result: {result}"],
-        {"kind": args.kind, "ring": ring, "result": _strings(result.values)},
+        {"kind": args.kind, "ring": ring, "result": _printed(result.values)},
     )
     return 0
 
@@ -343,7 +328,7 @@ def _cmd_charpoly_op(args) -> int:
 def _cmd_invert(args) -> int:
     seq = parse_sequence(args.sequence)
     try:
-        terms = _strings(newton_inverse(seq, args.count))
+        terms = _printed(newton_inverse(seq, args.count))
     except NotInvertible as exc:
         _emit(
             args,
@@ -362,7 +347,6 @@ def _cmd_invert(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify  # only this verb and selftest need the oracles
 
-    prefix = args.count if args.count is not None else _default_prefix()
     check = args.check
     if check in ("recurrence", "ogf"):
         seq = parse_sequence_or_terms(_require(args.sequence, "-s"))  # a LinRec, or raw terms
@@ -378,17 +362,17 @@ def _cmd_verify(args) -> int:
         else:
             if isinstance(seq, LinRec):
                 p = p or seq.charpoly
-                seq = seq.terms(max(prefix, len(p.values) - 1))
+                seq = seq.terms(max(args.count, len(p.values) - 1))
             report = verify.satisfies_recurrence(seq, p)
     elif check in ("decomposition", "morphism"):
         a, b = (parse_sequence(_require(text, flag)) for text, flag in ((args.a, "-a"), (args.b, "-b")))
         if check == "decomposition":
-            report = verify.decomposition_check(a, b, prefix)
+            report = verify.decomposition_check(a, b, args.count)
         else:
-            report = verify.morphism_check(args.map, [(a, b)], prefix)
+            report = verify.morphism_check(args.map, [(a, b)], args.count)
     else:  # "inverse", the last of the choices argparse allows
         seq = parse_sequence(_require(args.sequence, "-s"))
-        report = verify.inverse_check(seq, prefix)
+        report = verify.inverse_check(seq, args.count)
     _emit(args, [report.to_text()], report.to_dict())
     return 0 if report.passed else 1
 
@@ -490,8 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p")
     p.add_argument("--map", choices=["psi", "psi-inverse"], default="psi")
     p.add_argument(
-        "-n", "--count", type=_positive_int, default=None,
-        help="prefix length (default RECSEQ_PREFIX or 30)",
+        "-n", "--count", type=_positive_int, default=DEFAULT_PREFIX,
+        help="prefix length of the recurrence check on a sequence, and of decomposition, morphism and inverse "
+        "(default %(default)s); ogf reads --extra, and recurrence on raw terms checks them all",
     )
     p.add_argument("--extra", type=_positive_int, default=50)
     add_format(p)

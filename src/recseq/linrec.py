@@ -302,7 +302,7 @@ class LinRec:
 
 
 def _printed(values) -> list[str]:
-    """``str`` of each of ``values``, in a list."""
+    """``str`` of each of ``values``, in a list: raw values and ring elements print alike."""
     return list(map(str, values))
 
 

@@ -70,7 +70,7 @@ def _report(name: str, prefix: int, failure: tuple | None) -> CheckReport:
     return CheckReport(name=name, passed=failure is None, checked_prefix=prefix, first_failure=failure)
 
 
-def satisfies_recurrence(terms, p: Poly, name: str = "recurrence") -> CheckReport:
+def satisfies_recurrence(terms, p: Poly) -> CheckReport:
     """Check that a term prefix satisfies the recurrence encoded by ``p``.
 
     Every index from deg(p) to the end of the prefix is tested exactly.
@@ -91,7 +91,7 @@ def satisfies_recurrence(terms, p: Poly, name: str = "recurrence") -> CheckRepor
         if acc != terms[n]:
             failure = (n, acc, terms[n])
             break
-    return _report(name, len(terms), failure)
+    return _report("recurrence", len(terms), failure)
 
 
 def _check_oracle_inputs(a_terms, b_terms) -> RingSpec:
@@ -152,7 +152,7 @@ def direct_product_oracle(kind: str, a_terms, b_terms) -> list[RingElem]:
     raise ValueError(f"unknown product kind {kind!r}")
 
 
-def ogf_poly_check(a, extra: int = 50, p: Poly | None = None, name: str = "ogf") -> CheckReport:
+def ogf_poly_check(a, extra: int = 50, p: Poly | None = None) -> CheckReport:
     """Rationality criterion for the ordinary generating function.
 
     For a genuine linear recurrent sequence the product of the reflected
@@ -191,7 +191,7 @@ def ogf_poly_check(a, extra: int = 50, p: Poly | None = None, name: str = "ogf")
         if acc.value != 0:
             failure = (k, ring.zero, acc)
             break
-    return _report(name, degree + extra + 1, failure)
+    return _report("ogf", degree + extra + 1, failure)
 
 
 def _ones_terms(ring: RingSpec, k: int) -> list[RingElem]:

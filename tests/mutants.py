@@ -104,6 +104,16 @@ MUTANTS = [
         ],
     ),
     Mutant(
+        "route-1-unreduced",
+        "linrec.py",
+        "z //= g  # exact",
+        "pass  # the fraction is left unreduced",
+        [
+            "tests/test_linrec.py::test_term_strings_unroll_on_decimals_when_lam_is_1[Q-delta6]",
+            "tests/test_linrec.py::test_term_string_chunks_leave_the_callers_context_between_chunks[Q]",
+        ],
+    ),
+    Mutant(
         "context-held-across-yield",
         "linrec.py",
         "        yield from iter(strings, None)\n",
@@ -173,6 +183,16 @@ MUTANTS = [
         ],
     ),
     Mutant(
+        "power-sums-uncorrected",
+        "polymat.py",
+        "acc = sum(map(mul, high, reversed(s))) + (k - d) * high[k - 1]",
+        "acc = sum(map(mul, high, reversed(s)))",
+        [
+            "tests/test_linrec.py::test_newton_values_combine_root_power_sums[2-None]",
+            "tests/test_polymat.py::TestComposedOperations::test_fibonacci_square_product",
+        ],
+    ),
+    Mutant(
         "newton-scale",
         "polymat.py",
         '"newton": (2, 2)}',
@@ -193,6 +213,16 @@ MUTANTS = [
         ],
     ),
     # the fast paths of the kernels
+    Mutant(
+        "binomial-plus-1-row-as-minus-1",
+        "kernels.py",
+        "row = list(map(add, row, row[1:]))",
+        "row = list(map(sub, row[1:], row))",
+        [
+            "tests/test_linrec.py::test_transforms_equal_hurwitz_products_with_ones[Z]",
+            "tests/test_linrec.py::test_newton_values_combine_root_power_sums[1-None]",
+        ],
+    ),
     Mutant(
         "packed-slot-narrower",
         "kernels.py",

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -225,20 +226,17 @@ class TestVerbs:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            pytest.param(["terms", "-s", "ring=Z;p=[-1,-1,1];init=[1_0,\u0661]"], {}, id="ring=Z;p=[-1,-1,1];init=[1_0,\u0661]"),
-            pytest.param(["terms", "-s", "ring=Zmod:1_0;p=[-1,1];init=[1]"], {}, id="ring=Zmod:1_0;p=[-1,1];init=[1]"),
-            pytest.param(["terms", "-s", "ring=Q;p=[-1/\u0662,1];init=[1]"], {}, id="ring=Q;p=[-1/\u0662,1];init=[1]"),
-            pytest.param(["terms", "-s", FIB_Z, "-n", "\u0661_\u0660"], {}, id="-n"),
-            pytest.param(["verify", "--check", "inverse", "-s", FIB_Z, "--extra", "\u0665"], {}, id="--extra"),
-            pytest.param(["selftest", "--seed", "\u0663"], {}, id="--seed"),
-            pytest.param(["verify", "--check", "recurrence", "-s", FIB_Z], {"RECSEQ_PREFIX": "\u0663\u0660"}, id="RECSEQ_PREFIX"),
+            pytest.param(["terms", "-s", "ring=Z;p=[-1,-1,1];init=[1_0,\u0661]"], id="ring=Z;p=[-1,-1,1];init=[1_0,\u0661]"),
+            pytest.param(["terms", "-s", "ring=Zmod:1_0;p=[-1,1];init=[1]"], id="ring=Zmod:1_0;p=[-1,1];init=[1]"),
+            pytest.param(["terms", "-s", "ring=Q;p=[-1/\u0662,1];init=[1]"], id="ring=Q;p=[-1/\u0662,1];init=[1]"),
+            pytest.param(["terms", "-s", FIB_Z, "-n", "\u0661_\u0660"], id="-n"),
+            pytest.param(["verify", "--check", "inverse", "-s", FIB_Z, "--extra", "\u0665"], id="--extra"),
+            pytest.param(["selftest", "--seed", "\u0663"], id="--seed"),
         ],
     )
-    def test_non_ascii_or_underscored_literals_exit_two(self, capsys, monkeypatch, argv, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_non_ascii_or_underscored_literals_exit_two(self, capsys, argv):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects option values itself
@@ -262,10 +260,26 @@ class TestVerbs:
              "unknown raw-sequence fields: ['init', 'x']"),
             (["verify", "--check", "recurrence", "-s", "terms=[1,2]", "-p", "[-2,1]"],
              "raw sequence is missing the 'ring' field"),
+            (["terms", "-s", "ring=Z;p=[-1,-1,1];init=0,1"], "expected a bracketed list, got '0,1'"),
+            (["terms", "-s", "ring=Z;ring=Z;p=[-1,1];init=[1]"], "duplicate field 'ring'"),
         ],
     )
     def test_field_errors_exit_two(self, capsys, argv, err):
         assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["terms", "-s", FIB_Z, "-n", "-1"], "must be >= 0"),
+            (["invert", "-s", FIB_Q, "-n", "0"], "must be >= 1"),
+        ],
+    )
+    def test_counts_out_of_range_exit_two(self, capsys, argv, err):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects option values itself
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f": error: argument -n/--count: {err}\n")
 
     def test_non_monic_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "terms", "-s", "ring=Z;p=[-1,2];init=[1]")
@@ -627,16 +641,23 @@ class TestVerifyVerb:
     def test_inputs_of_each_check(self, capsys, argv, expected):
         assert run_cli(capsys, "verify", *argv) == expected
 
-    def test_prefix_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECSEQ_PREFIX", "5")
-        code, out, _ = run_cli(capsys, "verify", "--check", "recurrence", "-s", FIB_Q)
-        assert code == 0
-        assert "prefix=5" in out
+    # The CLI reads no environment variable, so RECSEQ_PREFIX, which older
+    # versions read as the default of -n, changes no call.  The inverse
+    # meets a non-unit at index 17, which a prefix of 5 would pass.
+    INVERSE_AT_17 = ["verify", "--check", "inverse", "-s", "ring=Zmod:101;p=[17,72,1];init=[97,8]"]
+    NOT_A_UNIT_AT_17 = (1, "", "not invertible: binomial-transform value at index 17 is not a unit: 0\n")
 
-    def test_bad_prefix_env_exits_two(self, capsys, monkeypatch):
+    def test_prefix_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("RECSEQ_PREFIX", "5")
+        assert run_cli(capsys, "verify", "--check", "recurrence", "-s", FIB_Q) == (
+            0, "check recurrence: PASS (prefix=30)\n", ""
+        )
+        assert run_cli(capsys, *self.INVERSE_AT_17) == self.NOT_A_UNIT_AT_17
+
+    def test_bad_prefix_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("RECSEQ_PREFIX", "soon")
-        code, _, err = run_cli(capsys, "verify", "--check", "recurrence", "-s", FIB_Q)
-        assert code == 2
+        assert run_cli(capsys, *self.INVERSE_AT_17) == self.NOT_A_UNIT_AT_17
+        assert run_cli(capsys, "verify", "--check", "ogf", "-s", FIB_Z) == (0, "check ogf: PASS (prefix=53)\n", "")
 
 
 class TestStructuredOutput:
@@ -734,13 +755,12 @@ def _readme_block(heading, fence):
         return f.read().split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
 
 
-def test_readme_command_line_examples_exit_0(capsys, monkeypatch):
+def test_readme_command_line_examples_exit_0(capsys):
     # every recseq line of README's "Command line" block, continuations
     # joined, runs through cli.main; selftest has its own CI step
     block = _readme_block("## Command line", "```sh\n")
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("recseq ")]
     assert lines[-1] == "recseq selftest" and len(lines) == 8
-    monkeypatch.delenv("RECSEQ_PREFIX", raising=False)
     for line in lines[:-1]:
         code, _, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
         assert (line, code, err) == (line, 0, "")
@@ -769,6 +789,22 @@ def test_readme_python_quickstart_values():
         "charpoly(kron_sum(companion(fib.charpoly), companion(fib.charpoly))) == h.charpoly",
     ]
     assert namespace["inv"] == [RingElem(QQ, Fraction(-1, 2) ** n) for n in range(5)]
+
+
+ENV_READ = re.compile(r"os\.environ|getenv")
+
+
+def test_no_module_reads_the_environment():
+    # a call's output and exit status depend only on its argv and the
+    # interpreter's int/str limit; a setting read from the environment
+    # would be one more input, so adding one means changing this test
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                found += [f"{name}:{number}: {line.strip()}" for number, line in enumerate(f, 1) if ENV_READ.search(line)]
+    assert found == []
 
 
 # A grammar fuzz: command lines drawn from the CLI grammar, in which each

@@ -85,6 +85,21 @@ class TestConstruction:
         assert str(fib(ZZ)) == "ring=Z;p=[-1,-1,1];init=[0,1]"
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LinRec(Poly.from_ints(ZZ, [-1, 1]), [1]), TypeError, "initial terms must be RingElem"),
+        (lambda: is_newton_invertible(ones(QQ), 0), ValueError, "depth must be >= 1"),
+        (lambda: newton_inverse(ones(QQ), 0), ValueError, "term count must be >= 1"),
+    ],
+    ids=["raw-initial-term", "is_newton_invertible-depth-0", "newton_inverse-k-0"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestTerms:
     def test_fibonacci(self, fib_z):
         assert int_values(fib_z.terms(7)) == [0, 1, 1, 2, 3, 5, 8]

@@ -57,6 +57,10 @@ class TestPolyBasics:
         one = Poly.from_ints(ZZ, [1])
         assert FIB_P * one == FIB_P
 
+    def test_multiply_by_zero(self):
+        zero = Poly(ZZ, [])
+        assert (FIB_P * zero).values == () and (zero * FIB_P).values == ()
+
     def test_fib_times_linear(self):
         # (t^2 - t - 1)(t - 2) expanded by hand
         assert ints(FIB_P * Poly.from_ints(ZZ, [-2, 1])) == [2, 1, -3, 1]
@@ -72,6 +76,20 @@ class TestPolyBasics:
 
     def test_str_round_trip_shape(self):
         assert str(FIB_P) == "[-1,-1,1]"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Poly(ZZ, [1]), TypeError, "polynomial coefficients must be RingElem"),
+        (lambda: Poly(ZZ, [QQ.one]), RingMismatch, "coefficient from Q in a Z polynomial"),
+    ],
+    ids=["raw-coefficient", "foreign-coefficient"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestCompanion:

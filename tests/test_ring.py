@@ -72,6 +72,23 @@ class TestElementArithmetic:
     def test_rationals_are_canonical(self):
         x = RingElem(QQ, Fraction(4, -6))
         assert x.value.numerator == -2 and x.value.denominator == 3
+        three = RingElem(QQ, 3)
+        assert type(three.value) is Fraction and three.value == 3
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RingSpec("R"), ValueError, "unknown ring kind 'R'"),
+        (lambda: ZZ.from_int(1.5), TypeError, "expected int, got float"),
+        (lambda: int_scale(True, ZZ.one), TypeError, "scalar must be an int"),
+    ],
+    ids=["unknown-kind", "from_int-float", "int_scale-bool"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)

@@ -36,6 +36,35 @@ from conftest import geometric, int_values
 MOD = Zmod(10007)
 
 
+ZERO = Poly(ZZ, [])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: satisfies_recurrence([ZZ.one], ZERO), ValueError, "the zero polynomial defines no recurrence"),
+        (lambda: direct_product_oracle("sum", [], []), ValueError, "oracle inputs must be non-empty"),
+        (lambda: direct_product_oracle("sum", [ZZ.one, QQ.one], [ZZ.one] * 2), RingMismatch,
+         "mixed rings in oracle input"),
+        (lambda: ogf_poly_check(ones(ZZ), extra=0), ValueError, "extra must be >= 1"),
+        (lambda: ogf_poly_check([ZZ.one] * 3, p=Poly.from_ints(ZZ, [-1, 1])), ValueError, "need 52 terms, got 3"),
+        (lambda: ogf_poly_check([ZZ.one] * 3, extra=1, p=ZERO), ValueError,
+         "the zero polynomial is not a characteristic polynomial"),
+        (lambda: morphism_check("psi", [(ones(ZZ), ones(ZZ))], 0), ValueError, "prefix must be >= 1"),
+        (lambda: morphism_check("psi", [], 5), ValueError, "need at least one pair"),
+        (lambda: inverse_check(ones(QQ), 0), ValueError, "term count must be >= 1"),
+    ],
+    ids=[
+        "recurrence-zero-poly", "oracle-empty", "oracle-mixed-rings", "ogf-extra-0", "ogf-too-few-terms",
+        "ogf-zero-poly", "morphism-prefix-0", "morphism-no-pairs", "inverse-k-0",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestSatisfiesRecurrence:
     def test_fibonacci_passes(self, fib_z):
         report = satisfies_recurrence(fib_z.terms(30), fib_z.charpoly)
