@@ -19,7 +19,12 @@ cofactor-expansion characteristic polynomial avoids the Berkowitz
 routine entirely.
 
 Checks are prefix-bounded evidence, not proofs; they are exact, so a
-single nonzero coefficient or mismatched term is a hard failure.
+single nonzero coefficient or mismatched term is a hard failure.  Every
+check reports its first failure through one rule, :func:`_first_failure`:
+the first ``(index, expected, actual)`` whose two values differ.  The
+``recurrence`` and ``ogf`` checks share one recurrence sum,
+:func:`_predictions`.  :func:`satisfies_recurrence` needs a monic
+polynomial; :func:`ogf_poly_check` takes any annihilating polynomial.
 
 The package does not re-export these names; import them from here.  The
 CLI loads this module only for its ``verify`` and ``selftest`` verbs, so
@@ -70,28 +75,50 @@ def _report(name: str, prefix: int, failure: tuple | None) -> CheckReport:
     return CheckReport(name=name, passed=failure is None, checked_prefix=prefix, first_failure=failure)
 
 
+def _first_failure(triples):
+    """The first ``(index, expected, actual)`` of ``triples`` whose two values differ, or None.
+
+    Every check reports through this one rule, and pulls no triple past
+    the first failure.
+    """
+    return next(((n, e, a) for n, e, a in triples if e != a), None)
+
+
+def _predictions(cs, terms, start, stop):
+    """Yield -sum_{i=1..d} c_(d-i) t_(n-i), the term that monic ``cs`` predicts at n, for start <= n < stop.
+
+    ``cs`` are the coefficients c_0..c_d, low-to-high, of a polynomial of
+    degree d >= 0, and ``terms`` the t_n.  This is the one recurrence sum
+    of the ``recurrence`` and ``ogf`` checks.
+    """
+    d = len(cs) - 1
+    hs = [-cs[d - i] for i in range(1, d + 1)]
+    zero = cs[d].ring.zero
+    for n in range(start, stop):
+        acc = zero
+        for i, h in enumerate(hs):
+            acc = acc + h * terms[n - 1 - i]
+        yield acc
+
+
 def satisfies_recurrence(terms, p: Poly) -> CheckReport:
-    """Check that a term prefix satisfies the recurrence encoded by ``p``.
+    """Check that a term prefix satisfies the recurrence encoded by the monic ``p``.
 
     Every index from deg(p) to the end of the prefix is tested exactly.
+    Raises :class:`~recseq.polymat.NotMonic` on a polynomial that is not
+    monic; :func:`ogf_poly_check` takes any annihilating polynomial.
     """
     terms = list(terms)
     cs = p.coeffs
     order = len(cs) - 1
     if order < 0:
         raise ValueError("the zero polynomial defines no recurrence")
+    if not p.is_monic():
+        _require_charpoly_operand(p)  # raises NotMonic
     if len(terms) < order:
         raise ValueError(f"need at least {order} terms, got {len(terms)}")
-    hs = [-cs[order - i] for i in range(1, order + 1)]
-    failure = None
-    for n in range(order, len(terms)):
-        acc = p.ring.zero
-        for i, h in enumerate(hs):
-            acc = acc + h * terms[n - 1 - i]
-        if acc != terms[n]:
-            failure = (n, acc, terms[n])
-            break
-    return _report("recurrence", len(terms), failure)
+    predictions = enumerate(_predictions(cs, terms, order, len(terms)), order)
+    return _report("recurrence", len(terms), _first_failure((n, e, terms[n]) for n, e in predictions))
 
 
 def _check_oracle_inputs(a_terms, b_terms) -> RingSpec:
@@ -165,33 +192,23 @@ def ogf_poly_check(a, extra: int = 50, p: Poly | None = None) -> CheckReport:
     """
     if extra < 1:
         raise ValueError("extra must be >= 1")
-    if isinstance(a, LinRec):
-        poly = a.charpoly if p is None else p
-        cs = poly.coeffs
-        degree = len(cs) - 1
-        terms = a.terms(degree + extra + 1)
-    else:
-        if p is None:
-            raise ValueError("a raw term list needs an explicit polynomial")
-        poly = p
-        cs = poly.coeffs
-        degree = len(cs) - 1
-        terms = list(a)
-        if len(terms) < degree + extra + 1:
-            raise ValueError(f"need {degree + extra + 1} terms, got {len(terms)}")
+    is_linrec = isinstance(a, LinRec)
+    poly = a.charpoly if is_linrec and p is None else p
+    if poly is None:
+        raise ValueError("a raw term list needs an explicit polynomial")
+    cs = poly.coeffs
+    degree = len(cs) - 1
+    count = degree + extra + 1
+    terms = a.terms(count) if is_linrec else list(a)
+    if len(terms) < count:
+        raise ValueError(f"need {count} terms, got {len(terms)}")
     if degree < 0:
         raise ValueError("the zero polynomial is not a characteristic polynomial")
-    ring = poly.ring
-    # reflected polynomial: coefficient of t^i is cs[degree - i]
-    failure = None
-    for k in range(degree, degree + extra + 1):
-        acc = ring.zero
-        for i in range(degree + 1):
-            acc = acc + cs[degree - i] * terms[k - i]
-        if acc.value != 0:
-            failure = (k, ring.zero, acc)
-            break
-    return _report("ogf", degree + extra + 1, failure)
+    # coefficient k of the reflected polynomial times the o.g.f.:
+    # c_d t_k + ... + c_0 t_(k-d), which is c_d t_k less the prediction
+    zero, lead = poly.ring.zero, cs[degree]
+    predictions = enumerate(_predictions(cs, terms, degree, count), degree)
+    return _report("ogf", count, _first_failure((k, zero, lead * terms[k] - e) for k, e in predictions))
 
 
 def _ones_terms(ring: RingSpec, k: int) -> list[RingElem]:
@@ -218,24 +235,20 @@ def morphism_laws(map_terms, source_kind: str, target_kind: str, pairs, prefix: 
     ``source_kind`` product to the ``target_kind`` product.  The report
     is named ``name``; :func:`morphism_check` runs it on the named maps.
     """
-    failure = None
-    for a, b in pairs:
-        ta, tb = a.terms(prefix), b.terms(prefix)
-        fa, fb = map_terms(ta), map_terms(tb)
-        add_lhs = map_terms(direct_product_oracle("sum", ta, tb))
-        add_rhs = direct_product_oracle("sum", fa, fb)
-        mul_lhs = map_terms(direct_product_oracle(source_kind, ta, tb))
-        mul_rhs = direct_product_oracle(target_kind, fa, fb)
-        for n in range(prefix):
-            if add_lhs[n] != add_rhs[n]:
-                failure = (n, add_rhs[n], add_lhs[n])
-                break
-            if mul_lhs[n] != mul_rhs[n]:
-                failure = (n, mul_rhs[n], mul_lhs[n])
-                break
-        if failure is not None:
-            break
-    return _report(name, prefix, failure)
+
+    def laws():  # at each index the additive law, then the multiplicative
+        for a, b in pairs:
+            ta, tb = a.terms(prefix), b.terms(prefix)
+            fa, fb = map_terms(ta), map_terms(tb)
+            add_lhs = map_terms(direct_product_oracle("sum", ta, tb))
+            add_rhs = direct_product_oracle("sum", fa, fb)
+            mul_lhs = map_terms(direct_product_oracle(source_kind, ta, tb))
+            mul_rhs = direct_product_oracle(target_kind, fa, fb)
+            for n in range(prefix):
+                yield n, add_rhs[n], add_lhs[n]
+                yield n, mul_rhs[n], mul_lhs[n]
+
+    return _report(name, prefix, _first_failure(laws()))
 
 
 def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
@@ -283,12 +296,7 @@ def decomposition_check(a: LinRec, b: LinRec, prefix: int) -> CheckReport:
     """
     direct = newton(a, b).terms(prefix)
     composed = newton_via_decomposition(a, b).terms(prefix)
-    failure = None
-    for n in range(prefix):
-        if direct[n] != composed[n]:
-            failure = (n, composed[n], direct[n])
-            break
-    return _report("newton-decomposition", prefix, failure)
+    return _report("newton-decomposition", prefix, _first_failure(zip(range(prefix), composed, direct)))
 
 
 def inverse_check(a: LinRec, k: int) -> CheckReport:
@@ -322,17 +330,9 @@ def inverse_check(a: LinRec, k: int) -> CheckReport:
                 known = known + int_scale(binom(n, i) * binom(i, j), a_terms[i] * solved[n - j])
         solved.append(d_n.inv() * (deltas[n] - known))
 
-    failure = None
-    for n in range(k):
-        if formula[n] != solved[n]:
-            failure = (n, solved[n], formula[n])
-            break
-    if failure is None:
-        product = direct_product_oracle("newton", a_terms, formula)
-        for n in range(k):
-            if product[n] != deltas[n]:
-                failure = (n, deltas[n], product[n])
-                break
+    failure = _first_failure(zip(range(k), solved, formula))
+    if failure is None:  # the O(k^3) product only when the formula matches
+        failure = _first_failure(zip(range(k), deltas, direct_product_oracle("newton", a_terms, formula)))
     return _report("newton-inverse", k, failure)
 
 

@@ -1,4 +1,4 @@
-"""A mutant catalogue: breaks of the fast paths that named tier-1 tests must catch.
+"""A mutant catalogue: breaks of the fast paths and checks that named tier-1 tests must catch.
 
 Each entry of ``MUTANTS`` names a file under ``src/recseq``, an exact
 snippet of it, the snippet's replacement, and the tier-1 tests (pytest
@@ -259,6 +259,31 @@ MUTANTS = [
         [
             "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-hadamard]",
             "tests/test_linrec.py::test_generic_loops_over_zmod[Zmod:12]",
+        ],
+    ),
+    # every verify check reports its first failure through one rule, and
+    # the recurrence and ogf checks share one recurrence sum
+    Mutant(
+        "first-failure-never-reports",
+        "verify.py",
+        "for n, e, a in triples if e != a), None)",
+        "for n, e, a in triples if False), None)",
+        [
+            "tests/test_verify.py::TestSatisfiesRecurrence::test_wrong_declaration_fails_with_witness",
+            "tests/test_verify.py::TestDecompositionCheck::test_corrupted_product_fails",
+            "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Q]",
+            "tests/test_verify.py::TestInverseCheck::test_wrong_product_term_fails",
+            "tests/test_verify.py::TestMorphismCheck::test_laws_interleave_by_index[additive-before-multiplicative-at-1]",
+        ],
+    ),
+    Mutant(
+        "prediction-drops-c0",
+        "verify.py",
+        "hs = [-cs[d - i] for i in range(1, d + 1)]",
+        "hs = [-cs[d - i] for i in range(1, d)]",
+        [
+            "tests/test_verify.py::TestSatisfiesRecurrence::test_wrong_declaration_fails_with_witness",
+            "tests/test_verify.py::TestOgfCheck::test_non_solution_reports_its_first_nonzero_coefficient",
         ],
     ),
 ]

@@ -1,7 +1,9 @@
 """Checkers and oracles, including the mandatory negative controls."""
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,14 @@ from recseq import (
     ZZ,
     LinRec,
     NotInvertible,
+    NotMonic,
     Poly,
     RingMismatch,
     Zmod,
     delta,
     hurwitz,
     newton,
+    newton_inverse,
     ones,
 )
 from recseq import verify
@@ -53,10 +57,12 @@ ZERO = Poly(ZZ, [])
         (lambda: morphism_check("psi", [(ones(ZZ), ones(ZZ))], 0), ValueError, "prefix must be >= 1"),
         (lambda: morphism_check("psi", [], 5), ValueError, "need at least one pair"),
         (lambda: inverse_check(ones(QQ), 0), ValueError, "term count must be >= 1"),
+        (lambda: satisfies_recurrence([ZZ.one] * 3, Poly.from_ints(ZZ, [-2, 2])), NotMonic,
+         "expected a monic polynomial, got [-2,2]"),
     ],
     ids=[
         "recurrence-zero-poly", "oracle-empty", "oracle-mixed-rings", "ogf-extra-0", "ogf-too-few-terms",
-        "ogf-zero-poly", "morphism-prefix-0", "morphism-no-pairs", "inverse-k-0",
+        "ogf-zero-poly", "morphism-prefix-0", "morphism-no-pairs", "inverse-k-0", "recurrence-not-monic",
     ],
 )
 def test_input_checks(call, error, message):
@@ -149,6 +155,24 @@ class TestOgfCheck:
         report = ogf_poly_check(terms, extra=10, p=Poly.from_ints(ZZ, [-1, -1, 1]))
         assert not report.passed
 
+    def test_non_solution_reports_its_first_nonzero_coefficient(self):
+        terms = [ZZ.from_int(v) for v in [1, 1, 2, 4, 8] + [2 ** k for k in range(3, 60)]]
+        report = ogf_poly_check(terms, extra=10, p=Poly.from_ints(ZZ, [-1, -1, 1]))
+        assert report.first_failure == (3, ZZ.zero, ZZ.one)
+
+    @pytest.mark.parametrize(
+        "values, text",
+        [
+            ([1] * 12, "check ogf: PASS (prefix=12)"),
+            ([2 ** n for n in range(12)], "check ogf: FAIL at index 1: expected 0, got 2 (prefix=12)"),
+        ],
+        ids=["ones", "powers-of-2"],
+    )
+    def test_takes_a_polynomial_that_is_not_monic(self, values, text):
+        # 2t - 2 annihilates 1, 1, 1, ... (2a_n = 2a_(n-1)), and not 2^n
+        report = ogf_poly_check([ZZ.from_int(v) for v in values], extra=10, p=Poly.from_ints(ZZ, [-2, 2]))
+        assert report.to_text() == text
+
     def test_product_outputs_pass(self, fib_z):
         h = newton(fib_z, geometric(ZZ, 2))
         assert ogf_poly_check(h, extra=50).passed
@@ -188,6 +212,26 @@ class TestMorphismCheck:
 
         report = morphism_laws(bad_map, "hadamard", "newton", [(ones(QQ), ones(QQ))], 20, "corrupted")
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "squared, failure",
+        [(5, (1, 2, 1)), (1, (1, 2, 4))],
+        ids=["multiplicative-at-1-before-additive-at-5", "additive-before-multiplicative-at-1"],
+    )
+    def test_laws_interleave_by_index(self, squared, failure):
+        # the identity, but for one squared term: it breaks the additive law
+        # at that index, and the multiplicative law (Hadamard to Newton)
+        # from index 1 on
+        fib_q = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
+
+        def square_one(ts):
+            ts = list(ts)
+            ts[squared] = ts[squared] * ts[squared]
+            return ts
+
+        report = morphism_laws(square_one, "hadamard", "newton", [(fib_q, ones(QQ))], 12, "square")
+        index, expected, actual = failure
+        assert report.first_failure == (index, QQ.from_int(expected), QQ.from_int(actual))
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
@@ -237,6 +281,38 @@ class TestInverseCheck:
             assert report.passed
             checked += 1
 
+    @pytest.mark.parametrize(
+        "ring, text",
+        [
+            (QQ, "check newton-inverse: FAIL at index 3: expected -1/8, got 7/8 (prefix=10)"),
+            (MOD, "check newton-inverse: FAIL at index 3: expected 8756, got 8757 (prefix=10)"),
+        ],
+        ids=["Q", "Zmod:10007"],
+    )
+    def test_wrong_formula_term_fails(self, monkeypatch, ring, text):
+        # the formula's term 3 one too high: the back-substitution's is expected
+        def off_by_one(a, k):
+            terms = newton_inverse(a, k)
+            terms[3] = terms[3] + a.ring.one
+            return terms
+
+        monkeypatch.setattr(verify, "newton_inverse", off_by_one)
+        assert inverse_check(ones(ring), 10).to_text() == text
+
+    def test_wrong_product_term_fails(self, monkeypatch):
+        # the product with the inverse one too high at index 4: the impulse's 0 is expected
+        oracle = verify.direct_product_oracle
+
+        def off_by_one(kind, a_terms, b_terms):
+            terms = oracle(kind, a_terms, b_terms)
+            if kind == "newton":
+                terms[4] = terms[4] + terms[4].ring.one
+            return terms
+
+        monkeypatch.setattr(verify, "direct_product_oracle", off_by_one)
+        text = "check newton-inverse: FAIL at index 4: expected 0, got 1 (prefix=10)"
+        assert inverse_check(ones(QQ), 10).to_text() == text
+
 
 class TestCofactorOracle:
     def test_known_two_by_two(self, fib_z):
@@ -272,3 +348,23 @@ class TestCheckReport:
     def test_passed_iff_no_failure(self):
         assert CheckReport("x", True, 1).first_failure is None
         assert not CheckReport("x", False, 1, (0, ZZ.one, ZZ.zero)).passed
+
+
+def test_oracles_import_no_fast_path():
+    # verify's oracles share no loop with recseq.kernels: no import of it,
+    # and no private name of linrec or polymat but the operand check
+    path = Path(verify.__file__)
+    allowed = {"_require_charpoly_operand"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("recseq.kernels")]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [alias.name for alias in node.names]
+            if module in (".kernels", "recseq.kernels") or (module in (".", "recseq") and "kernels" in names):
+                found.append((node.lineno, module))
+            elif module in (".linrec", ".polymat", "recseq.linrec", "recseq.polymat"):
+                private = [name for name in names if name.startswith("_") and name not in allowed]
+                found += [(node.lineno, f"{module}.{name}") for name in private]
+    assert not found, "\n".join(f"{path.name}:{line}: imports {name}" for line, name in found)
