@@ -1,5 +1,6 @@
 """CLI parsing, round trips, verbs, exit codes, and structured output."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -805,6 +806,106 @@ def test_no_module_reads_the_environment():
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 found += [f"{name}:{number}: {line.strip()}" for number, line in enumerate(f, 1) if ENV_READ.search(line)]
     assert found == []
+
+
+# The grammar as declared: for the top-level parser and each verb, every
+# option's flags, dest, required, default, choices and help, and which
+# of the probes 7, 0, -1 and x its type accepts (None: no type).  It is
+# compared as structure, since argparse lays out -h differently from one
+# Python version to the next.
+HELP = (["-h", "--help"], "help", False, "==SUPPRESS==", None, "show this help message and exit", None)
+FORMAT = (["--format"], "format", False, "plain", ["plain", "structured"], None, None)
+SEQUENCE = (["-s", "--sequence"], "sequence", True, None, None, None, None)
+COUNT = (["-n", "--count"], "count", False, 10, None, None, ["7", "0"])
+PREFIX_HELP = (
+    "prefix length of the recurrence check on a sequence, and of decomposition, morphism and inverse "
+    "(default %(default)s); ogf reads --extra, and recurrence on raw terms checks them all"
+)
+GRAMMAR = {
+    "terms": ("_cmd_terms", {}, [HELP, SEQUENCE, COUNT, FORMAT]),
+    "op": ("_cmd_sequence", {}, [
+        HELP,
+        (["--kind"], "kind", True, None, ["cauchy", "hadamard", "hurwitz", "newton", "sum"], None, None),
+        (["-a"], "a", True, None, None, None, None),
+        (["-b"], "b", True, None, None, None, None),
+        COUNT,
+        FORMAT,
+    ]),
+    "charpoly-op": ("_cmd_charpoly_op", {}, [
+        HELP,
+        (["--kind"], "kind", True, None, ["boxtimes", "otimes", "star"], None, None),
+        (["-p"], "p", True, None, None, None, None),
+        (["-q"], "q", True, None, None, None, None),
+        (["--ring"], "ring", False, "Z", None, None, None),
+        FORMAT,
+    ]),
+    "invert": ("_cmd_invert", {}, [
+        HELP, SEQUENCE, (["-n", "--count"], "count", False, 10, None, None, ["7"]), FORMAT,
+    ]),
+    "transform": ("_cmd_sequence", {}, [
+        HELP,
+        (["--kind"], "kind", True, None, ["binomial", "inverse-binomial", "psi", "psi-inverse"], None, None),
+        SEQUENCE,
+        COUNT,
+        FORMAT,
+    ]),
+    "psi": ("_cmd_sequence", {"kind": "psi"}, [HELP, SEQUENCE, COUNT, FORMAT]),
+    "verify": ("_cmd_verify", {}, [
+        HELP,
+        (["--check"], "check", True, None, ["recurrence", "ogf", "decomposition", "morphism", "inverse"], None, None),
+        (["-s", "--sequence"], "sequence", False, None, None, None, None),
+        (["-a"], "a", False, None, None, None, None),
+        (["-b"], "b", False, None, None, None, None),
+        (["-p"], "p", False, None, None, None, None),
+        (["--map"], "map", False, "psi", ["psi", "psi-inverse"], None, None),
+        (["-n", "--count"], "count", False, 30, None, PREFIX_HELP, ["7"]),
+        (["--extra"], "extra", False, 50, None, None, ["7"]),
+        FORMAT,
+    ]),
+    "selftest": ("_cmd_selftest", {}, [
+        HELP, (["--seed"], "seed", False, None, None, None, ["7", "0", "-1"]), FORMAT,
+    ]),
+}
+VERB_HELP = [
+    "print the first terms of a sequence",
+    "combine two sequences under a product",
+    "composed operation on monic polynomials",
+    "Newton-product inverse prefix",
+    "binomial transforms and the algebra isomorphism",
+    "shorthand for transform --kind psi",
+    "run a brute-force verification check",
+    "run the full acceptance suite",
+]
+
+
+def _accepted(convert):
+    accepted = []
+    for probe in ("7", "0", "-1", "x"):
+        try:
+            convert(probe)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            continue
+        accepted.append(probe)
+    return accepted
+
+
+def _options(parser):
+    return [
+        (a.option_strings, a.dest, a.required, a.default, a.choices, a.help, a.type and _accepted(a.type))
+        for a in parser._actions
+        if not isinstance(a, argparse._SubParsersAction)
+    ]
+
+
+def test_grammar_is_pinned():
+    parser = cli._build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (parser.prog, _options(parser)) == ("recseq", [HELP])
+    assert (verbs.dest, verbs.required) == ("verb", True)
+    assert [(c.dest, c.help) for c in verbs._choices_actions] == list(zip(GRAMMAR, VERB_HELP))
+    for verb, sub in verbs.choices.items():
+        defaults = dict(sub._defaults)
+        assert (defaults.pop("func").__name__, defaults, _options(sub)) == GRAMMAR[verb], verb
 
 
 # A grammar fuzz: command lines drawn from the CLI grammar, in which each
