@@ -397,96 +397,68 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _nonneg_int(text: str) -> int:
-    value = _parse_integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _integer(least: int | None = None):
+    """The type of every numeric option: an integer literal, at least ``least`` if given.
 
+    argparse names a type by its ``__name__`` when a value does not
+    convert, so a malformed value reads ``invalid integer value: 'x'``;
+    one below ``least`` reads ``must be >= <least>``.
+    """
 
-def _positive_int(text: str) -> int:
-    value = _parse_integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+    def integer(text: str) -> int:
+        value = _parse_integer(text)
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="recseq",
-        description="Closure algebra for linear recurrent sequences with exact arithmetic.",
+        prog="recseq", description="Closure algebra for linear recurrent sequences with exact arithmetic."
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_format(p):
+    def verb(name: str, help: str, func, *options, **defaults) -> None:
+        """A subparser with ``options`` in order, then ``--format``; ``func`` and ``defaults`` are set on it."""
+        p = sub.add_parser(name, help=help)
+        for flags, settings in options:
+            p.add_argument(*flags, **settings)
         p.add_argument("--format", choices=["plain", "structured"], default="plain")
+        p.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("terms", help="print the first terms of a sequence")
-    p.add_argument("-s", "--sequence", required=True)
-    p.add_argument("-n", "--count", type=_nonneg_int, default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_terms)
+    def option(*flags, **settings):
+        return flags, settings
 
-    p = sub.add_parser("op", help="combine two sequences under a product")
-    p.add_argument("--kind", choices=sorted(_SEQ_OPS), required=True)
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("-n", "--count", type=_nonneg_int, default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_sequence)
+    def sequence(required=True):
+        return option("-s", "--sequence", required=required)
 
-    p = sub.add_parser("charpoly-op", help="composed operation on monic polynomials")
-    p.add_argument("--kind", choices=sorted(_POLY_OPS), required=True)
-    p.add_argument("-p", required=True)
-    p.add_argument("-q", required=True)
-    p.add_argument("--ring", default="Z")
-    add_format(p)
-    p.set_defaults(func=_cmd_charpoly_op)
+    def count(least=0, default=10, **settings):
+        return option("-n", "--count", type=_integer(least), default=default, **settings)
 
-    p = sub.add_parser("invert", help="Newton-product inverse prefix")
-    p.add_argument("-s", "--sequence", required=True)
-    p.add_argument("-n", "--count", type=_positive_int, default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_invert)
+    def kind(table):
+        return option("--kind", choices=sorted(table), required=True)
 
-    p = sub.add_parser("transform", help="binomial transforms and the algebra isomorphism")
-    p.add_argument("--kind", choices=sorted(_TRANSFORMS), required=True)
-    p.add_argument("-s", "--sequence", required=True)
-    p.add_argument("-n", "--count", type=_nonneg_int, default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_sequence)
-
-    p = sub.add_parser("psi", help="shorthand for transform --kind psi")
-    p.add_argument("-s", "--sequence", required=True)
-    p.add_argument("-n", "--count", type=_nonneg_int, default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_sequence, kind="psi")
-
-    p = sub.add_parser("verify", help="run a brute-force verification check")
-    p.add_argument(
-        "--check",
-        choices=["recurrence", "ogf", "decomposition", "morphism", "inverse"],
-        required=True,
-    )
-    p.add_argument("-s", "--sequence")
-    p.add_argument("-a")
-    p.add_argument("-b")
-    p.add_argument("-p")
-    p.add_argument("--map", choices=["psi", "psi-inverse"], default="psi")
-    p.add_argument(
-        "-n", "--count", type=_positive_int, default=DEFAULT_PREFIX,
-        help="prefix length of the recurrence check on a sequence, and of decomposition, morphism and inverse "
-        "(default %(default)s); ogf reads --extra, and recurrence on raw terms checks them all",
-    )
-    p.add_argument("--extra", type=_positive_int, default=50)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--seed", type=_parse_integer, default=None)  # None: selftest.DEFAULT_SEED
-    add_format(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    verb("terms", "print the first terms of a sequence", _cmd_terms, sequence(), count())
+    verb("op", "combine two sequences under a product", _cmd_sequence,
+         kind(_SEQ_OPS), option("-a", required=True), option("-b", required=True), count())
+    verb("charpoly-op", "composed operation on monic polynomials", _cmd_charpoly_op,
+         kind(_POLY_OPS), option("-p", required=True), option("-q", required=True), option("--ring", default="Z"))
+    verb("invert", "Newton-product inverse prefix", _cmd_invert, sequence(), count(1))
+    verb("transform", "binomial transforms and the algebra isomorphism", _cmd_sequence,
+         kind(_TRANSFORMS), sequence(), count())
+    verb("psi", "shorthand for transform --kind psi", _cmd_sequence, sequence(), count(), kind="psi")
+    verb("verify", "run a brute-force verification check", _cmd_verify,
+         option("--check", choices=["recurrence", "ogf", "decomposition", "morphism", "inverse"], required=True),
+         sequence(False), option("-a"), option("-b"), option("-p"),  # each check asks for those it reads
+         option("--map", choices=["psi", "psi-inverse"], default="psi"),
+         count(1, DEFAULT_PREFIX, help="prefix length of the recurrence check on a sequence, and of decomposition, "
+               "morphism and inverse (default %(default)s); ogf reads --extra, and recurrence on raw terms checks "
+               "them all"),
+         option("--extra", type=_integer(1), default=50))
+    # no --seed: selftest.DEFAULT_SEED
+    verb("selftest", "run the full acceptance suite", _cmd_selftest, option("--seed", type=_integer(), default=None))
     return parser
 
 

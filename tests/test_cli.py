@@ -282,6 +282,24 @@ class TestVerbs:
         assert (exc.value.code, captured.out) == (2, "")
         assert captured.err.endswith(f": error: argument -n/--count: {err}\n")
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["terms", "-s", FIB_Z, "-n", "abc"], "-n/--count"),
+            (["invert", "-s", FIB_Q, "-n", "abc"], "-n/--count"),
+            (["verify", "--check", "inverse", "-s", FIB_Q, "-n", "abc"], "-n/--count"),
+            (["verify", "--check", "ogf", "-s", FIB_Q, "--extra", "abc"], "--extra"),
+            (["selftest", "--seed", "abc"], "--seed"),
+        ],
+    )
+    def test_malformed_integers_exit_two(self, capsys, argv, option):
+        # one message for every numeric option, naming no function of cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f": error: argument {option}: invalid integer value: 'abc'\n")
+
     def test_non_monic_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "terms", "-s", "ring=Z;p=[-1,2];init=[1]")
         assert code == 2
