@@ -362,7 +362,7 @@ def _cmd_verify(args) -> int:
         else:
             if isinstance(seq, LinRec):
                 p = p or seq.charpoly
-                seq = seq.terms(max(args.count, len(p.values) - 1))
+                seq = seq.terms(max(args.count, len(p.values)))  # deg p + 1 terms at least
             report = verify.satisfies_recurrence(seq, p)
     elif check in ("decomposition", "morphism"):
         a, b = (parse_sequence(_require(text, flag)) for text, flag in ((args.a, "-a"), (args.b, "-b")))

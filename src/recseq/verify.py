@@ -101,12 +101,27 @@ def _predictions(cs, terms, start, stop):
         yield acc
 
 
+def _require_terms_in(ring: RingSpec, terms) -> None:
+    """Raise RingMismatch unless each of ``terms`` is an element of ``ring``; ``terms`` may be a LinRec.
+
+    Only rings are compared, so no term's value is read, and a LinRec
+    is checked by its own ring, before any of its terms is unrolled.
+    """
+    for x in (terms,) if isinstance(terms, LinRec) else terms:
+        if not isinstance(x, (RingElem, LinRec)) or x.ring != ring:
+            raise RingMismatch(f"terms outside {ring}, the ring of the polynomial")
+
+
 def satisfies_recurrence(terms, p: Poly) -> CheckReport:
     """Check that a term prefix satisfies the recurrence encoded by the monic ``p``.
 
-    Every index from deg(p) to the end of the prefix is tested exactly.
-    Raises :class:`~recseq.polymat.NotMonic` on a polynomial that is not
-    monic; :func:`ogf_poly_check` takes any annihilating polynomial.
+    Every index from deg(p) to the end of the prefix is tested exactly,
+    so the prefix needs at least deg(p) + 1 terms: a shorter one, which
+    would test no index, raises ValueError.  The polynomial is checked
+    first, then the terms' ring (:func:`_require_terms_in`), before any
+    term is read.  Raises :class:`~recseq.polymat.NotMonic` on a
+    polynomial that is not monic; :func:`ogf_poly_check` takes any
+    annihilating polynomial.
     """
     terms = list(terms)
     cs = p.coeffs
@@ -115,8 +130,9 @@ def satisfies_recurrence(terms, p: Poly) -> CheckReport:
         raise ValueError("the zero polynomial defines no recurrence")
     if not p.is_monic():
         _require_charpoly_operand(p)  # raises NotMonic
-    if len(terms) < order:
-        raise ValueError(f"need at least {order} terms, got {len(terms)}")
+    _require_terms_in(p.ring, terms)
+    if len(terms) <= order:
+        raise ValueError(f"need at least {order + 1} terms, got {len(terms)}")
     predictions = enumerate(_predictions(cs, terms, order, len(terms)), order)
     return _report("recurrence", len(terms), _first_failure((n, e, terms[n]) for n, e in predictions))
 
@@ -188,7 +204,9 @@ def ogf_poly_check(a, extra: int = 50, p: Poly | None = None) -> CheckReport:
     deg(p) + extra must vanish exactly.
 
     ``a`` may be a :class:`LinRec` (its own charpoly is used) or a raw
-    term list, in which case ``p`` must be supplied.
+    term list, in which case ``p`` must be supplied.  The polynomial is
+    checked first, then the terms' ring (:func:`_require_terms_in`),
+    before any term is unrolled or read.
     """
     if extra < 1:
         raise ValueError("extra must be >= 1")
@@ -198,12 +216,15 @@ def ogf_poly_check(a, extra: int = 50, p: Poly | None = None) -> CheckReport:
         raise ValueError("a raw term list needs an explicit polynomial")
     cs = poly.coeffs
     degree = len(cs) - 1
-    count = degree + extra + 1
-    terms = a.terms(count) if is_linrec else list(a)
-    if len(terms) < count:
-        raise ValueError(f"need {count} terms, got {len(terms)}")
     if degree < 0:
         raise ValueError("the zero polynomial is not a characteristic polynomial")
+    if not is_linrec:
+        a = list(a)
+    _require_terms_in(poly.ring, a)
+    count = degree + extra + 1
+    terms = a.terms(count) if is_linrec else a
+    if len(terms) < count:
+        raise ValueError(f"need {count} terms, got {len(terms)}")
     # coefficient k of the reflected polynomial times the o.g.f.:
     # c_d t_k + ... + c_0 t_(k-d), which is c_d t_k less the prediction
     zero, lead = poly.ring.zero, cs[degree]

@@ -655,6 +655,11 @@ class TestVerifyVerb:
             (["--check", "decomposition", "-a", FIB_Z], (2, "", "error: this check requires -b\n")),
             (["--check", "decomposition", "-b", FIB_Z], (2, "", "error: this check requires -a\n")),
             (["--check", "morphism", "-a", "ring=Z;p=[-1,1];init=[x]"], (2, "", "error: bad element literal 'x'\n")),
+            # deg p + 1 terms at least: a prefix of deg p terms tests no index
+            (["--check", "recurrence", "-s", "ring=Z;p=[-1,1];init=[1]", "-p", "[-2,1]", "-n", "1"],
+             (1, "check recurrence: FAIL at index 1: expected 2, got 1 (prefix=2)\n", "")),
+            (["--check", "recurrence", "-s", "ring=Z;terms=[1]", "-p", "[-2,1]"],
+             (2, "", "error: need at least 2 terms, got 1\n")),
         ],
     )
     def test_inputs_of_each_check(self, capsys, argv, expected):

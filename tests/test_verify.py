@@ -41,6 +41,7 @@ MOD = Zmod(10007)
 
 
 ZERO = Poly(ZZ, [])
+OUTSIDE_Z = "terms outside Z, the ring of the polynomial"
 
 
 @pytest.mark.parametrize(
@@ -59,10 +60,22 @@ ZERO = Poly(ZZ, [])
         (lambda: inverse_check(ones(QQ), 0), ValueError, "term count must be >= 1"),
         (lambda: satisfies_recurrence([ZZ.one] * 3, Poly.from_ints(ZZ, [-2, 2])), NotMonic,
          "expected a monic polynomial, got [-2,2]"),
+        # the polynomial first, then the terms' ring, before any term is compared
+        (lambda: satisfies_recurrence([QQ.zero] * 2, Poly(ZZ, [ZZ.one])), RingMismatch, OUTSIDE_Z),
+        (lambda: satisfies_recurrence([1, 1], Poly.from_ints(ZZ, [-1, 1])), RingMismatch, OUTSIDE_Z),
+        (lambda: ogf_poly_check([ZZ.one] * 2, extra=5, p=ZERO), ValueError,
+         "the zero polynomial is not a characteristic polynomial"),
+        (lambda: ogf_poly_check([QQ.one] * 3, extra=1, p=Poly.from_ints(ZZ, [-1, 1])), RingMismatch, OUTSIDE_Z),
+        (lambda: ogf_poly_check(ones(QQ), p=Poly.from_ints(ZZ, [-1, 1])), RingMismatch, OUTSIDE_Z),
+        # a prefix of deg p terms tests no index
+        (lambda: satisfies_recurrence([ZZ.one], Poly.from_ints(ZZ, [-2, 1])), ValueError,
+         "need at least 2 terms, got 1"),
     ],
     ids=[
         "recurrence-zero-poly", "oracle-empty", "oracle-mixed-rings", "ogf-extra-0", "ogf-too-few-terms",
         "ogf-zero-poly", "morphism-prefix-0", "morphism-no-pairs", "inverse-k-0", "recurrence-not-monic",
+        "recurrence-ring-at-degree-0", "recurrence-raw-int", "ogf-zero-poly-before-length", "ogf-raw-ring",
+        "ogf-linrec-ring", "recurrence-no-index",
     ],
 )
 def test_input_checks(call, error, message):
@@ -172,6 +185,14 @@ class TestOgfCheck:
         # 2t - 2 annihilates 1, 1, 1, ... (2a_n = 2a_(n-1)), and not 2^n
         report = ogf_poly_check([ZZ.from_int(v) for v in values], extra=10, p=Poly.from_ints(ZZ, [-2, 2]))
         assert report.to_text() == text
+
+    def test_refuses_its_inputs_before_unrolling(self, unroll_budget):
+        unroll_budget.reset(0)
+        with pytest.raises(ValueError, match="^the zero polynomial is not a characteristic polynomial$"):
+            ogf_poly_check(ones(ZZ), extra=200000, p=ZERO)
+        with pytest.raises(RingMismatch, match=f"^{OUTSIDE_Z}$"):
+            ogf_poly_check(ones(QQ), extra=200000, p=Poly.from_ints(ZZ, [-1, 1]))
+        assert unroll_budget.produced == []
 
     def test_product_outputs_pass(self, fib_z):
         h = newton(fib_z, geometric(ZZ, 2))
