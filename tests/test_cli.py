@@ -644,8 +644,8 @@ class TestVerifyVerb:
             (["--check", "recurrence", "-s", "ring=Z;terms=[1,x]"], (2, "", "error: bad element literal 'x'\n")),
             (["--check", "recurrence", "-s", FIB_Z, "-p", "[1,0,-2,1]", "-n", "6"],
              (0, "check recurrence: PASS (prefix=6)\n", "")),
-            (["--check", "recurrence", "-s", FIB_Z, "-p", "[1,0,-2,1]", "-n", "2"],  # deg p terms at least
-             (0, "check recurrence: PASS (prefix=3)\n", "")),
+            (["--check", "recurrence", "-s", FIB_Z, "-p", "[1,0,-2,1]", "-n", "2"],  # deg p + 1 terms at least
+             (0, "check recurrence: PASS (prefix=4)\n", "")),
             (["--check", "recurrence", "-s", FIB_Z, "-p", "[-2,1]", "-n", "6"],
              (1, "check recurrence: FAIL at index 1: expected 0, got 1 (prefix=6)\n", "")),
             (["--check", "ogf", "-s", FIB_Z, "-p", "[1,0,-2,1]", "--extra", "2"],
