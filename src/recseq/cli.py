@@ -9,6 +9,12 @@ poly:      coefficient list low-to-high, e.g. ``[-1,-1,1]`` for t^2 - t - 1
 sequence:  ``ring=<ring>;p=<poly>;init=<list>``
 raw terms: ``ring=<ring>;terms=<list>`` (verification inputs only)
 
+Every numeric option takes an integer literal as above; a malformed one
+is a usage error, ``invalid integer value: 'x'``, and a count below its
+least value reads ``must be >= 0`` or ``must be >= 1``.  ``verify
+--check recurrence`` reads at least deg p + 1 terms of a sequence, so
+that it tests at least one index, and refuses fewer raw terms.
+
 Exit codes: 0 success, 1 failed verification or non-invertible input,
 2 parse/usage errors, or a value longer than ``sys.get_int_max_str_digits()``
 digits (4300 by default), which is refused with the interpreter's own

@@ -25,6 +25,8 @@ the first ``(index, expected, actual)`` whose two values differ.  The
 ``recurrence`` and ``ogf`` checks share one recurrence sum,
 :func:`_predictions`.  :func:`satisfies_recurrence` needs a monic
 polynomial; :func:`ogf_poly_check` takes any annihilating polynomial.
+Both check the polynomial and then the ring of the terms before they
+read a term.
 
 The package does not re-export these names; import them from here.  The
 CLI loads this module only for its ``verify`` and ``selftest`` verbs, so

@@ -286,6 +286,27 @@ MUTANTS = [
             "tests/test_verify.py::TestOgfCheck::test_non_solution_reports_its_first_nonzero_coefficient",
         ],
     ),
+    # the recurrence and ogf checks check their inputs before comparing
+    Mutant(
+        "terms-ring-unchecked",
+        "verify.py",
+        "        if not isinstance(x, (RingElem, LinRec)) or x.ring != ring:\n",
+        "        if False:\n",
+        [
+            "tests/test_verify.py::test_input_checks[recurrence-ring-at-degree-0]",
+            "tests/test_verify.py::TestOgfCheck::test_refuses_its_inputs_before_unrolling",
+        ],
+    ),
+    Mutant(
+        "recurrence-prefix-tests-no-index",
+        "verify.py",
+        "if len(terms) <= order:",
+        "if len(terms) < order:",
+        [
+            "tests/test_verify.py::test_input_checks[recurrence-no-index]",
+            "tests/test_cli.py::TestVerifyVerb::test_inputs_of_each_check[argv15-expected15]",
+        ],
+    ),
 ]
 
 
