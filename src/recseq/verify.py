@@ -109,9 +109,12 @@ def _require_terms_in(ring: RingSpec, terms) -> None:
     Only rings are compared, so no term's value is read, and a LinRec
     is checked by its own ring, before any of its terms is unrolled.
     """
-    for x in (terms,) if isinstance(terms, LinRec) else terms:
-        if not isinstance(x, (RingElem, LinRec)) or x.ring != ring:
-            raise RingMismatch(f"terms outside {ring}, the ring of the polynomial")
+    if isinstance(terms, LinRec):
+        inside = terms.ring == ring
+    else:
+        inside = all(isinstance(x, RingElem) and x.ring == ring for x in terms)
+    if not inside:
+        raise RingMismatch(f"terms outside {ring}, the ring of the polynomial")
 
 
 def satisfies_recurrence(terms, p: Poly) -> CheckReport:

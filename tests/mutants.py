@@ -290,8 +290,8 @@ MUTANTS = [
     Mutant(
         "terms-ring-unchecked",
         "verify.py",
-        "        if not isinstance(x, (RingElem, LinRec)) or x.ring != ring:\n",
-        "        if False:\n",
+        "    if not inside:\n",
+        "    if False:\n",
         [
             "tests/test_verify.py::test_input_checks[recurrence-ring-at-degree-0]",
             "tests/test_verify.py::TestOgfCheck::test_refuses_its_inputs_before_unrolling",
