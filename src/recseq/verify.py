@@ -137,7 +137,7 @@ def satisfies_recurrence(terms, p: Poly) -> CheckReport:
         _require_charpoly_operand(p)  # raises NotMonic
     _require_terms_in(p.ring, terms)
     if len(terms) <= order:
-        raise ValueError(f"need at least {order + 1} terms, got {len(terms)}")
+        raise ValueError(f"need at least {order + 1} term{'s' if order else ''}, got {len(terms)}")
     predictions = enumerate(_predictions(cs, terms, order, len(terms)), order)
     return _report("recurrence", len(terms), _first_failure((n, e, terms[n]) for n, e in predictions))
 
@@ -200,6 +200,63 @@ def direct_product_oracle(kind: str, a_terms, b_terms) -> list[RingElem]:
     raise ValueError(f"unknown product kind {kind!r}")
 
 
+# The true product of operands of orders d1 and d2 satisfies a monic
+# polynomial of degree d1 + d2 where this is True (the termwise sum and
+# Cauchy), and of degree d1 d2 where it is False
+_ADDS_ORDERS = {"sum": True, "hadamard": False, "cauchy": True, "hurwitz": False, "newton": False}
+
+
+def _require_one_ring(*sequences) -> None:
+    """Raise RingMismatch unless every sequence has the ring of the first; no term is read."""
+    ring = sequences[0].ring
+    for s in sequences[1:]:
+        if s.ring != ring:
+            raise RingMismatch(f"cannot combine sequences over {ring} and {s.ring}")
+
+
+def _binomial(ts, s: int) -> list[RingElem]:
+    """sum_i C(n,i) s^(n-i) t_i for each n: psi^-1 of the prefix ``ts`` at s = 1, psi at s = -1.
+
+    This is the direct Hurwitz convolution with s^n, the one copy of both
+    maps that :func:`morphism_check` and :func:`product_check` read.
+    """
+    one = ts[0].ring.one
+    return direct_product_oracle("hurwitz", ts, [int_scale(s**n, one) for n in range(len(ts))])
+
+
+def product_check(kind: str, a: LinRec, b: LinRec, c: LinRec) -> CheckReport:
+    """Decide whether ``c`` is the ``kind`` product of ``a`` and ``b``.
+
+    The true product satisfies a monic polynomial of degree D: d1 + d2
+    for sum and Cauchy, d1 d2 for Hadamard, Hurwitz and Newton, where d1
+    and d2 are the orders of ``a`` and ``b``.  Its difference with ``c``
+    satisfies a monic polynomial of degree ``c.order + D``, so over any
+    commutative ring ``c`` is the product iff its first ``c.order + D``
+    terms match the direct formula; that is the prefix this check reads.
+    A Newton product is compared through psi^-1, which carries it to the
+    Hadamard product of the images, in O(k^2) in place of the double
+    sum's O(k^3).  psi^-1 is lower triangular with ones on its diagonal,
+    so the images first differ where the terms do, and by as much: on
+    both routes a failure names the true term as expected and ``c``'s
+    as actual.  Unknown kinds and sequences over different rings are
+    refused before any term is read.
+    """
+    if kind not in _ADDS_ORDERS:
+        raise ValueError(f"unknown product kind {kind!r}")
+    _require_one_ring(a, b, c)
+    k = c.order + (a.order + b.order if _ADDS_ORDERS[kind] else a.order * b.order)
+    ta, tb, tc = a.terms(k), b.terms(k), c.terms(k)
+    if kind == "newton":
+        want = direct_product_oracle("hadamard", _binomial(ta, 1), _binomial(tb, 1))
+        failure = _first_failure(zip(range(k), want, _binomial(tc, 1)))
+        if failure is not None:
+            n, expected, actual = failure
+            failure = (n, tc[n] + expected - actual, tc[n])
+    else:
+        failure = _first_failure(zip(range(k), direct_product_oracle(kind, ta, tb), tc))
+    return _report(f"product-{kind}", k, failure)
+
+
 def ogf_poly_check(a, extra: int = 50, p: Poly | None = None) -> CheckReport:
     """Rationality criterion for the ordinary generating function.
 
@@ -237,15 +294,6 @@ def ogf_poly_check(a, extra: int = 50, p: Poly | None = None) -> CheckReport:
     return _report("ogf", count, _first_failure((k, zero, lead * terms[k] - e) for k, e in predictions))
 
 
-def _ones_terms(ring: RingSpec, k: int) -> list[RingElem]:
-    return [ring.one] * k
-
-
-def _alternating_terms(ring: RingSpec, k: int) -> list[RingElem]:
-    one = ring.one
-    return [one if n % 2 == 0 else -one for n in range(k)]
-
-
 def _delta_terms(ring: RingSpec, k: int) -> list[RingElem]:
     out = [ring.zero] * k
     if k:
@@ -277,6 +325,10 @@ def morphism_laws(map_terms, source_kind: str, target_kind: str, pairs, prefix: 
     return _report(name, prefix, _first_failure(laws()))
 
 
+# The s of each map's binomial transform, and the products it carries from and to
+_MAPS = {"psi": (-1, "hadamard", "newton"), "psi-inverse": (1, "newton", "hadamard")}
+
+
 def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     """Verify the algebra-morphism laws of the named map on term prefixes.
 
@@ -284,26 +336,18 @@ def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     carry Hadamard products to Newton products; ``psi-inverse`` maps through
     the all-ones Hurwitz convolution and must do the reverse.  Both sides
     of every law are computed with :func:`direct_product_oracle`.
+    Sequences over different rings are refused before any term is read.
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    ring = pairs[0][0].ring
-    if map_name == "psi":
-        mate = _alternating_terms(ring, prefix)
-        source_kind, target_kind = "hadamard", "newton"
-    elif map_name == "psi-inverse":
-        mate = _ones_terms(ring, prefix)
-        source_kind, target_kind = "newton", "hadamard"
-    else:
+    _require_one_ring(*(s for pair in pairs for s in pair))
+    if map_name not in _MAPS:
         raise ValueError(f"unknown morphism {map_name!r}")
-
-    def map_terms(ts):
-        return direct_product_oracle("hurwitz", ts, mate)
-
-    return morphism_laws(map_terms, source_kind, target_kind, pairs, prefix, f"morphism-{map_name}")
+    s, source_kind, target_kind = _MAPS[map_name]
+    return morphism_laws(lambda ts: _binomial(ts, s), source_kind, target_kind, pairs, prefix, f"morphism-{map_name}")
 
 
 def decomposition_check(a: LinRec, b: LinRec, prefix: int) -> CheckReport:

@@ -47,21 +47,9 @@ from recseq.cli import parse_sequence
 from recseq.polymat import DegreeZero
 from recseq.verify import direct_product_oracle, inverse_check, satisfies_recurrence
 
-from conftest import fib, geometric, int_values, linrecs
+from conftest import fib, geometric, int_values, linrecs, random_linrec
 
 MOD = Zmod(10007)
-
-
-def random_linrec(rng, ring, degree):
-    def elem():
-        if ring.kind == "Q":
-            return RingElem(ring, Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-        if ring.kind == "Z":
-            return ring.from_int(rng.randint(-5, 5))
-        return ring.from_int(rng.randrange(ring.modulus))
-
-    p = Poly(ring, [elem() for _ in range(degree)] + [ring.one])
-    return LinRec(p, [elem() for _ in range(degree)])
 
 
 class TestConstruction:

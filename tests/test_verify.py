@@ -16,11 +16,14 @@ from recseq import (
     Poly,
     RingMismatch,
     Zmod,
+    cauchy,
     delta,
+    hadamard,
     hurwitz,
     newton,
     newton_inverse,
     ones,
+    seq_sum,
 )
 from recseq import verify
 from recseq.verify import (
@@ -32,16 +35,18 @@ from recseq.verify import (
     morphism_check,
     morphism_laws,
     ogf_poly_check,
+    product_check,
     satisfies_recurrence,
 )
 
-from conftest import geometric, int_values
+from conftest import geometric, int_values, random_linrec
 
 MOD = Zmod(10007)
 
 
 ZERO = Poly(ZZ, [])
 OUTSIDE_Z = "terms outside Z, the ring of the polynomial"
+Z_AND_Q = "cannot combine sequences over Z and Q"
 
 
 @pytest.mark.parametrize(
@@ -70,12 +75,19 @@ OUTSIDE_Z = "terms outside Z, the ring of the polynomial"
         # a prefix of deg p terms tests no index
         (lambda: satisfies_recurrence([ZZ.one], Poly.from_ints(ZZ, [-2, 1])), ValueError,
          "need at least 2 terms, got 1"),
+        (lambda: satisfies_recurrence([], Poly(ZZ, [ZZ.one])), ValueError, "need at least 1 term, got 0"),
+        # sequences over two rings, with the words of the products themselves
+        (lambda: morphism_check("psi", [(ones(ZZ), ones(QQ))], 5), RingMismatch, Z_AND_Q),
+        (lambda: product_check("sum", ones(ZZ), ones(ZZ), ones(QQ)), RingMismatch, Z_AND_Q),
+        (lambda: product_check("frobnicate", ones(ZZ), ones(ZZ), ones(ZZ)), ValueError,
+         "unknown product kind 'frobnicate'"),
     ],
     ids=[
         "recurrence-zero-poly", "oracle-empty", "oracle-mixed-rings", "ogf-extra-0", "ogf-too-few-terms",
         "ogf-zero-poly", "morphism-prefix-0", "morphism-no-pairs", "inverse-k-0", "recurrence-not-monic",
         "recurrence-ring-at-degree-0", "recurrence-raw-int", "ogf-zero-poly-before-length", "ogf-raw-ring",
-        "ogf-linrec-ring", "recurrence-no-index",
+        "ogf-linrec-ring", "recurrence-no-index", "recurrence-no-index-at-degree-0", "morphism-mixed-rings",
+        "product-mixed-rings", "product-unknown-kind",
     ],
 )
 def test_input_checks(call, error, message):
@@ -257,6 +269,60 @@ class TestMorphismCheck:
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
             morphism_check("sigma", [(ones(QQ), ones(QQ))], 10)
+
+
+def _impulse(ring, n):
+    # 1 at index n and 0 elsewhere: the charpoly t^(n+1)
+    return LinRec(Poly(ring, [ring.zero] * (n + 1) + [ring.one]), [ring.zero] * n + [ring.one])
+
+
+class TestProductCheck:
+    PRODUCTS = {"sum": seq_sum, "hadamard": hadamard, "cauchy": cauchy, "hurwitz": hurwitz, "newton": newton}
+
+    @pytest.mark.parametrize("kind, prefix", [("sum", 10), ("hadamard", 12), ("cauchy", 10), ("hurwitz", 12),
+                                              ("newton", 12)])
+    def test_reads_order_plus_d_terms_of_each_product(self, kind, prefix):
+        # orders 2 and 3: c.order = D = 5 for sum and Cauchy, 6 for the others
+        rng = random.Random(59)
+        a, b = random_linrec(rng, MOD, 2), random_linrec(rng, MOD, 3)
+        report = product_check(kind, a, b, self.PRODUCTS[kind](a, b))
+        assert report.to_text() == f"check product-{kind}: PASS (prefix={prefix})"
+
+    def test_decides_where_d_plus_20_terms_do_not(self):
+        # the product plus an impulse at D + 20 = 29: its first 29 terms are
+        # the product's, and it recurs with a polynomial of degree 39, so the
+        # check reads 39 + 9 terms
+        rng = random.Random(61)
+        a, b = random_linrec(rng, ZZ, 3), random_linrec(rng, ZZ, 3)
+        c = seq_sum(hadamard(a, b), _impulse(ZZ, 29))
+        assert c.terms(29) == direct_product_oracle("hadamard", a.terms(29), b.terms(29))
+        report = product_check("hadamard", a, b, c)
+        index, expected, actual = report.first_failure
+        assert (index, actual - expected, report.checked_prefix) == (29, ZZ.one, 48)
+
+    @pytest.mark.parametrize("ring", [ZZ, MOD], ids=str)
+    def test_newton_fails_where_the_double_sum_does(self, ring):
+        # psi^-1 is unitriangular: the images first differ at the first
+        # differing term, and the report names the terms themselves
+        rng = random.Random(67)
+        a, b = random_linrec(rng, ring, 2), random_linrec(rng, ring, 3)
+        c = seq_sum(newton(a, b), _impulse(ring, 8))
+        report = product_check("newton", a, b, c)
+        k = report.checked_prefix
+        direct = direct_product_oracle("newton", a.terms(k), b.terms(k))
+        first = next((n, e, x) for n, (e, x) in enumerate(zip(direct, c.terms(k))) if e != x)
+        assert report.first_failure == first
+        assert (first[0], k) == (8, 15 + 6)
+
+    def test_refuses_its_inputs_before_unrolling(self, unroll_budget):
+        unroll_budget.reset(0)
+        with pytest.raises(ValueError, match="^unknown product kind 'frobnicate'$"):
+            product_check("frobnicate", ones(ZZ), ones(ZZ), ones(ZZ))
+        for call in (lambda: product_check("newton", ones(ZZ), ones(ZZ), ones(QQ)),
+                     lambda: morphism_check("psi-inverse", [(ones(ZZ), ones(ZZ)), (ones(ZZ), ones(QQ))], 200000)):
+            with pytest.raises(RingMismatch, match=f"^{Z_AND_Q}$"):
+                call()
+        assert unroll_budget.produced == []
 
 
 class TestDecompositionCheck:
