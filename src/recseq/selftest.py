@@ -5,8 +5,10 @@ resultant identity, the Newton decomposition and inverses, the rationality
 criterion, the algebra isomorphism, the composed-operation semiring laws,
 and the characteristic-polynomial round trip with its cross-checks (the
 power-sum composed operations against Berkowitz on the Kronecker
-matrices, Berkowitz against cofactor expansion).  Everything is exact:
-the tolerance is zero throughout.  The pytest acceptance module runs the
+matrices, Berkowitz against cofactor expansion).  Criteria 1, 3 and 6
+decide each constructed product with :func:`recseq.verify.product_check`,
+which reads the ``c.order + D`` terms that prove it.  Everything is
+exact: the tolerance is zero throughout.  The pytest acceptance module runs the
 same functions one criterion per test.
 """
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .linrec import (
     LinRec,
@@ -45,8 +46,8 @@ from .verify import (
     morphism_check,
     morphism_laws,
     ogf_poly_check,
+    product_check,
     resultant_shift,
-    satisfies_recurrence,
 )
 
 DEFAULT_SEED = 20107
@@ -93,15 +94,15 @@ def _pairs(seed: int, ring: RingSpec, count: int, degrees=(1, 2, 3)) -> list[tup
     return out
 
 
-# Each closure case once, keyed by its oracle kind: the seed offset of its
-# pairs, the charpoly rule that criteria 1, 3 and 6 check the oracle's
-# prefixes against, and the constructor whose products criterion 7 checks.
+# Each closure case once, keyed by its product kind: the seed offset of its
+# pairs, and the constructor whose products criteria 1, 3 and 6 decide
+# with product_check and criterion 7 checks by the rationality criterion.
 _CLOSURE_CASES = {
-    "hurwitz": (1, composed_sum, hurwitz),
-    "newton": (3, composed_newton, newton),
-    "hadamard": (61, composed_product, hadamard),
-    "cauchy": (62, mul, cauchy),
-    "sum": (63, mul, seq_sum),
+    "hurwitz": (1, hurwitz),
+    "newton": (3, newton),
+    "hadamard": (61, hadamard),
+    "cauchy": (62, cauchy),
+    "sum": (63, seq_sum),
 }
 
 
@@ -109,24 +110,21 @@ def _closure_pairs(seed: int, offset: int) -> list[tuple[LinRec, LinRec]]:
     return _pairs(seed * 100 + offset, _MOD_RING, 100)
 
 
-def _closure_run(seed: int, oracle_kind: str) -> tuple[bool, str]:
-    """Direct-formula prefixes must satisfy the composed charpoly recurrence."""
-    offset, compose, _ = _CLOSURE_CASES[oracle_kind]
+def _closure_run(seed: int, kind: str) -> tuple[bool, str]:
+    """Each constructed product, with its composed charpoly, must be the direct formula's (product_check)."""
+    offset, constructor = _CLOSURE_CASES[kind]
     pairs = _closure_pairs(seed, offset)
     for idx, (a, b) in enumerate(pairs):
-        p = compose(a.charpoly, b.charpoly)
-        length = (len(p.values) - 1) + 20
-        prefix = direct_product_oracle(oracle_kind, a.terms(length), b.terms(length))
-        report = satisfies_recurrence(prefix, p)
+        report = product_check(kind, a, b, constructor(a, b))
         if not report.passed:
             return False, f"pair {idx}: {report.to_text()}"
     return True, f"{len(pairs)} pairs"
 
 
 def criterion_1(seed: int) -> tuple[bool, str]:
-    """Hurwitz closure: binomial-convolution prefixes recur with the composed sum."""
+    """Hurwitz closure: the product recurring with the composed sum is the binomial convolution."""
     ok, detail = _closure_run(seed, "hurwitz")
-    return ok, detail + f" over {_MOD_RING}, degrees 1-3, prefix deg+20"
+    return ok, detail + f" over {_MOD_RING}, degrees 1-3, prefix c.order + D"
 
 
 def criterion_2(seed: int) -> tuple[bool, str]:
@@ -154,7 +152,7 @@ def criterion_3(seed: int) -> tuple[bool, str]:
         want = Poly(_MOD_RING, [-(u + v + u * v), one])
         if got != want:
             return False, f"unit pair {idx}: ({u}, {v}) gave {got}, expected {want}"
-    return True, detail + " plus 50 unit root-law cases"
+    return True, detail + " through psi-inverse, prefix c.order + D, plus 50 unit root-law cases"
 
 
 def criterion_4(seed: int) -> tuple[bool, str]:
@@ -195,20 +193,20 @@ def criterion_5(seed: int) -> tuple[bool, str]:
 
 
 def criterion_6(seed: int) -> tuple[bool, str]:
-    """Hadamard, Cauchy and sum closures against their charpolys."""
+    """Hadamard, Cauchy and sum closures: each product is the direct formula's."""
     details = []
     for kind in ("hadamard", "cauchy", "sum"):
         ok, detail = _closure_run(seed, kind)
         if not ok:
             return False, f"{kind}: {detail}"
         details.append(f"{kind} {detail}")
-    return True, "; ".join(details) + f" over {_MOD_RING}"
+    return True, "; ".join(details) + f" over {_MOD_RING}, prefix c.order + D"
 
 
 def criterion_7(seed: int) -> tuple[bool, str]:
     """Rationality criterion on every product constructed in criteria 1, 3, 6."""
     total = 0
-    for offset, _, constructor in _CLOSURE_CASES.values():
+    for offset, constructor in _CLOSURE_CASES.values():
         for idx, (a, b) in enumerate(_closure_pairs(seed, offset)):
             c = constructor(a, b)
             report = ogf_poly_check(c, extra=50)
