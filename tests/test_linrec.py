@@ -440,6 +440,16 @@ def test_composed_closure_at_degree_100(product, ring):
     _assert_product(product.__name__, a, b, c)
 
 
+def test_newton_closure_at_degree_256():
+    # 16 x 16 operands: product_check reads 512 terms through psi^-1, three
+    # O(k^2) Hurwitz sums, where the direct double sum is O(k^3)
+    rng = random.Random(256)
+    a, b = random_linrec(rng, MOD, 16), random_linrec(rng, MOD, 16)
+    c = newton(a, b)
+    assert c.order == 256
+    _assert_product("newton", a, b, c)
+
+
 @given(linrecs(max_degree=3))
 @settings(max_examples=40, deadline=None)
 def test_closure_terms_satisfy_their_recurrence(a):
