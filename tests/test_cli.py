@@ -660,6 +660,12 @@ class TestVerifyVerb:
              (1, "check recurrence: FAIL at index 1: expected 2, got 1 (prefix=2)\n", "")),
             (["--check", "recurrence", "-s", "ring=Z;terms=[1]", "-p", "[-2,1]"],
              (2, "", "error: need at least 2 terms, got 1\n")),
+            (["--check", "recurrence", "-s", "ring=Z;terms=[]", "-p", "[1]"],
+             (2, "", "error: need at least 1 term, got 0\n")),
+            # a pair over two rings is refused in the products' words, before any term is read
+            (["--check", "morphism", "-a", FIB_Z, "-b", FIB_Q], (2, "", "error: cannot combine sequences over Z and Q\n")),
+            (["--check", "decomposition", "-a", FIB_Z, "-b", FIB_Q],
+             (2, "", "error: cannot combine sequences over Z and Q\n")),
         ],
     )
     def test_inputs_of_each_check(self, capsys, argv, expected):
