@@ -9,13 +9,15 @@ the replacement is made.  Run it with pytest installed::
     python tests/mutants.py NAME ...   # some of them
 
 First the named tests of the chosen mutants run once on the untouched
-``src/``, where every one must pass.  Then, for each mutant,
-``src/`` is copied to a temporary directory, the snippet (which must
-occur exactly once) is replaced there, and only that mutant's tests run,
-with ``PYTHONPATH`` at the copy.  The run exits 1 if a snippet no longer
-matches or no test is named, if a named test does not run or passes on
-its mutant, or if the control run fails; each outcome is printed on one
-line.
+``src/``, where every one must pass.  Then the mutants run on
+``min(os.cpu_count(), number of mutants)`` threads.  For each mutant,
+``src/`` is copied to a temporary directory of its own, the snippet
+(which must occur exactly once) is replaced there, and only that
+mutant's tests run, with ``PYTHONPATH`` at the copy and a report file of
+their own.  Each outcome is printed on one line, in catalogue order.
+The run exits 1 if a snippet no longer matches or no test is named, if a
+named test does not run or passes on its mutant, or if the control run
+fails.
 
 Importing this module runs nothing.
 """
@@ -29,6 +31,7 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 Mutant = namedtuple("Mutant", "name file snippet replacement tests")
@@ -307,6 +310,29 @@ MUTANTS = [
             "tests/test_cli.py::TestVerifyVerb::test_inputs_of_each_check[argv15-expected15]",
         ],
     ),
+    # product_check decides a product on c.order + D terms, and reads a
+    # Newton product through psi^-1
+    Mutant(
+        "product-check-reads-d-plus-20",
+        "verify.py",
+        "k = c.order + (a.order + b.order if _ADDS_ORDERS[kind] else a.order * b.order)",
+        "k = (a.order + b.order if _ADDS_ORDERS[kind] else a.order * b.order) + 20",
+        [
+            "tests/test_verify.py::TestProductCheck::test_decides_where_d_plus_20_terms_do_not",
+            "tests/test_verify.py::TestProductCheck::test_reads_order_plus_d_terms_of_each_product[sum-10]",
+        ],
+    ),
+    Mutant(
+        "product-check-newton-without-psi-inverse",
+        "verify.py",
+        'want = direct_product_oracle("hadamard", _binomial(ta, 1), _binomial(tb, 1))\n'
+        "        failure = _first_failure(zip(range(k), want, _binomial(tc, 1)))",
+        'want = direct_product_oracle("hadamard", ta, tb)\n        failure = _first_failure(zip(range(k), want, tc))',
+        [
+            "tests/test_verify.py::TestProductCheck::test_reads_order_plus_d_terms_of_each_product[newton-12]",
+            "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-newton]",
+        ],
+    ),
 ]
 
 
@@ -341,6 +367,23 @@ def _run(tests, src: Path, workdir: Path) -> dict:
     return _failed(report) if report.exists() else {}
 
 
+def _try(m: Mutant, workdir: Path) -> tuple[bool, str]:
+    """Apply ``m`` to a copy of ``src/`` in ``workdir`` and run its tests there: (killed, its outcome line)."""
+    copy = workdir / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    target = copy / "recseq" / m.file
+    text = target.read_text()
+    if text.count(m.snippet) != 1 or not m.tests:
+        return False, f"{m.name}: the snippet occurs {text.count(m.snippet)} times in {m.file}, with {len(m.tests)} tests"
+    target.write_text(text.replace(m.snippet, m.replacement))
+    results = _run(m.tests, copy, workdir)
+    survived = [t for t in m.tests if results.get(t) is False]
+    not_run = [t for t in m.tests if t not in results]
+    if survived or not_run:
+        return False, f"{m.name}: survived {survived}, not run {not_run}"
+    return True, f"{m.name}: killed by all {len(m.tests)} tests"
+
+
 def main(names) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
@@ -356,25 +399,13 @@ def main(names) -> int:
             if control.get(t) is not False:
                 print(f"control: {t} did not pass on the untouched tree")
                 bad += 1
-        for m in chosen:
-            copy = tmp / "src"
-            shutil.rmtree(copy, ignore_errors=True)
-            shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-            target = copy / "recseq" / m.file
-            text = target.read_text()
-            if text.count(m.snippet) != 1 or not m.tests:
-                print(f"{m.name}: the snippet occurs {text.count(m.snippet)} times in {m.file}, with {len(m.tests)} tests")
-                bad += 1
-                continue
-            target.write_text(text.replace(m.snippet, m.replacement))
-            results = _run(m.tests, copy, tmp)
-            survived = [t for t in m.tests if results.get(t) is False]
-            not_run = [t for t in m.tests if t not in results]
-            if survived or not_run:
-                print(f"{m.name}: survived {survived}, not run {not_run}")
-                bad += 1
-            else:
-                print(f"{m.name}: killed by all {len(m.tests)} tests")
+        workdirs = [tmp / str(i) for i in range(len(chosen))]
+        for workdir in workdirs:
+            workdir.mkdir()
+        with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chosen))) as pool:
+            for killed, line in pool.map(_try, chosen, workdirs):  # in catalogue order
+                print(line, flush=True)
+                bad += not killed
     print(f"{len(chosen)} mutants, {bad} problems")
     return 1 if bad else 0
 
