@@ -18,14 +18,22 @@ the shifted Sylvester resultant that equals the composed sum.  The
 cofactor-expansion characteristic polynomial avoids the Berkowitz
 routine entirely.
 
-Checks are prefix-bounded evidence, not proofs; they are exact, so a
-single nonzero coefficient or mismatched term is a hard failure.  Every
-check reports its first failure through one rule, :func:`_first_failure`:
-the first ``(index, expected, actual)`` whose two values differ.  The
-``recurrence`` and ``ogf`` checks share one recurrence sum,
-:func:`_predictions`.  :func:`satisfies_recurrence` needs a monic
-polynomial; :func:`ogf_poly_check` takes any annihilating polynomial.
-Both check the polynomial and then the ring of the terms before they
+Checks are exact, so a single nonzero coefficient or mismatched term is
+a hard failure.  Most are prefix-bounded evidence, not proofs;
+:func:`product_check` decides.  The true product satisfies a monic
+polynomial of known degree D, so the check reads the ``c.order + D``
+terms that prove a claimed product ``c``.  It reads a Newton product
+through psi^-1, the Hurwitz convolution with the ones sequence, which
+carries Newton products to Hadamard products.
+
+Every check reports its first failure through one rule,
+:func:`_first_failure`: the first ``(index, expected, actual)`` whose
+two values differ.  The ``recurrence`` and ``ogf`` checks share one
+recurrence sum, :func:`_predictions`.  :func:`satisfies_recurrence`
+needs a monic polynomial; :func:`ogf_poly_check` takes any annihilating
+polynomial.  Both check the polynomial and then the ring of the terms
+before they read a term.  :func:`product_check` and
+:func:`morphism_check` refuse sequences over different rings before they
 read a term.
 
 The package does not re-export these names; import them from here.  The
