@@ -8,8 +8,8 @@ power-sum composed operations against Berkowitz on the Kronecker
 matrices, Berkowitz against cofactor expansion).  Criteria 1, 3 and 6
 decide each constructed product with :func:`recseq.verify.product_check`,
 which reads the ``c.order + D`` terms that prove it.  Everything is
-exact: the tolerance is zero throughout.  The pytest acceptance module runs the
-same functions one criterion per test.
+exact: the tolerance is zero throughout.  The pytest acceptance module
+runs the same functions one criterion per test.
 """
 
 from __future__ import annotations
