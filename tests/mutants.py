@@ -368,7 +368,7 @@ def _run(tests, src: Path, workdir: Path) -> dict:
 
 
 def _try(m: Mutant, workdir: Path) -> tuple[bool, str]:
-    """Apply ``m`` to a copy of ``src/`` in ``workdir`` and run its tests there: (killed, its outcome line)."""
+    """Apply ``m`` to a copy of ``src/`` made in ``workdir`` and run its tests there: (killed, its outcome line)."""
     copy = workdir / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     target = copy / "recseq" / m.file
@@ -399,11 +399,8 @@ def main(names) -> int:
             if control.get(t) is not False:
                 print(f"control: {t} did not pass on the untouched tree")
                 bad += 1
-        workdirs = [tmp / str(i) for i in range(len(chosen))]
-        for workdir in workdirs:
-            workdir.mkdir()
         with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chosen))) as pool:
-            for killed, line in pool.map(_try, chosen, workdirs):  # in catalogue order
+            for killed, line in pool.map(_try, chosen, [tmp / m.name for m in chosen]):  # in catalogue order
                 print(line, flush=True)
                 bad += not killed
     print(f"{len(chosen)} mutants, {bad} problems")
