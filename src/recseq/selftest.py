@@ -15,7 +15,7 @@ runs the same functions one criterion per test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linrec import (
@@ -55,12 +55,10 @@ DEFAULT_SEED = 20107
 _MOD_RING = Zmod(10007)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "number name passed detail")):
+    """One criterion's outcome; :meth:`line` is its row in the selftest output."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

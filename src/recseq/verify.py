@@ -43,21 +43,17 @@ the other verbs start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linrec import LinRec, NotInvertible, newton, newton_inverse, newton_via_decomposition
 from .polymat import Poly, _require_charpoly_operand
 from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification: pass/fail plus the first failure seen."""
+class CheckReport(namedtuple("CheckReport", "name passed checked_prefix first_failure", defaults=(None,))):
+    """Outcome of one verification: pass/fail plus the first failure seen, ``(index, expected, actual)``."""
 
-    name: str
-    passed: bool
-    checked_prefix: int
-    first_failure: tuple | None = None  # (index, expected, actual)
+    __slots__ = ()
 
     def to_text(self) -> str:
         if self.passed:
@@ -82,7 +78,7 @@ class CheckReport:
 
 
 def _report(name: str, prefix: int, failure: tuple | None) -> CheckReport:
-    return CheckReport(name=name, passed=failure is None, checked_prefix=prefix, first_failure=failure)
+    return CheckReport(name, failure is None, prefix, failure)
 
 
 def _first_failure(triples):
