@@ -305,8 +305,8 @@ class TestVerbs:
         assert code == 2
 
     def test_non_verify_verbs_leave_the_oracles_unloaded(self):
-        # every verb but verify and selftest runs without recseq.verify, or
-        # the dataclasses and inspect modules that its reports would pull in
+        # every verb but verify and selftest runs without recseq.verify, and
+        # no verb, verify included, pulls in the dataclasses or inspect modules
         verbs = [
             ["terms", "-s", FIB_Q, "-n", "5"],
             ["op", "--kind", "newton", "-a", FIB_Q, "-b", FIB_Q],
@@ -320,14 +320,15 @@ class TestVerbs:
         code = f"""
 import contextlib, io, sys
 from recseq import cli
-unwanted = ("recseq.verify", "dataclasses", "inspect")
-def loaded():
-    return [name for name in unwanted if name in sys.modules]
-assert not loaded(), ("import", loaded())
+oracles, never = ("recseq.verify",), ("dataclasses", "inspect")
+def loaded(names):
+    return [name for name in names if name in sys.modules]
+assert not loaded(oracles + never), ("import", loaded(oracles + never))
 for argv in {verbs!r} + [["verify", "--check", "inverse", "-s", {FIB_Q!r}, "-n", "5"]]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
-    assert not loaded() or argv[0] == "verify", (argv, loaded())
+    assert not loaded(oracles) or argv[0] == "verify", (argv, loaded(oracles))
+    assert not loaded(never), (argv, loaded(never))
 assert "recseq.verify" in sys.modules
 """
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
