@@ -275,7 +275,7 @@ MUTANTS = [
             "tests/test_verify.py::TestSatisfiesRecurrence::test_wrong_declaration_fails_with_witness",
             "tests/test_verify.py::TestDecompositionCheck::test_corrupted_product_fails",
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Q]",
-            "tests/test_verify.py::TestInverseCheck::test_wrong_product_term_fails",
+            "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:10007]",
             "tests/test_verify.py::TestMorphismCheck::test_laws_interleave_by_index[additive-before-multiplicative-at-1]",
         ],
     ),
