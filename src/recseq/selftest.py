@@ -167,7 +167,7 @@ def criterion_4(seed: int) -> tuple[bool, str]:
 
 
 def criterion_5(seed: int) -> tuple[bool, str]:
-    """Newton inverses: closed formula vs back-substitution vs the impulse."""
+    """Newton inverses: the closed formula decided through psi^-1 (inverse_check), and (-1/2)^n over Q."""
     rng = random.Random(seed * 100 + 5)
     depth = 20
     checked = 0
