@@ -341,6 +341,21 @@ class TestDecompositionCheck:
         assert report.first_failure == (1, ZZ.from_int(3), ZZ.from_int(2))
 
 
+PINNED_INVERSE_TEXTS = {
+    QQ: "check newton-inverse: FAIL at index 3: expected -1/8, got 7/8 (prefix=10)",
+    MOD: "check newton-inverse: FAIL at index 3: expected 8756, got 8757 (prefix=10)",
+}
+
+
+def _wrong_inverse_rows():
+    # a = base^n, whose psi^-1 (base + 1)^n is all units, with its inverse's
+    # term t corrupted; the two rows that pin a text keep their former ids
+    for ring, base in [(QQ, 1), (MOD, 1), (Zmod(12), 4), (Zmod(2**61 - 1), 2)]:
+        for t in (0, 3, 9):
+            text = PINNED_INVERSE_TEXTS.get(ring) if t == 3 else None
+            yield pytest.param(ring, base, t, text, id=str(ring) if text else f"{ring}-t{t}")
+
+
 class TestInverseCheck:
     def test_ones_over_q(self):
         assert inverse_check(ones(QQ), 20).passed
@@ -368,23 +383,33 @@ class TestInverseCheck:
             assert report.passed
             checked += 1
 
-    @pytest.mark.parametrize(
-        "ring, text",
-        [
-            (QQ, "check newton-inverse: FAIL at index 3: expected -1/8, got 7/8 (prefix=10)"),
-            (MOD, "check newton-inverse: FAIL at index 3: expected 8756, got 8757 (prefix=10)"),
-        ],
-        ids=["Q", "Zmod:10007"],
-    )
-    def test_wrong_formula_term_fails(self, monkeypatch, ring, text):
-        # the formula's term 3 one too high: the back-substitution's is expected
+    def test_an_inverse_claimed_where_none_exists_raises(self, monkeypatch):
+        # psi^-1 of 1, 1, 1, ... over Z is 2^n, no unit at index 1; the impulse
+        # claimed as its inverse has the units 1, 1, 1, ... as its image
+        monkeypatch.setattr(verify, "newton_inverse", lambda a, k: delta(ZZ).terms(k))
+        with pytest.raises(NotInvertible) as exc:
+            inverse_check(ones(ZZ), 10)
+        assert (exc.value.index, exc.value.value) == (1, ZZ.from_int(2))
+
+    @pytest.mark.parametrize("ring, base, t, text", list(_wrong_inverse_rows()))
+    def test_wrong_formula_term_fails(self, monkeypatch, ring, base, t, text):
+        # the formula's term t one too high: the true inverse's term is expected
+        # and the formula's actual.  The true inverse is the library's, decided
+        # here by the direct O(k^3) Newton product with a
+        a, k = geometric(ring, base), 10
+        true = newton_inverse(a, k)
+        assert direct_product_oracle("newton", a.terms(k), true) == delta(ring).terms(k)
+
         def off_by_one(a, k):
             terms = newton_inverse(a, k)
-            terms[3] = terms[3] + a.ring.one
+            terms[t] = terms[t] + a.ring.one
             return terms
 
         monkeypatch.setattr(verify, "newton_inverse", off_by_one)
-        assert inverse_check(ones(ring), 10).to_text() == text
+        report = inverse_check(a, k)
+        assert report.first_failure == (t, true[t], true[t] + ring.one)
+        if text is not None:
+            assert report.to_text() == text
 
 
 class TestCofactorOracle:
