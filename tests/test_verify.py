@@ -17,6 +17,7 @@ from recseq import (
     RingMismatch,
     Zmod,
     cauchy,
+    composed_sum,
     delta,
     hadamard,
     hurwitz,
@@ -123,6 +124,8 @@ class TestSatisfiesRecurrence:
                 [MOD.from_int(rng.randrange(10007)) for _ in range(2)],
             )
             h = hurwitz(a, a)
+            assert h.charpoly == composed_sum(a.charpoly, a.charpoly)
+            assert product_check("hurwitz", a, a, h).passed
             report = satisfies_recurrence(h.terms(h.order + 20), h.charpoly)
             assert report.passed
 
