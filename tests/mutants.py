@@ -333,6 +333,28 @@ MUTANTS = [
             "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-newton]",
         ],
     ),
+    # inverse_check decides the Newton inverse through psi^-1: d = psi^-1 a
+    # must be units, and a failure is mapped back from the images to the terms
+    Mutant(
+        "inverse-check-failure-unmapped",
+        "verify.py",
+        "_first_failure((n, b[n] - e[n] + d[n].inv(), b[n]) for n in range(k))",
+        "_first_failure((n, d[n].inv(), e[n]) for n in range(k))",
+        [
+            "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Q]",
+            "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t9]",
+        ],
+    ),
+    Mutant(
+        "inverse-check-units-of-e",
+        "verify.py",
+        "for n, d_n in enumerate(d):",
+        "for n, d_n in enumerate(e):",
+        [
+            "tests/test_verify.py::TestInverseCheck::test_an_inverse_claimed_where_none_exists_raises",
+            "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t0]",
+        ],
+    ),
 ]
 
 
