@@ -24,7 +24,11 @@ a hard failure.  Most are prefix-bounded evidence, not proofs;
 polynomial of known degree D, so the check reads the ``c.order + D``
 terms that prove a claimed product ``c``.  It reads a Newton product
 through psi^-1, the Hurwitz convolution with the ones sequence, which
-carries Newton products to Hadamard products.
+carries Newton products to Hadamard products.  :func:`inverse_check`
+reads the Newton inverse the same way: psi^-1 also sends the Newton
+identity to the ones sequence, so b inverts a on k terms iff their
+images multiply to 1 termwise, in O(k^2).  The identity both rest on is
+checked against the direct O(k^3) Newton sum by :func:`morphism_check`.
 
 Every check reports its first failure through one rule,
 :func:`_first_failure`: the first ``(index, expected, actual)`` whose
