@@ -5,8 +5,9 @@ Hadamard, Cauchy, Hurwitz and Newton products; every product returns an
 explicit monic characteristic polynomial plus initial conditions.  Also
 provides Newton-product inverses, binomial transforms and the isomorphism
 between the Hadamard and Newton algebras.  The independent brute-force
-oracles that check all of this, with the matrix and resultant
-constructions, live in :mod:`recseq.verify` and are imported from there.
+oracles that check all of this live in :mod:`recseq.verify`, and the
+matrix and resultant constructions of the composed operations in
+:mod:`recseq.matrix_oracles`; both are imported from there.
 """
 
 from .kernels import BACKEND

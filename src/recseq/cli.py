@@ -36,29 +36,31 @@ while a chunk is written, its joined text and the bytes that the text
 layer encodes from it are its only copies: the list is emptied before
 the write, and no earlier layer keeps the chunk.  The exceptions are Q
 with lam > 1 and a modulus longer than the int/str limit, where the
-lists are checked as they are unrolled and held until the last has
-passed, O(k) terms.  ``invert`` passes its k terms as one list, since
-its O(k^2) inverse holds them all anyway.  The first list is taken
-before anything is written, and a term past the int/str limit is found
-before the first list, so a refusal leaves stdout empty.
+values are checked as they are unrolled and held until the last has
+passed, O(k) terms, and printed a chunk at a time.  ``invert`` prints
+its k values, which its O(k^2) inverse holds anyway, through the same
+rule (``linrec._printed_chunks``), in lists of ``kernels.CHUNK``.  The
+first list is taken before anything is written, and a term past the
+int/str limit is found before the first list, so a refusal leaves
+stdout empty.  ``json`` is imported only for ``--format structured``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
+from . import kernels
 from .linrec import (
     DEFAULT_PREFIX,
     LinRec,
     NotInvertible,
     _printed,
+    _printed_chunks,
     binomial_transform,
     cauchy,
     hadamard,
@@ -229,12 +231,14 @@ def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> 
     chunks = iter(terms or ())
     chunk = next(chunks, None)
     if args.format == "structured":
+        import json  # only structured output needs it; keeps start-up cheap
+
         text = json.dumps(structured if terms is None else {**structured, "terms": []}, sort_keys=True, indent=2, default=str)
         if chunk is None:
             print(text)
             return
         head, _, tail = text.rpartition('"terms": []')  # a JSON string cannot contain this unescaped
-        start, sep, end, word = head + '"terms": [\n    ', ",\n    ", f"\n  ]{tail}\n", encode_basestring_ascii
+        start, sep, end, word = head + '"terms": [\n    ', ",\n    ", f"\n  ]{tail}\n", json.encoder.encode_basestring_ascii
     else:
         for line in plain_lines:
             print(line)
@@ -334,7 +338,7 @@ def _cmd_charpoly_op(args) -> int:
 def _cmd_invert(args) -> int:
     seq = parse_sequence(args.sequence)
     try:
-        terms = _printed(newton_inverse(seq, args.count))
+        values = [b.value for b in newton_inverse(seq, args.count)]
     except NotInvertible as exc:
         _emit(
             args,
@@ -346,7 +350,8 @@ def _cmd_invert(args) -> int:
             },
         )
         return 1
-    _emit(args, [], {"invertible": True, "ring": seq.ring}, [terms])
+    chunks = (values[i : i + kernels.CHUNK] for i in range(0, len(values), kernels.CHUNK))
+    _emit(args, [], {"invertible": True, "ring": seq.ring}, _printed_chunks(chunks, seq.ring.modulus))
     return 0
 
 

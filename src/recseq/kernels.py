@@ -24,7 +24,9 @@ that negation is exact only in the caller's exact context.
 terms of the one before.  Each caller picks one of the two itself: the
 products and the composed operations take the one list; printing and
 the Newton inverse's divisors take the chunks, so that they can refuse
-or stop at index t after O(t + ``CHUNK``) terms.
+or stop at index t after O(t + ``CHUNK``) terms, and so that a printing
+call holds the strings of one chunk at a time.  ``CHUNK`` is 64: the
+comment on it gives the peaks that chose it.
 
 The products run on these loops: :func:`termwise_values` (sum and
 Hadamard), :func:`cauchy_values` (Cauchy) and
@@ -46,8 +48,9 @@ multiplication (Kronecker substitution, :func:`_packed_cauchy`); every
 other input takes the Pascal loop.
 
 :mod:`recseq.verify` keeps its own, deliberately independent loops over
-ring elements as the oracle, and so do its matrix oracles (Kronecker
-constructions, Berkowitz, the shifted resultant): none calls a kernel.
+ring elements as the oracle, and so does :mod:`recseq.matrix_oracles`
+(Kronecker constructions, Berkowitz, the shifted resultant): none calls
+a kernel.
 """
 
 from __future__ import annotations
@@ -58,8 +61,13 @@ from operator import add, mul, sub
 # recseq is pure Python; the name stays for code that records it
 BACKEND = "python"
 
-# Terms per list of recurrence_chunks, the unit in which terms are printed
-CHUNK = 256
+# Terms per list of recurrence_chunks, the unit in which terms are printed.
+# A chunk is alive three times at its write (the words, the joined text,
+# the encoded bytes); at 2,090-digit terms, 256 of them are 0.53 MB of
+# text.  Child peak RSS of `terms -n 10000` over Z / Q, at 256, 128, 64
+# and 32: 17.16/17.11, 16.34/16.41, 15.93/15.88 and 15.68/15.75 MB, and no
+# printing shape got slower down to 64 (Python 3.11, in-process)
+CHUNK = 64
 
 
 def recurrence_values(cs, init, count: int, modulus: int | None = None) -> list:

@@ -60,8 +60,8 @@ O(t + ``CHUNK``) terms on every route.
 :class:`~recseq.ring.RingElem` appears only at the boundary: the public
 constructor takes ring elements, and ``initial``, ``terms()`` and the
 Newton inverse build them on the way out.  The oracles that check all of
-this, on ring elements only, live in :mod:`recseq.verify`; nothing here
-imports them.
+this, on ring elements only, live in :mod:`recseq.verify` and
+:mod:`recseq.matrix_oracles`; nothing here imports them.
 
 >>> from fractions import Fraction
 >>> from recseq.ring import QQ, RingElem
@@ -229,26 +229,25 @@ class LinRec:
           z/g over delta/g with g = gcd(z mod delta, delta), the reduced
           fraction, without the ``/1`` when g = delta.
         * Over Z/m, and over Q with lam > 1, the strings are ``str`` of
-          the chunked unroll of the values themselves.  Over Z/m with
-          m <= 10^limit no residue passes the limit, so each chunk is
-          yielded as it is unrolled.  Over Q, and over a longer modulus,
-          each chunk is checked as it is unrolled, and the checked
-          chunks are held until the last has passed: a refusal at index
-          t costs O(t + ``kernels.CHUNK``) terms, and printing holds all
-          k.  With lam > 1 the scaled terms can share
+          the chunked unroll of the values themselves, printed by
+          :func:`_printed_chunks`, the rule that the CLI's ``invert``
+          prints by too.  Over Z/m with m <= 10^limit no residue passes
+          the limit, so each chunk is yielded as it is unrolled.  Over
+          Q, and over a longer modulus, each chunk is checked as it is
+          unrolled, and the checked chunks are held until the last has
+          passed: a refusal at index t costs O(t + ``kernels.CHUNK``)
+          terms, and printing holds all k values, but only one chunk of
+          strings at a time.  With lam > 1 the scaled terms can share
           large powers of lam with delta lam^n, and reducing them
           measured up to 6.5x slower than the ``Fraction`` unroll (see
           the README).
         """
         cs, init, m = self.charpoly.values, self.initial_values, self.ring.modulus
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit before 3.10.7
-        bound = 10**limit
         if m is not None or _denominator_lcm(cs) != 1:
-            chunks = recurrence_chunks(cs, init, k, m)
-            if limit and (m is None or m > bound):  # check every chunk before the first is printed
-                chunks = [_refuse_past_the_limit(chunk, bound) for chunk in chunks]
-            yield from map(_printed, chunks)
+            yield from _printed_chunks(recurrence_chunks(cs, init, k, m), m)
             return
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        bound = 10**limit
         delta = _denominator_lcm(init)
         cs, zs = _scaled_recurrence(self, 1, delta)
         if limit:  # the first pass; its chunks go with the generator expression
@@ -304,6 +303,25 @@ class LinRec:
 def _printed(values) -> list[str]:
     """``str`` of each of ``values``, in a list: raw values and ring elements print alike."""
     return list(map(str, values))
+
+
+def _printed_chunks(chunks, m: int | None):
+    """An iterator over :func:`_printed` of each of ``chunks``, lists of raw values of a ring of modulus ``m``.
+
+    Where a value can pass the int/str limit -- over Z and Q, and over a
+    modulus longer than the limit -- every chunk is checked first
+    (:func:`_refuse_past_the_limit`) and held until the last has passed,
+    so a refusal comes before the first list is printed and a caller
+    that writes the lists as they come writes nothing.  Otherwise each
+    chunk is printed as it is taken.  Route 2 of
+    :meth:`LinRec.term_string_chunks` and the CLI's ``invert`` print
+    through this one rule.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit before 3.10.7
+    bound = 10**limit
+    if limit and (m is None or m > bound):  # check every chunk before the first is printed
+        chunks = [_refuse_past_the_limit(chunk, bound) for chunk in chunks]
+    return map(_printed, chunks)
 
 
 def _refuse_past_the_limit(values, bound: int):

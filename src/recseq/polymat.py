@@ -26,7 +26,8 @@ scale.  Newton's identities run backwards recover the polynomial
 resultants", 2006).  That is a few O(D^2) passes for D = deg p * deg q.
 The oracles that compute the same polynomials independently -- the
 Kronecker constructions on companion matrices with Berkowitz, and
-:func:`~recseq.verify.resultant_shift` -- live in :mod:`recseq.verify`.
+:func:`~recseq.matrix_oracles.resultant_shift` -- live in
+:mod:`recseq.matrix_oracles`.
 
 Everything works over any of the supported commutative rings, including
 Z/m with composite m: no division by a ring element ever happens.  The
@@ -397,7 +398,7 @@ def composed_sum(p: Poly, q: Poly) -> Poly:
     Its root power sums are the binomial convolution
     S_k = sum_i C(k,i) s_i(p) s_{k-i}(q): the Hurwitz loop on the power
     sums.  Equals the characteristic polynomial of the Kronecker sum of
-    the companion matrices and :func:`~recseq.verify.resultant_shift`;
+    the companion matrices and :func:`~recseq.matrix_oracles.resultant_shift`;
     closes the Hurwitz product of sequences.  Identity: t.
     """
     return _composed_by("hurwitz", p, q)

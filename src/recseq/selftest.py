@@ -5,7 +5,8 @@ resultant identity, the Newton decomposition and inverses, the rationality
 criterion, the algebra isomorphism, the composed-operation semiring laws,
 and the characteristic-polynomial round trip with its cross-checks (the
 power-sum composed operations against Berkowitz on the Kronecker
-matrices, Berkowitz against cofactor expansion).  Criteria 1, 3 and 6
+matrices, Berkowitz against cofactor expansion, from
+:mod:`recseq.matrix_oracles`).  Criteria 1, 3 and 6
 decide each constructed product with :func:`recseq.verify.product_check`,
 which reads the ``c.order + D`` terms that prove it.  Everything is
 exact: the tolerance is zero throughout.  The pytest acceptance module
@@ -33,21 +34,15 @@ from .linrec import (
 )
 from .polymat import Poly, composed_newton, composed_product, composed_sum
 from .ring import QQ, RingElem, RingSpec, ZZ, Zmod
+from .matrix_oracles import charpoly, charpoly_cofactor, companion, kron, kron_newton, kron_sum, resultant_shift
 from .verify import (
-    charpoly,
-    charpoly_cofactor,
-    companion,
     decomposition_check,
     direct_product_oracle,
     inverse_check,
-    kron,
-    kron_newton,
-    kron_sum,
     morphism_check,
     morphism_laws,
     ogf_poly_check,
     product_check,
-    resultant_shift,
 )
 
 DEFAULT_SEED = 20107

@@ -18,7 +18,7 @@ from recseq import (
     composed_product,
     composed_sum,
 )
-from recseq.verify import (
+from recseq.matrix_oracles import (
     Matrix,
     charpoly,
     charpoly_cofactor,

@@ -26,10 +26,10 @@ from recseq import (
     ones,
     seq_sum,
 )
-from recseq import verify
+from recseq import matrix_oracles, verify
+from recseq.matrix_oracles import charpoly_cofactor, companion
 from recseq.verify import (
     CheckReport,
-    charpoly_cofactor,
     decomposition_check,
     direct_product_oracle,
     inverse_check,
@@ -417,8 +417,6 @@ class TestInverseCheck:
 
 class TestCofactorOracle:
     def test_known_two_by_two(self, fib_z):
-        from recseq.verify import companion
-
         assert charpoly_cofactor(companion(fib_z.charpoly)) == fib_z.charpoly
 
     def test_negative_control_detects_corruption(self):
