@@ -529,8 +529,9 @@ class TestStream:
         assert TEN_4299 in out  # the last term, 4300 digits, is printed
 
     def test_a_chunk_is_written_from_one_copy(self, monkeypatch):
-        # at 10^4 terms over Z a chunk is about half a megabyte of text;
-        # while it is written, the text and the bytes that the text layer
+        # at 10^4 terms over Z the last full chunks hold terms of more than
+        # 2,000 digits each, kernels.CHUNK of them to a write; while a
+        # chunk is written, the text and the bytes that the text layer
         # encodes from it should be the only copies of the chunk alive:
         # no list of its words, no second joined string, no Decimal or int
         # chunk and no previous chunk.  The file is a real text file, so
@@ -561,7 +562,7 @@ class TestStream:
         assert cli.main([*argv, "10000"]) == 0
         peak("10")  # the first call warms the parser and the imports
         grown = peak("10000") - peak("10")
-        assert longest.size > 500_000
+        assert longest.size > 2000 * kernels.CHUNK
         assert grown < 2.5 * longest.size, (grown, longest.size)
 
     def test_invert_stops_at_the_first_non_unit(self, capsys, unroll_budget):
