@@ -1045,7 +1045,8 @@ def test_term_string_chunks_hold_one_chunk(text, k):
 def test_term_string_chunks_refuse_early_when_lam_exceeds_1(monkeypatch):
     # over Q with lam = 10 each chunk is checked as it is unrolled: the
     # first term past the int/str limit, at index t, is refused after at
-    # most t + 2 CHUNK unrolled terms, not all k, and before any string
+    # most t + 2 CHUNK computed terms, not all k, and before any string;
+    # the seed window that each chunk's unroll copies is not counted
     a = parse_sequence("ring=Q;p=[-1/10,-1/10,1];init=[0,1]")
     k, bound = 6000, 10 ** sys.get_int_max_str_digits()
     terms = (v for chunk in kernels.recurrence_chunks(a.charpoly.values, a.initial_values, k) for v in chunk)
@@ -1056,7 +1057,7 @@ def test_term_string_chunks_refuse_early_when_lam_exceeds_1(monkeypatch):
 
     def spy(cs, init, count, modulus=None):
         out = unroll(cs, init, count, modulus)
-        produced.append(len(out))
+        produced.append(len(out) - len(init[:count]))
         return out
 
     monkeypatch.setattr(kernels, "recurrence_values", spy)
