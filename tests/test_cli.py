@@ -305,8 +305,11 @@ class TestVerbs:
         assert code == 2
 
     def test_non_verify_verbs_leave_the_oracles_unloaded(self):
-        # every verb but verify and selftest runs without recseq.verify, and
-        # no verb, verify included, pulls in the dataclasses or inspect modules
+        # every verb but verify and selftest runs without recseq.verify; the
+        # five verify checks run without recseq.matrix_oracles, which only
+        # selftest loads; no verb, verify included, pulls in the dataclasses
+        # or inspect modules; and if json was not loaded before cli, neither
+        # the import nor a plain-format call loads it
         verbs = [
             ["terms", "-s", FIB_Q, "-n", "5"],
             ["op", "--kind", "newton", "-a", FIB_Q, "-b", FIB_Q],
@@ -317,19 +320,37 @@ class TestVerbs:
             ["psi", "-s", FIB_Z],
             ["terms", "-s", "ring=Z;p=[-1,2];init=[1]"],
         ]
+        checks = [
+            ["verify", "--check", "recurrence", "-s", FIB_Q, "-n", "5"],
+            ["verify", "--check", "ogf", "-s", FIB_Q],
+            ["verify", "--check", "decomposition", "-a", FIB_Q, "-b", FIB_Q, "-n", "5"],
+            ["verify", "--check", "morphism", "-a", FIB_Q, "-b", FIB_Q, "-n", "5"],
+            ["verify", "--check", "inverse", "-s", FIB_Q, "-n", "5"],
+        ]
         code = f"""
 import contextlib, io, sys
+json_before = "json" in sys.modules
 from recseq import cli
-oracles, never = ("recseq.verify",), ("dataclasses", "inspect")
+oracles, never = ("recseq.verify", "recseq.matrix_oracles"), ("dataclasses", "inspect")
+if not json_before:
+    never += ("json",)
 def loaded(names):
     return [name for name in names if name in sys.modules]
-assert not loaded(oracles + never), ("import", loaded(oracles + never))
-for argv in {verbs!r} + [["verify", "--check", "inverse", "-s", {FIB_Q!r}, "-n", "5"]]:
+def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
-    assert not loaded(oracles) or argv[0] == "verify", (argv, loaded(oracles))
+assert not loaded(oracles + never), ("import", loaded(oracles + never))
+for argv in {verbs!r}:
+    run(argv)
+    assert not loaded(oracles + never), (argv, loaded(oracles + never))
+for argv in {checks!r}:
+    run(argv)
+    assert loaded(oracles) == ["recseq.verify"], (argv, loaded(oracles))
     assert not loaded(never), (argv, loaded(never))
-assert "recseq.verify" in sys.modules
+run(["terms", "-s", {FIB_Q!r}, "--format", "structured"])
+assert "json" in sys.modules
+from recseq import selftest  # as the selftest verb imports it
+assert "recseq.matrix_oracles" in sys.modules
 """
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -564,6 +585,57 @@ class TestStream:
         grown = peak("10000") - peak("10")
         assert longest.size > 2000 * kernels.CHUNK
         assert grown < 2.5 * longest.size, (grown, longest.size)
+
+    @pytest.mark.parametrize("sequence", ["ring=Z;p=[-1,-1,1];init=[3,-2]", Q_LAM_1], ids=["Z", "Q"])
+    def test_a_long_print_grows_by_one_small_chunk(self, monkeypatch, sequence):
+        # 10^4 terms of up to 2,090 digits: the traced peak may grow at most
+        # 0.5 MB over that of ten terms, about two copies of one 64-term
+        # chunk; a 256-term chunk made it grow about 1.08 MB
+        argv = ["terms", "-s", sequence, "-n"]
+
+        def peak(count):
+            with open(os.devnull, "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                tracemalloc.start()
+                try:
+                    assert cli.main([*argv, count]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak("10")  # the first call warms the parser and the imports
+        grown = peak("10000") - peak("10")
+        assert grown <= 500_000, grown
+
+    @pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
+    def test_invert_writes_one_chunk_at_a_time(self, monkeypatch, structured):
+        # 200 inverse terms over Q print 516 KB; each write holds at most
+        # kernels.CHUNK of them, and the writes join to the whole output
+        argv = ["invert", "-s", "ring=Q;p=[1,3,1];init=[-5,-2]", "-n", "200"]
+        fmt = ["--format", "structured"] if structured else []
+
+        class Writes(list):
+            write = list.append
+
+            def flush(self):
+                pass
+
+        writes = Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        assert cli.main([*argv, *fmt]) == 0
+        monkeypatch.undo()
+        assert "".join(writes) == _whole_output(argv, structured)
+        sep = ",\n" if structured else " "  # a write of c terms holds c - 1 separators
+        assert max(text.count(sep) + 1 for text in writes) <= kernels.CHUNK
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+    @pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
+    def test_invert_refusal_leaves_stdout_empty(self, capsys, structured):
+        # a term of the inverse passes the int/str limit before index 200:
+        # every value is checked before the first chunk is written
+        argv = ["invert", "-s", "ring=Q;p=[-2,-2,1];init=[-2,1/3]", "-n", "200"]
+        argv += ["--format", "structured"] if structured else []
+        assert run_cli(capsys, *argv) == (2, "", f"error: {_limit_message()}\n")
 
     def test_invert_stops_at_the_first_non_unit(self, capsys, unroll_budget):
         # the failure at index 0 reads one chunk of the divisors, not 10^6;

@@ -449,10 +449,11 @@ class TestCheckReport:
         assert not CheckReport("x", False, 1, (0, ZZ.one, ZZ.zero)).passed
 
 
-def test_oracles_import_no_fast_path():
-    # verify's oracles share no loop with recseq.kernels: no import of it,
-    # and no private name of linrec or polymat but the operand check
-    path = Path(verify.__file__)
+@pytest.mark.parametrize("module", [verify, matrix_oracles], ids=["verify", "matrix_oracles"])
+def test_oracles_import_no_fast_path(module):
+    # the oracles share no loop with recseq.kernels: no import of it, and
+    # no private name of linrec or polymat but the operand check
+    path = Path(module.__file__)
     allowed = {"_require_charpoly_operand"}
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
