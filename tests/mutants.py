@@ -155,6 +155,28 @@ MUTANTS = [
             "tests/test_cli.py::TestStream::test_a_chunk_is_written_from_one_copy",
         ],
     ),
+    # a printing call holds one small chunk: 64 terms, and invert prints in
+    # chunks too
+    Mutant(
+        "chunk-back-to-256",
+        "kernels.py",
+        "CHUNK = 64\n",
+        "CHUNK = 256\n",
+        [
+            "tests/test_cli.py::TestStream::test_a_long_print_grows_by_one_small_chunk[Z]",
+            "tests/test_cli.py::TestStream::test_a_long_print_grows_by_one_small_chunk[Q]",
+        ],
+    ),
+    Mutant(
+        "invert-prints-one-list",
+        "cli.py",
+        "_printed_chunks(chunks, seq.ring.modulus)",
+        "_printed_chunks([values], seq.ring.modulus)",
+        [
+            "tests/test_cli.py::TestStream::test_invert_writes_one_chunk_at_a_time[plain]",
+            "tests/test_cli.py::TestStream::test_invert_writes_one_chunk_at_a_time[structured]",
+        ],
+    ),
     Mutant(
         "inverse-unroll-unchunked",
         "linrec.py",
@@ -353,6 +375,16 @@ MUTANTS = [
         [
             "tests/test_verify.py::TestInverseCheck::test_an_inverse_claimed_where_none_exists_raises",
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t0]",
+        ],
+    ),
+    # the verify verb does not compile the matrix oracles, which no check runs
+    Mutant(
+        "verify-loads-matrix-oracles",
+        "verify.py",
+        "from collections import namedtuple\n",
+        "from collections import namedtuple\n\nfrom . import matrix_oracles  # noqa: F401\n",
+        [
+            "tests/test_cli.py::TestVerbs::test_non_verify_verbs_leave_the_oracles_unloaded",
         ],
     ),
 ]
