@@ -62,11 +62,12 @@ from operator import add, mul, sub
 BACKEND = "python"
 
 # Terms per list of recurrence_chunks, the unit in which terms are printed.
-# A chunk is alive three times at its write (the words, the joined text,
-# the encoded bytes); at 2,090-digit terms, 256 of them are 0.53 MB of
-# text.  Child peak RSS of `terms -n 10000` over Z / Q, at 256, 128, 64
-# and 32: 17.16/17.11, 16.34/16.41, 15.93/15.88 and 15.68/15.75 MB, and no
-# printing shape got slower down to 64 (Python 3.11, in-process)
+# Up to three copies of a chunk are alive around its write (the words, the
+# joined text, the encoded bytes); at 2,090-digit terms, 256 of them are
+# 0.53 MB of text.  Child peak RSS of `terms -n 10000` over Z / Q at 256,
+# 128, 64 and 32 terms: 16.90/16.90, 16.20/16.22, 15.65/15.63 and
+# 15.67/15.62 MB, so 64 is the smallest that still saves.  In-process, 64
+# against 256 printed no shape measurably slower (Python 3.11)
 CHUNK = 64
 
 
