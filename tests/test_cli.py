@@ -506,6 +506,27 @@ _STREAMED = [
 ]
 
 
+def _traced_growth(monkeypatch, argv, count):
+    """How far the ``tracemalloc`` peak of ``argv + [count]`` passes that of ``argv + ["10"]``.
+
+    stdout is a real text file, so the bytes that the text layer encodes
+    are traced too.
+    """
+
+    def peak(count):
+        with open(os.devnull, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                assert cli.main([*argv, count]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak("10")  # the first call warms the parser and the imports
+    return peak(count) - peak("10")
+
+
 class TestStream:
     """Terms are written chunk by chunk, with the same bytes as the whole output."""
 
@@ -559,16 +580,6 @@ class TestStream:
         # the encoded copy is traced.
         argv = ["terms", "-s", "ring=Z;p=[-1,1,1];init=[3,-2]", "-n"]
 
-        def peak(count):
-            with open(os.devnull, "w") as out:
-                monkeypatch.setattr(sys, "stdout", out)
-                tracemalloc.start()
-                try:
-                    assert cli.main([*argv, count]) == 0
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
         class Longest:
             size = 0
 
@@ -581,8 +592,7 @@ class TestStream:
         longest = Longest()
         monkeypatch.setattr(sys, "stdout", longest)
         assert cli.main([*argv, "10000"]) == 0
-        peak("10")  # the first call warms the parser and the imports
-        grown = peak("10000") - peak("10")
+        grown = _traced_growth(monkeypatch, argv, "10000")
         assert longest.size > 2000 * kernels.CHUNK
         assert grown < 2.5 * longest.size, (grown, longest.size)
 
@@ -591,20 +601,7 @@ class TestStream:
         # 10^4 terms of up to 2,090 digits: the traced peak may grow at most
         # 0.5 MB over that of ten terms, about two copies of one 64-term
         # chunk; a 256-term chunk made it grow about 1.08 MB
-        argv = ["terms", "-s", sequence, "-n"]
-
-        def peak(count):
-            with open(os.devnull, "w") as out:
-                monkeypatch.setattr(sys, "stdout", out)
-                tracemalloc.start()
-                try:
-                    assert cli.main([*argv, count]) == 0
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
-        peak("10")  # the first call warms the parser and the imports
-        grown = peak("10000") - peak("10")
+        grown = _traced_growth(monkeypatch, ["terms", "-s", sequence, "-n"], "10000")
         assert grown <= 500_000, grown
 
     @pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
