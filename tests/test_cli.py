@@ -456,7 +456,10 @@ class TestIntStrLimit:
 
 
 CHUNK = kernels.CHUNK
-STREAM_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+# the edges of one and two chunks, and those of the 256-term chunk that
+# came before the 64-term one (255 to 257 also straddle the fourth 64-term
+# edge, and 513 ends one term into the ninth chunk)
+STREAM_COUNTS = sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 255, 256, 257, 513})
 Q_LAM_1 = "ring=Q;p=[-1,-1,1];init=[1/2,-2/3]"  # delta = 6
 Q_LAM_2 = "ring=Q;p=[-1/2,-1,1];init=[1/3,1]"
 
