@@ -1,4 +1,4 @@
-"""Ring arithmetic, units, integer scaling, and binomial coefficients."""
+"""Ring arithmetic, units, integer scaling, binomial coefficients, and the ring checks at every boundary."""
 
 from fractions import Fraction
 
@@ -9,14 +9,29 @@ from hypothesis import strategies as st
 from recseq import (
     QQ,
     ZZ,
+    InvariantError,
+    LinRec,
     NotAUnit,
+    NotMonic,
+    Poly,
     RingElem,
     RingMismatch,
     RingSpec,
     Zmod,
     binom,
+    cauchy,
+    composed_newton,
+    composed_product,
+    composed_sum,
+    hadamard,
+    hurwitz,
     int_scale,
+    newton,
+    ones,
+    seq_sum,
 )
+from recseq.matrix_oracles import Matrix, kron, kron_newton, kron_sum, resultant_shift
+from recseq.verify import direct_product_oracle
 
 from conftest import RINGS, RING_IDS, ring_with_elements
 
@@ -88,6 +103,76 @@ class TestElementArithmetic:
 def test_input_checks(call, error, message):
     with pytest.raises(error) as exc:
         call()
+    assert str(exc.value) == message
+
+
+P_Z, P_Q = Poly.from_ints(ZZ, [-1, -1, 1]), Poly.from_ints(QQ, [-1, 1])
+M_Z, M_Q = Matrix.identity(ZZ, 2), Matrix.identity(QQ, 2)
+Z7, Z11 = Zmod(7), Zmod(11)
+
+
+# Every boundary that refuses to mix rings, with its exact words: the
+# elements, polynomials, sequences and matrices of two rings, a foreign
+# element in a container, and a raw value where a ring element belongs.
+# Where two checks could fire, the case pins which comes first.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ZZ.one + QQ.one, RingMismatch, "cannot combine elements of Z and Q"),
+        (lambda: QQ.one - ZZ.one, RingMismatch, "cannot combine elements of Q and Z"),
+        (lambda: Z7.one * Z11.one, RingMismatch, "cannot combine elements of Zmod:7 and Zmod:11"),
+        (lambda: P_Z + P_Q, RingMismatch, "cannot combine polynomials over Z and Q"),
+        (lambda: P_Q - P_Z, RingMismatch, "cannot combine polynomials over Q and Z"),
+        (lambda: P_Z * P_Q, RingMismatch, "cannot combine polynomials over Z and Q"),
+        (lambda: composed_product(P_Z, P_Q), RingMismatch, "cannot combine polynomials over Z and Q"),
+        (lambda: composed_sum(P_Q, P_Z), RingMismatch, "cannot combine polynomials over Q and Z"),
+        (lambda: composed_newton(Poly.from_ints(Z7, [1, 1]), Poly.from_ints(Z11, [1, 1])), RingMismatch,
+         "cannot combine polynomials over Zmod:7 and Zmod:11"),
+        (lambda: composed_product(Poly.from_ints(ZZ, [1, 2]), P_Q), NotMonic, "expected a monic polynomial, got [1,2]"),
+        (lambda: resultant_shift(P_Z, P_Q), RingMismatch, "cannot combine polynomials over Z and Q"),
+        (lambda: resultant_shift(P_Z, Poly.from_ints(QQ, [1, 2])), NotMonic, "expected a monic polynomial, got [1,2]"),
+        (lambda: seq_sum(ones(ZZ), ones(QQ)), RingMismatch, "cannot combine sequences over Z and Q"),
+        (lambda: cauchy(ones(QQ), ones(ZZ)), RingMismatch, "cannot combine sequences over Q and Z"),
+        (lambda: hadamard(ones(ZZ), ones(QQ)), RingMismatch, "cannot combine sequences over Z and Q"),
+        (lambda: hurwitz(ones(ZZ), ones(QQ)), RingMismatch, "cannot combine sequences over Z and Q"),
+        (lambda: newton(ones(Z7), ones(Z11)), RingMismatch, "cannot combine sequences over Zmod:7 and Zmod:11"),
+        (lambda: M_Z + M_Q, RingMismatch, "cannot combine matrices over Z and Q"),
+        (lambda: M_Q + Matrix.identity(ZZ, 1), RingMismatch, "cannot combine matrices over Q and Z"),
+        (lambda: M_Z + Matrix.identity(ZZ, 1), ValueError, "matrix dimensions differ"),
+        (lambda: kron(M_Z, M_Q), RingMismatch, "cannot combine matrices over Z and Q"),
+        (lambda: kron_sum(M_Q, M_Z), RingMismatch, "cannot combine matrices over Q and Z"),
+        (lambda: kron_newton(M_Z, M_Q), RingMismatch, "cannot combine matrices over Z and Q"),
+        (lambda: Poly(ZZ, [ZZ.one, QQ.one]), RingMismatch, "coefficient from Q in a Z polynomial"),
+        (lambda: Poly(QQ, [ZZ.one, 1]), RingMismatch, "coefficient from Z in a Q polynomial"),
+        (lambda: Poly(QQ, [QQ.one, 1, ZZ.one]), TypeError, "polynomial coefficients must be RingElem"),
+        (lambda: LinRec(P_Z, [ZZ.zero, QQ.one]), RingMismatch, "initial term from Q in a Z sequence"),
+        (lambda: LinRec(P_Q, [Z7.one]), RingMismatch, "initial term from Zmod:7 in a Q sequence"),
+        (lambda: LinRec(P_Z, [ZZ.zero, 1]), TypeError, "initial terms must be RingElem"),
+        (lambda: LinRec(P_Z, [QQ.one]), InvariantError,
+         "need 2 initial terms for a degree-2 characteristic polynomial, got 1"),
+        (lambda: Matrix(ZZ, [[ZZ.one, QQ.one], [ZZ.one, ZZ.one]]), RingMismatch, "entry from Q in a Z matrix"),
+        (lambda: Matrix(ZZ, [[ZZ.one, QQ.one], [ZZ.one]]), RingMismatch, "entry from Q in a Z matrix"),
+        (lambda: Matrix(ZZ, [[ZZ.one, ZZ.one], [ZZ.one]]), ValueError, "matrix must be square"),
+        (lambda: Matrix(QQ, [[QQ.one, 1], [ZZ.one, QQ.one]]), TypeError, "matrix entries must be RingElem"),
+        (lambda: direct_product_oracle("sum", [ZZ.one] * 2, [ZZ.one, QQ.one]), RingMismatch,
+         "mixed rings in oracle input"),
+        (lambda: direct_product_oracle("hadamard", [QQ.one], [ZZ.one]), RingMismatch, "mixed rings in oracle input"),
+    ],
+    ids=[
+        "element-add", "element-sub", "element-mul-moduli", "poly-add", "poly-sub", "poly-mul",
+        "composed-product", "composed-sum", "composed-newton-moduli", "composed-monic-before-ring",
+        "resultant-shift", "resultant-shift-monic-before-ring", "seq-sum", "cauchy", "hadamard", "hurwitz",
+        "newton-moduli", "matrix-add", "matrix-add-ring-before-dimension", "matrix-add-dimension", "kron",
+        "kron-sum", "kron-newton", "poly-coefficient", "poly-coefficient-before-raw", "poly-raw-coefficient",
+        "linrec-initial", "linrec-initial-moduli", "linrec-raw-initial", "linrec-length-before-ring",
+        "matrix-entry", "matrix-entry-before-later-row", "matrix-square", "matrix-raw-entry",
+        "oracle-second-operand", "oracle-second-operand-only",
+    ],
+)
+def test_boundary_messages(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
     assert str(exc.value) == message
 
 
