@@ -111,7 +111,7 @@ from .polymat import (
     composed_product,
     composed_sum,
 )
-from .ring import RingElem, RingMismatch, RingSpec
+from .ring import RingElem, RingSpec, _one_ring, _values_in
 
 DEFAULT_PREFIX = 30
 
@@ -154,13 +154,8 @@ class LinRec:
             raise InvariantError(
                 f"need {order} initial terms for a degree-{order} characteristic polynomial, got {len(init)}"
             )
-        for a in init:
-            if not isinstance(a, RingElem):
-                raise TypeError("initial terms must be RingElem")
-            if a.ring != charpoly.ring:
-                raise RingMismatch(f"initial term from {a.ring} in a {charpoly.ring} sequence")
         self.charpoly = charpoly
-        self.initial_values = tuple(a.value for a in init)
+        self.initial_values = tuple(_values_in(charpoly.ring, init, "initial terms", "initial term", "sequence"))
 
     @classmethod
     def _of(cls, charpoly: Poly, initial_values) -> "LinRec":
@@ -357,11 +352,6 @@ def delta(ring: RingSpec) -> LinRec:
     return _seq(ring, [0, 1], [1])
 
 
-def _require_same_ring(a: LinRec, b: LinRec) -> None:
-    if a.ring != b.ring:
-        raise RingMismatch(f"cannot combine sequences over {a.ring} and {b.ring}")
-
-
 def _scaled_recurrence(a: LinRec, lam: int, delta: int) -> tuple:
     """``(cs, init)``: the integer recurrence of delta lam^n a_n.
 
@@ -387,7 +377,7 @@ def _product(kind: str, a: LinRec, b: LinRec, charpoly_rule) -> LinRec:
     operands' initial values.  Over Z and Z/m, lam = delta = 1 and
     nothing is divided.
     """
-    _require_same_ring(a, b)
+    _one_ring("sequences over", a, b)
     p = charpoly_rule(a.charpoly, b.charpoly)
     lam = _denominator_lcm(a.charpoly.values + b.charpoly.values)
     delta = _denominator_lcm(a.initial_values + b.initial_values)

@@ -13,7 +13,10 @@ cofactor-expansion characteristic polynomial (:func:`charpoly_cofactor`)
 avoids the Berkowitz routine entirely.  As in :mod:`recseq.verify`, the
 arithmetic is written out again on purpose: nothing here calls a loop
 of :mod:`recseq.kernels`, and the determinants over R[t] compute on
-:class:`_Rt`, not on :class:`~recseq.polymat.Poly`.
+:class:`_Rt`, not on :class:`~recseq.polymat.Poly`.  Beyond ring
+arithmetic, the oracles share only the ring's input checks with the
+library: :mod:`recseq.ring` owns the agreement of operands and the
+membership of a matrix's entries.
 
 ``recseq selftest`` and the tests cross-check the composed operations
 against these constructions; no check of ``recseq verify`` runs them, so
@@ -25,7 +28,7 @@ them from here.
 from __future__ import annotations
 
 from .polymat import Poly, _require_charpoly_operand
-from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
+from .ring import RingSpec, _one_ring, _values_in, binom, int_scale
 
 
 class Matrix:
@@ -41,11 +44,7 @@ class Matrix:
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            for e in row:
-                if not isinstance(e, RingElem):
-                    raise TypeError("matrix entries must be RingElem")
-                if e.ring != ring:
-                    raise RingMismatch(f"entry from {e.ring} in a {ring} matrix")
+            _values_in(ring, row, "matrix entries", "entry", "matrix")
         self.ring = ring
         self.n = n
         self.entries = entries
@@ -58,8 +57,7 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring:
-            raise RingMismatch(f"cannot combine matrices over {self.ring} and {other.ring}")
+        _one_ring("matrices over", self, other)
         if self.n != other.n:
             raise ValueError("matrix dimensions differ")
         return Matrix(
@@ -105,8 +103,7 @@ def companion(p: Poly) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: block (i, j) equals a[i][j] * b."""
-    if a.ring != b.ring:
-        raise RingMismatch(f"cannot combine matrices over {a.ring} and {b.ring}")
+    ring = _one_ring("matrices over", a, b)
     na, nb = a.n, b.n
     rows = []
     for i in range(na):
@@ -116,15 +113,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 aij = a.entries[i][j]
                 row.extend(aij * b.entries[r][s] for s in range(nb))
             rows.append(row)
-    return Matrix(a.ring, rows)
+    return Matrix(ring, rows)
 
 
 def kron_sum(a: Matrix, b: Matrix) -> Matrix:
     """A (x) I + I (x) B; eigenvalues are pairwise sums."""
-    if a.ring != b.ring:
-        raise RingMismatch(f"cannot combine matrices over {a.ring} and {b.ring}")
-    ia = Matrix.identity(a.ring, a.n)
-    ib = Matrix.identity(b.ring, b.n)
+    ring = _one_ring("matrices over", a, b)
+    ia, ib = Matrix.identity(ring, a.n), Matrix.identity(ring, b.n)
     return kron(a, ib) + kron(ia, b)
 
 
@@ -220,9 +215,7 @@ def resultant_shift(p: Poly, q: Poly) -> Poly:
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
-    ring = p.ring
-    if ring != q.ring:
-        raise RingMismatch(f"cannot combine polynomials over {ring} and {q.ring}")
+    ring = _one_ring("polynomials over", p, q)
     p_cs, q_cs = p.coeffs, q.coeffs
     deg_p = len(p_cs) - 1
     deg_q = len(q_cs) - 1

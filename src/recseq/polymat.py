@@ -56,7 +56,7 @@ from .kernels import (
     recurrence_values,
     termwise_values,
 )
-from .ring import RingElem, RingMismatch, RingSpec
+from .ring import RingElem, RingSpec, _one_ring, _values_in
 
 class NotMonic(ValueError):
     """A monic polynomial was required."""
@@ -80,15 +80,8 @@ class Poly:
     __slots__ = ("ring", "values")
 
     def __init__(self, ring: RingSpec, coeffs):
-        values = []
-        for c in coeffs:
-            if not isinstance(c, RingElem):
-                raise TypeError("polynomial coefficients must be RingElem")
-            if c.ring != ring:
-                raise RingMismatch(f"coefficient from {c.ring} in a {ring} polynomial")
-            values.append(c.value)
         self.ring = ring
-        self.values = _trimmed(values)
+        self.values = _trimmed(_values_in(ring, coeffs, "polynomial coefficients", "coefficient", "polynomial"))
 
     @classmethod
     def _of(cls, ring: RingSpec, values) -> "Poly":
@@ -113,7 +106,7 @@ class Poly:
         return bool(self.values) and self.values[-1] == 1
 
     def _termwise(self, other, op) -> "Poly":
-        _require_same_ring(self, other)
+        _one_ring("polynomials over", self, other)
         a, b = self.values, other.values
         scale = _denominator_lcm(a + b)
         n = max(len(a), len(b))
@@ -137,7 +130,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        _require_same_ring(self, other)
+        _one_ring("polynomials over", self, other)
         a, b = self.values, other.values
         if not a or not b:
             return Poly._of(self.ring, ())
@@ -193,11 +186,6 @@ def _trimmed(values) -> tuple:
     while vs and vs[-1] == 0:
         vs.pop()
     return tuple(vs)
-
-
-def _require_same_ring(p: Poly, q: Poly) -> None:
-    if p.ring != q.ring:
-        raise RingMismatch(f"cannot combine polynomials over {p.ring} and {q.ring}")
 
 
 def _require_charpoly_operand(p: Poly) -> None:
@@ -335,7 +323,7 @@ def _composed_by(kind: str, p: Poly, q: Poly) -> Poly:
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
-    _require_same_ring(p, q)
+    _one_ring("polynomials over", p, q)
     count = (len(p.values) - 1) * (len(q.values) - 1) + 1
     lam = _denominator_lcm(p.values + q.values)
     m = p.ring.modulus

@@ -5,6 +5,16 @@ never mix: binary operations on mismatched rings raise :class:`RingMismatch`
 instead of coercing.  Rationals are kept in lowest terms with a positive
 denominator (``fractions.Fraction`` guarantees this), residues are kept
 reduced into ``[0, m)``, so equality is structural everywhere.
+
+This module owns the two ring rules of the library and of its oracles.
+:func:`_one_ring` is agreement: the operands of an operation share one
+ring.  :func:`_values_in` is membership: every element a polynomial,
+sequence or matrix is built from is a :class:`RingElem` of its ring.
+The operations of :mod:`recseq.polymat`, :mod:`recseq.linrec`,
+:mod:`recseq.verify` and :mod:`recseq.matrix_oracles` check through
+them.  ``RingElem``'s own ``+``, ``-`` and ``*`` compare their two rings
+directly, since a call per operation slows the oracles, which run on
+ring elements.
 """
 
 from __future__ import annotations
@@ -176,6 +186,38 @@ class RingElem:
         if r is None:
             raise NotAUnit(f"{self.value} is not a unit of {self.ring}")
         return RingElem(self.ring, r)
+
+
+def _one_ring(what: str, *items) -> RingSpec:
+    """The ring of every one of ``items``, anything with a ``ring``.
+
+    Otherwise :class:`RingMismatch` names the first item's ring and the
+    first that differs from it; ``what`` names the items, as in
+    "cannot combine sequences over Z and Q".
+    """
+    ring = items[0].ring
+    for x in items[1:]:
+        if x.ring != ring:
+            raise RingMismatch(f"cannot combine {what} {ring} and {x.ring}")
+    return ring
+
+
+def _values_in(ring: RingSpec, elems, plural: str, noun: str, container: str) -> list:
+    """The raw values of ``elems``, once each is known to be a :class:`RingElem` of ``ring``.
+
+    The elements are checked in order, each first for its type and then
+    for its ring: "<plural> must be RingElem" is the ``TypeError``, and
+    "<noun> from <its ring> in a <ring> <container>" the
+    :class:`RingMismatch`.
+    """
+    values = []
+    for e in elems:
+        if not isinstance(e, RingElem):
+            raise TypeError(f"{plural} must be RingElem")
+        if e.ring != ring:
+            raise RingMismatch(f"{noun} from {e.ring} in a {ring} {container}")
+        values.append(e.value)
+    return values
 
 
 def int_scale(n: int, x: RingElem) -> RingElem:

@@ -2,8 +2,9 @@
 
 Everything in this module recomputes results strictly from the defining
 formulas, sharing nothing with the closed-form construction paths beyond
-ring arithmetic and ``math.comb`` (as ``binom``).  The library holds raw
-values inside :class:`~recseq.polymat.Poly` and
+ring arithmetic, the ring's input checks (:mod:`recseq.ring` owns the
+rule that operands share one ring) and ``math.comb`` (as ``binom``).
+The library holds raw values inside :class:`~recseq.polymat.Poly` and
 :class:`~recseq.linrec.LinRec`; this module computes only on ring
 elements, which it gets through ``coeffs``, ``initial`` and ``terms()``.
 In particular the convolutions here are written out again on purpose (no
@@ -48,7 +49,7 @@ from collections import namedtuple
 
 from .linrec import LinRec, NotInvertible, newton, newton_inverse, newton_via_decomposition
 from .polymat import Poly, _require_charpoly_operand
-from .ring import RingElem, RingMismatch, RingSpec, binom, int_scale
+from .ring import RingElem, RingMismatch, RingSpec, _one_ring, binom, int_scale
 
 
 class CheckReport(namedtuple("CheckReport", "name passed checked_prefix first_failure", defaults=(None,))):
@@ -153,12 +154,8 @@ def _check_oracle_inputs(a_terms, b_terms) -> RingSpec:
     if not a_terms:
         raise ValueError("oracle inputs must be non-empty")
     ring = a_terms[0].ring
-    for x in a_terms:
-        if x.ring != ring:
-            raise RingMismatch("mixed rings in oracle input")
-    for y in b_terms:
-        if y.ring != ring:
-            raise RingMismatch("mixed rings in oracle input")
+    if any(x.ring != ring for x in a_terms + b_terms):
+        raise RingMismatch("mixed rings in oracle input")
     return ring
 
 
@@ -211,14 +208,6 @@ def direct_product_oracle(kind: str, a_terms, b_terms) -> list[RingElem]:
 _ADDS_ORDERS = {"sum": True, "hadamard": False, "cauchy": True, "hurwitz": False, "newton": False}
 
 
-def _require_one_ring(*sequences) -> None:
-    """Raise RingMismatch unless every sequence has the ring of the first; no term is read."""
-    ring = sequences[0].ring
-    for s in sequences[1:]:
-        if s.ring != ring:
-            raise RingMismatch(f"cannot combine sequences over {ring} and {s.ring}")
-
-
 def _binomial(ts, s: int) -> list[RingElem]:
     """sum_i C(n,i) s^(n-i) t_i for each n: psi^-1 of the prefix ``ts`` at s = 1, psi at s = -1.
 
@@ -249,7 +238,7 @@ def product_check(kind: str, a: LinRec, b: LinRec, c: LinRec) -> CheckReport:
     """
     if kind not in _ADDS_ORDERS:
         raise ValueError(f"unknown product kind {kind!r}")
-    _require_one_ring(a, b, c)
+    _one_ring("sequences over", a, b, c)
     k = c.order + (a.order + b.order if _ADDS_ORDERS[kind] else a.order * b.order)
     ta, tb, tc = a.terms(k), b.terms(k), c.terms(k)
     if kind == "newton":
@@ -342,7 +331,7 @@ def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    _require_one_ring(*(s for pair in pairs for s in pair))
+    _one_ring("sequences over", *(s for pair in pairs for s in pair))
     if map_name not in _MAPS:
         raise ValueError(f"unknown morphism {map_name!r}")
     s, source_kind, target_kind = _MAPS[map_name]
