@@ -387,6 +387,29 @@ MUTANTS = [
             "tests/test_cli.py::TestVerbs::test_non_verify_verbs_leave_the_oracles_unloaded",
         ],
     ),
+    # recseq.ring owns the two ring rules: the elements a polynomial, sequence
+    # or matrix is built from belong to its ring, and operands share one ring
+    Mutant(
+        "membership-ring-unchecked",
+        "ring.py",
+        "        if e.ring != ring:\n",
+        "        if False:\n",
+        [
+            "tests/test_ring.py::test_boundary_messages[poly-coefficient]",
+            "tests/test_ring.py::test_boundary_messages[linrec-initial]",
+            "tests/test_ring.py::test_boundary_messages[matrix-entry]",
+        ],
+    ),
+    Mutant(
+        "agreement-reads-the-second-item-only",
+        "ring.py",
+        "    for x in items[1:]:\n",
+        "    for x in items[1:2]:\n",
+        [
+            "tests/test_verify.py::test_input_checks[product-mixed-rings]",
+            "tests/test_verify.py::TestProductCheck::test_refuses_its_inputs_before_unrolling",
+        ],
+    ),
 ]
 
 
