@@ -119,7 +119,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def kron_sum(a: Matrix, b: Matrix) -> Matrix:
     """A (x) I + I (x) B; eigenvalues are pairwise sums."""
     ring = _one_ring("matrices over", a, b)
-    ia, ib = Matrix.identity(ring, a.n), Matrix.identity(ring, b.n)
+    ia = Matrix.identity(ring, a.n)
+    ib = Matrix.identity(ring, b.n)
     return kron(a, ib) + kron(ia, b)
 
 

@@ -189,11 +189,11 @@ class RingElem:
 
 
 def _one_ring(what: str, *items) -> RingSpec:
-    """The ring of every one of ``items``, anything with a ``ring``.
+    """The ring that ``items`` share, each of them anything with a ``ring``.
 
     Otherwise :class:`RingMismatch` names the first item's ring and the
-    first that differs from it; ``what`` names the items, as in
-    "cannot combine sequences over Z and Q".
+    first ring that differs from it; ``what`` names the items with their
+    preposition, as in "cannot combine sequences over Z and Q".
     """
     ring = items[0].ring
     for x in items[1:]:
