@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recseq import polymat
 from recseq import (
     QQ,
     ZZ,
@@ -309,6 +310,48 @@ class TestPowerSumCrossCheck:
             op(FIB_P, Poly.from_ints(ZZ, [1, 2]))
         with pytest.raises(DegreeZero):
             op(FIB_P, Poly.from_ints(ZZ, [1]))
+
+
+def _legendre_lift(m, d):
+    # m times the m-part of d!: each prime p <= d that divides m enters
+    # with Legendre's exponent sum_i floor(d / p^i)
+    lift = m
+    for p in range(2, d + 1):
+        if m % p == 0 and all(p % r for r in range(2, p)):
+            e, power = 0, p
+            while power <= d:
+                e += d // power
+                power *= p
+            lift *= p**e
+    return lift
+
+
+# The composed operations over Z/m run modulo a lift of m.  With less
+# than the m-part of D! some division by k <= D is not exact, and with
+# more (all of D!, say) the outputs agree but every step costs more: a
+# D = 1024 product over Zmod(10007) took seconds instead of milliseconds
+LIFT_MODULI = [2, 9, 12, 720, 5040, 10007, 2**61 - 1, 2**64]
+LIFT_IDS = ["2", "9", "12", "720", "5040", "10007", "2^61-1", "2^64"]
+# operand degrees for D = 1, 4, 9, 24, 64 and 100
+LIFT_DEGREES = [(1, 1), (2, 2), (3, 3), (4, 6), (8, 8), (10, 10)]
+
+
+@pytest.mark.parametrize("degrees", LIFT_DEGREES, ids=[f"D{d * e}" for d, e in LIFT_DEGREES])
+@pytest.mark.parametrize("m", LIFT_MODULI, ids=LIFT_IDS)
+def test_the_zmod_lift_is_m_times_the_m_part_of_d_factorial(monkeypatch, m, degrees):
+    seen, power_sums = [], polymat._power_sums
+
+    def spy(cs, modulus):
+        seen.append(modulus)
+        return power_sums(cs, modulus)
+
+    monkeypatch.setattr(polymat, "_power_sums", spy)
+    ring, rng = Zmod(m), random.Random(m)
+    p, q = (Poly.from_ints(ring, [rng.randrange(m) for _ in range(d)] + [1]) for d in degrees)
+    for op in (composed_product, composed_sum, composed_newton):
+        op(p, q)
+    # each operation takes the power sums of both operands
+    assert seen == [_legendre_lift(m, degrees[0] * degrees[1])] * 6
 
 
 class TestResultantShift:
