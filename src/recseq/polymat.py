@@ -215,16 +215,6 @@ def _power_sums(cs, modulus: int | None) -> list:
     return s
 
 
-def _split_by_modulus(k: int, m: int) -> tuple[int, int]:
-    """k = k2 * k1 where every prime of k2 divides m and gcd(k1, m) = 1."""
-    k2, g = 1, gcd(k, m)
-    while g > 1:
-        k //= g
-        k2 *= g
-        g = gcd(k, m)
-    return k2, k
-
-
 def _scaled_values(p: Poly, lam: int) -> list:
     """Integer coefficients of lam^d p(t / lam); ``lam`` clears every denominator."""
     return _scaled(p.values[::-1], 1, lam)[::-1]
@@ -327,7 +317,10 @@ def _composed_by(kind: str, p: Poly, q: Poly) -> Poly:
     count = (len(p.values) - 1) * (len(q.values) - 1) + 1
     lam = _denominator_lcm(p.values + q.values)
     m = p.ring.modulus
-    modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]
+    modulus = m
+    if m is not None:
+        f = factorial(count - 1)
+        modulus = m * gcd(f, pow(m, count - 1, f))
     a, b = ((cs, _power_sums(cs, modulus)) for cs in (_scaled_values(p, lam), _scaled_values(q, lam)))
     return _composed(p.ring, _product_values(kind, a, b, lam, count, modulus), lam ** _SCALES[kind][1], modulus)
 
@@ -359,11 +352,11 @@ def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
         if modulus is None:
             high.append(acc // k)
         else:
-            k2, k1 = _split_by_modulus(k, m)
+            k2 = gcd(k, modulus)
             acc %= modulus
             modulus //= k2
             c = acc // k2
-            high.append(c * pow(k1, -1, modulus) % modulus if k1 > 1 else c)
+            high.append(c * pow(k // k2, -1, modulus) % modulus if k > k2 else c)
     if m is not None:
         high = [c % m for c in high]
     return Poly._of(ring, [*_unscaled(ring, high, 1, mu)][::-1])
