@@ -200,11 +200,34 @@ MUTANTS = [
     Mutant(
         "composed-modulo-m",
         "polymat.py",
-        "modulus = None if m is None else m * _split_by_modulus(factorial(count - 1), m)[0]",
+        "modulus = m * gcd(f, pow(m, count - 1, f))",
         "modulus = m",
         [
             "tests/test_linrec.py::test_products_commute_with_reduction_mod_m[Z-12-hurwitz]",
             "tests/test_linrec.py::test_products_commute_with_reduction_mod_m[Z-720-newton]",
+        ],
+    ),
+    # each backward Newton step reads its share of the lift off the modulus
+    Mutant(
+        "composed-step-gcd-against-m",
+        "polymat.py",
+        "k2 = gcd(k, modulus)",
+        "k2 = gcd(k, m)",
+        [
+            "tests/test_linrec.py::test_products_commute_with_reduction_mod_m[Z-12-hurwitz]",
+            "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-hadamard]",
+            "tests/test_linrec.py::test_generic_loops_over_zmod[Zmod:12]",
+        ],
+    ),
+    # a lift larger than m times the m-part of D! changes no output, only cost
+    Mutant(
+        "lift-by-all-of-d-factorial",
+        "polymat.py",
+        "modulus = m * gcd(f, pow(m, count - 1, f))",
+        "modulus = m * f",
+        [
+            "tests/test_polymat.py::test_the_zmod_lift_is_m_times_the_m_part_of_d_factorial[12-D9]",
+            "tests/test_polymat.py::test_the_zmod_lift_is_m_times_the_m_part_of_d_factorial[10007-D64]",
         ],
     ),
     Mutant(
@@ -274,16 +297,6 @@ MUTANTS = [
         "traps=[Rounded, InvalidOperation]",
         [
             "tests/test_linrec.py::test_the_exact_context_raises_where_it_would_round",
-        ],
-    ),
-    Mutant(
-        "split-by-modulus-no-split",
-        "polymat.py",
-        "    k2, g = 1, gcd(k, m)\n",
-        "    return 1, k\n",
-        [
-            "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-hadamard]",
-            "tests/test_linrec.py::test_generic_loops_over_zmod[Zmod:12]",
         ],
     ),
     # every verify check reports its first failure through one rule, and
