@@ -35,8 +35,9 @@ composed operations run one integer core for every ring, with bounded
 sizes: over Q the roots are scaled to algebraic integers and the result
 scaled back; over Z the division by k <= D is exact; over Z/m the core
 works modulo m times the m-part of D!, so each division by k is exact
-on the part of k that shares primes with m and an inverse on the rest
-(see :func:`_composed_by` and :func:`_composed`).  The same scale
+on the part of k that shares primes with m and an inverse on the rest.
+Both parts are read off the moduli with a gcd (see :func:`_composed_by`
+and :func:`_composed`).  The same scale
 lam, from :func:`_denominator_lcm`, puts the products of
 :mod:`recseq.linrec` on integers, and :func:`_scaled` and
 :func:`_unscaled` are the two ends of that scaling everywhere.
@@ -308,8 +309,12 @@ def _composed_by(kind: str, p: Poly, q: Poly) -> Poly:
       The combined roots are then lam^j times the wanted ones, j from
       ``_SCALES``.  Over Z and Z/m, lam = 1.
     * Over Z/m the residues are lifted and everything runs modulo
-      M = m * P, P the m-part of D! (see :func:`_composed`).  For a prime
-      m > D, M = m.  Over Z and Q there is no modulus.
+      M = m * P, P the m-part of D! (see :func:`_composed`).  P is
+      gcd(D!, m^D): for each prime p of m, D * v_p(m) >= D > v_p(D!) by
+      Legendre's formula, and no other prime divides m^D.  Reducing m^D
+      mod D! first leaves the gcd unchanged and keeps every number below
+      D!; ``m ** D`` itself would have D times the bits of m.  For a
+      prime m > D, M = m.  Over Z and Q there is no modulus.
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
@@ -336,7 +341,9 @@ def _composed(ring: RingSpec, sums, mu: int, modulus: int | None) -> Poly:
       the primes of k2 divide m and k1 is a unit mod m; P = prod k2.
       Dividing by k then drops the factor k2 from the modulus (the
       division is exact on the lift) and multiplies by the inverse of
-      k1, so the modulus shrinks step by step and ends at m.
+      k1, so the modulus shrinks step by step and ends at m.  At step k
+      the modulus is m times the k2 of steps k..D, so it holds k2 and
+      no prime outside m: k2 = gcd(k, modulus).
     * Over Q the combined roots are mu times the wanted ones (mu a power
       of the scale lam), so c_{D-k} is the core's coefficient over mu^k.
 
