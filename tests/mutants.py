@@ -211,8 +211,8 @@ MUTANTS = [
     Mutant(
         "composed-step-gcd-against-m",
         "polymat.py",
-        "k2 = gcd(k, modulus)",
-        "k2 = gcd(k, m)",
+        "    k2 = gcd(k, modulus)\n",
+        "    k2 = gcd(k, m)\n",
         [
             "tests/test_linrec.py::test_products_commute_with_reduction_mod_m[Z-12-hurwitz]",
             "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-hadamard]",
