@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recseq import polymat
 from recseq import (
     QQ,
     ZZ,
@@ -18,6 +17,7 @@ from recseq import (
     composed_newton,
     composed_product,
     composed_sum,
+    polymat,
 )
 from recseq.matrix_oracles import (
     Matrix,
