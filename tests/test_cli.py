@@ -740,6 +740,20 @@ class TestVerifyVerb:
             (["--check", "morphism", "-a", FIB_Z, "-b", FIB_Q], (2, "", "error: cannot combine sequences over Z and Q\n")),
             (["--check", "decomposition", "-a", FIB_Z, "-b", FIB_Q],
              (2, "", "error: cannot combine sequences over Z and Q\n")),
+            # an empty -p is no polynomial: a sequence is checked on its charpoly, raw terms are refused
+            (["--check", "recurrence", "-s", FIB_Z, "-p", ""], (0, "check recurrence: PASS (prefix=30)\n", "")),
+            (["--check", "ogf", "-s", FIB_Z, "-p", ""], (0, "check ogf: PASS (prefix=53)\n", "")),
+            (["--check", "ogf", "-s", "ring=Z;terms=[1,2,4,8,16]", "-p", ""],
+             (2, "", "error: raw terms need an explicit -p polynomial\n")),
+            # the terms are parsed before -p, and the fields are split before either
+            (["--check", "ogf", "-s", "ring=Z;terms=[1,x]", "-p", "[1,y]"], (2, "", "error: bad element literal 'x'\n")),
+            (["--check", "recurrence", "-s", "ring=Z;terms=[1];p=[1]", "-p", "[-2,1]"],
+             (2, "", "error: unknown raw-sequence fields: ['p']\n")),
+            (["--check", "recurrence", "-s", "ring=Z;ring=Q;terms=[1]", "-p", "[-2,1]"],
+             (2, "", "error: duplicate field 'ring'\n")),
+            (["--check", "ogf", "-s", "ring=Z;terms=[1,2,4,8,17]", "-p", "[-2,1]", "--extra", "3", "--format", "structured"],
+             (1, '{\n  "checked_prefix": "5",\n  "first_failure": {\n    "actual": "1",\n    "expected": "0",\n'
+                 '    "index": "4"\n  },\n  "name": "ogf",\n  "passed": false\n}\n', "")),
         ],
     )
     def test_inputs_of_each_check(self, capsys, argv, expected):
