@@ -59,7 +59,6 @@ from .linrec import (
     DEFAULT_PREFIX,
     LinRec,
     NotInvertible,
-    _printed,
     _printed_chunks,
     binomial_transform,
     cauchy,
@@ -204,14 +203,6 @@ def parse_raw_terms(text: str) -> tuple[RingSpec, list[RingElem]]:
     return ring, _parse_elements(ring, terms)
 
 
-def parse_sequence_or_terms(text: str):
-    """Either a LinRec or a (ring, terms) pair, depending on the fields."""
-    fields = _split_fields(text)
-    if "terms" in fields:
-        return parse_raw_terms(text)
-    return parse_sequence(text)
-
-
 def _emit(args, plain_lines: list[str], structured: dict | list, terms=None) -> None:
     """Print ``structured`` as JSON, or the plain lines and then, if given, the ``terms:`` line.
 
@@ -304,7 +295,7 @@ def _cmd_sequence(args) -> int:
         result = _SEQ_OPS[args.kind](parse_sequence(args.a), parse_sequence(args.b))
     else:
         result = _TRANSFORMS[args.kind](parse_sequence(args.sequence))
-    initial = _printed(result.initial_values)
+    initial = list(map(str, result.initial_values))
     plain = [f"sequence: {result}", f"charpoly: {result.charpoly}"]
     if args.verb == "op":
         plain.append(f"initial: [{','.join(initial)}]")
@@ -314,7 +305,7 @@ def _cmd_sequence(args) -> int:
         {
             "kind": args.kind,
             "ring": result.ring,
-            "charpoly": _printed(result.charpoly.values),
+            "charpoly": list(map(str, result.charpoly.values)),
             "initial": initial,
         },
         result.term_string_chunks(args.count),
@@ -330,7 +321,7 @@ def _cmd_charpoly_op(args) -> int:
     _emit(
         args,
         [f"result: {result}"],
-        {"kind": args.kind, "ring": ring, "result": _printed(result.values)},
+        {"kind": args.kind, "ring": ring, "result": list(map(str, result.values))},
     )
     return 0
 
@@ -360,20 +351,20 @@ def _cmd_verify(args) -> int:
 
     check = args.check
     if check in ("recurrence", "ogf"):
-        seq = parse_sequence_or_terms(_require(args.sequence, "-s"))  # a LinRec, or raw terms
-        if isinstance(seq, LinRec):
-            ring = seq.ring
-        else:
-            ring, seq = seq
+        text = _require(args.sequence, "-s")
+        if "terms" in _split_fields(text):
+            ring, seq = parse_raw_terms(text)
             if not args.p:
                 raise ParseError("raw terms need an explicit -p polynomial")
-        p = parse_poly(args.p, ring) if args.p else None
+            p = parse_poly(args.p, ring)
+        else:
+            seq = parse_sequence(text)
+            p = parse_poly(args.p, seq.ring) if args.p else seq.charpoly
+            if check == "recurrence":
+                seq = seq.terms(max(args.count, len(p.values)))  # deg p + 1 terms at least
         if check == "ogf":
             report = verify.ogf_poly_check(seq, extra=args.extra, p=p)
         else:
-            if isinstance(seq, LinRec):
-                p = p or seq.charpoly
-                seq = seq.terms(max(args.count, len(p.values)))  # deg p + 1 terms at least
             report = verify.satisfies_recurrence(seq, p)
     elif check in ("decomposition", "morphism"):
         a, b = (parse_sequence(_require(text, flag)) for text, flag in ((args.a, "-a"), (args.b, "-b")))

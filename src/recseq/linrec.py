@@ -263,7 +263,7 @@ class LinRec:
                 if chunk is None:
                     return None
                 if delta == 1:
-                    return _printed(chunk)
+                    return list(map(str, chunk))
                 out = []
                 for z in chunk:
                     g = gcd(int(z % delta), delta)
@@ -295,13 +295,8 @@ class LinRec:
         return f"LinRec({self})"
 
 
-def _printed(values) -> list[str]:
-    """``str`` of each of ``values``, in a list: raw values and ring elements print alike."""
-    return list(map(str, values))
-
-
 def _printed_chunks(chunks, m: int | None):
-    """An iterator over :func:`_printed` of each of ``chunks``, lists of raw values of a ring of modulus ``m``.
+    """An iterator over a list per chunk of the ``str`` of its values; ``chunks`` are lists of raw values modulo ``m``.
 
     Where a value can pass the int/str limit -- over Z and Q, and over a
     modulus longer than the limit -- every chunk is checked first
@@ -316,7 +311,7 @@ def _printed_chunks(chunks, m: int | None):
     bound = 10**limit
     if limit and (m is None or m > bound):  # check every chunk before the first is printed
         chunks = [_refuse_past_the_limit(chunk, bound) for chunk in chunks]
-    return map(_printed, chunks)
+    return map(lambda chunk: list(map(str, chunk)), chunks)  # a generator would keep the last chunk of values
 
 
 def _refuse_past_the_limit(values, bound: int):
