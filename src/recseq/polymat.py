@@ -36,8 +36,9 @@ sizes: over Q the roots are scaled to algebraic integers and the result
 scaled back; over Z the division by k <= D is exact; over Z/m the core
 works modulo m times the m-part of D!, so each division by k is exact
 on the part of k that shares primes with m and an inverse on the rest.
-Both parts are read off the moduli with a gcd (see :func:`_composed_by`
-and :func:`_composed`).  The same scale
+Both parts are read off with gcds: P from gcd(D!, m), and each step's
+part of k from the modulus at that step (see :func:`_composed_by` and
+:func:`_composed`).  The same scale
 lam, from :func:`_denominator_lcm`, puts the products of
 :mod:`recseq.linrec` on integers, and :func:`_scaled` and
 :func:`_unscaled` are the two ends of that scaling everywhere.
@@ -309,12 +310,14 @@ def _composed_by(kind: str, p: Poly, q: Poly) -> Poly:
       The combined roots are then lam^j times the wanted ones, j from
       ``_SCALES``.  Over Z and Z/m, lam = 1.
     * Over Z/m the residues are lifted and everything runs modulo
-      M = m * P, P the m-part of D! (see :func:`_composed`).  P is
-      gcd(D!, m^D): for each prime p of m, D * v_p(m) >= D > v_p(D!) by
-      Legendre's formula, and no other prime divides m^D.  Reducing m^D
-      mod D! first leaves the gcd unchanged and keeps every number below
-      D!; ``m ** D`` itself would have D times the bits of m.  For a
-      prime m > D, M = m.  Over Z and Q there is no modulus.
+      M = m * P, P the m-part of D! (see :func:`_composed`).  P is read
+      from g = gcd(D!, m), which has exactly the primes of m that are at
+      most D: P = gcd(D!, g^D), since for each prime p of g,
+      D * v_p(g) >= D > v_p(D!) by Legendre's formula, and no other
+      prime divides g^D.  Reducing g^D mod D! first leaves the gcd
+      unchanged and keeps every number below D!; ``m ** D`` itself would
+      have D times the bits of m.  For a prime m > D, g = 1 and M = m.
+      Over Z and Q there is no modulus.
     """
     _require_charpoly_operand(p)
     _require_charpoly_operand(q)
@@ -325,7 +328,7 @@ def _composed_by(kind: str, p: Poly, q: Poly) -> Poly:
     modulus = m
     if m is not None:
         f = factorial(count - 1)
-        modulus = m * gcd(f, pow(m, count - 1, f))
+        modulus = m * gcd(f, pow(gcd(f, m), count - 1, f))
     a, b = ((cs, _power_sums(cs, modulus)) for cs in (_scaled_values(p, lam), _scaled_values(q, lam)))
     return _composed(p.ring, _product_values(kind, a, b, lam, count, modulus), lam ** _SCALES[kind][1], modulus)
 

@@ -200,7 +200,7 @@ MUTANTS = [
     Mutant(
         "composed-modulo-m",
         "polymat.py",
-        "modulus = m * gcd(f, pow(m, count - 1, f))",
+        "modulus = m * gcd(f, pow(gcd(f, m), count - 1, f))",
         "modulus = m",
         [
             "tests/test_linrec.py::test_products_commute_with_reduction_mod_m[Z-12-hurwitz]",
@@ -223,7 +223,7 @@ MUTANTS = [
     Mutant(
         "lift-by-all-of-d-factorial",
         "polymat.py",
-        "modulus = m * gcd(f, pow(m, count - 1, f))",
+        "modulus = m * gcd(f, pow(gcd(f, m), count - 1, f))",
         "modulus = m * f",
         [
             "tests/test_polymat.py::test_the_zmod_lift_is_m_times_the_m_part_of_d_factorial[12-D9]",
