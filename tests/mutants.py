@@ -390,6 +390,17 @@ MUTANTS = [
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t0]",
         ],
     ),
+    # verify checks a sequence on -p when it is given, on its charpoly otherwise
+    Mutant(
+        "verify-sequence-ignores-p",
+        "cli.py",
+        "p = parse_poly(args.p, seq.ring) if args.p else seq.charpoly",
+        "p = seq.charpoly",
+        [
+            "tests/test_cli.py::TestVerifyVerb::test_inputs_of_each_check[argv7-expected7]",
+            "tests/test_cli.py::TestVerifyVerb::test_inputs_of_each_check[argv9-expected9]",
+        ],
+    ),
     # the verify verb does not compile the matrix oracles, which no check runs
     Mutant(
         "verify-loads-matrix-oracles",
