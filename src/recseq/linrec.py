@@ -27,10 +27,11 @@ scaled recurrence with :func:`~recseq.polymat._shifted`, in O(N^2) for
 order N, where the Hurwitz product with the ones sequence would run a
 whole composed sum.  The Newton inverse divides by the binomial
 transform d of the terms and unrolls d, as the integers delta lam^t d_t
-with d's own lam and delta.  Every unroll of such integers starts from
+with a's lam and delta, which are d's: the scaled recurrence of a with
+its roots shifted by lam.  Every unroll of such integers starts from
 one recurrence, :func:`_scaled_recurrence`, and each caller unrolls it
-as one list (the products) or in chunks (the inverse's divisors, and
-printing), or shifts its roots (the transforms).  Term
+as one list (the products) or in chunks (printing), or shifts its roots
+(the transforms, and the inverse's divisors, unrolled in chunks).  Term
 unrolling (``term_values``) and the inverse's binomial convolution pass
 ``Fraction`` values to the loops.  ``term_values`` stays on the
 ``Fraction`` unroll: scaled, the unrolled numbers grow like lam^n even
@@ -352,11 +353,11 @@ def _scaled_recurrence(a: LinRec, lam: int, delta: int) -> tuple:
 
     The integers delta lam^n a_n follow the recurrence of the integer
     charpoly lam^N p(t / lam) from delta lam^n a_n for n < N.  The
-    caller unrolls it with :func:`~recseq.kernels.recurrence_values` or
-    :func:`~recseq.kernels.recurrence_chunks` (printing and
-    :func:`_unit_inverses`), or hands it to
-    :func:`~recseq.polymat._product_values` (:func:`_product`) or to
-    :func:`~recseq.polymat._shifted` (:func:`_transformed`).
+    caller unrolls it with :func:`~recseq.kernels.recurrence_chunks`
+    (printing), or hands it to :func:`~recseq.polymat._product_values`
+    (:func:`_product`) or to :func:`~recseq.polymat._shifted`
+    (:func:`_transformed`, and :func:`_unit_inverses`, which unrolls the
+    shifted recurrence in chunks).
     """
     return _scaled_values(a.charpoly, lam), _scaled(a.initial_values, delta, lam)
 
@@ -480,17 +481,20 @@ def _unit_inverses(a: LinRec, k: int):
     """1 / d_t for t < k, d_t = sum_s C(t,s) a_s the binomial transform of the terms.
 
     A generator that raises :class:`NotInvertible` at the first d_t that
-    is not a unit.  d is :func:`binomial_transform` of a, and the d_t are
-    read chunk by chunk from the unroll of its scaled recurrence
-    (:func:`_scaled_recurrence`), the integers delta lam^t d_t with lam
-    and delta those of d, which divide a's; each is divided and checked
-    as it is reached, so a failure at index t unrolls
-    O(t + ``kernels.CHUNK``) terms whatever ``k`` is, and makes no ring
-    value past it.
+    is not a unit.  d is :func:`binomial_transform` of a, every root plus
+    1, so its scaled recurrence is a's (:func:`_scaled_recurrence`)
+    shifted by lam (:func:`~recseq.polymat._shifted`), and the d_t are
+    read chunk by chunk from its unroll, the integers delta lam^t d_t.
+    lam and delta are equal to a's: the coefficients of p(t - 1) and of
+    p(t) are integer combinations of each other, and so are the first N
+    terms of d and of a (B_1 and B_(-1)), so d's denominators are a's.
+    Each d_t is divided and checked as it is reached, so a failure at
+    index t unrolls O(t + ``kernels.CHUNK``) terms whatever ``k`` is, and
+    makes no ring value past it.
     """
-    ring, d = a.ring, binomial_transform(a)
-    lam, delta = _denominator_lcm(d.charpoly.values), _denominator_lcm(d.initial_values)
-    zs = chain.from_iterable(recurrence_chunks(*_scaled_recurrence(d, lam, delta), k, ring.modulus))
+    ring, lam, delta = a.ring, _denominator_lcm(a.charpoly.values), _denominator_lcm(a.initial_values)
+    d = _shifted(*_scaled_recurrence(a, lam, delta), lam, ring.modulus)
+    zs = chain.from_iterable(recurrence_chunks(*d, k, ring.modulus))
     for t, v in enumerate(_unscaled(ring, zs, delta, lam)):
         r = ring.unit_inverse(v)
         if r is None:

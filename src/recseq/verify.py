@@ -24,8 +24,10 @@ through psi^-1, the Hurwitz convolution with the ones sequence, which
 carries Newton products to Hadamard products.  :func:`inverse_check`
 reads the Newton inverse the same way: psi^-1 also sends the Newton
 identity to the ones sequence, so b inverts a on k terms iff their
-images multiply to 1 termwise, in O(k^2).  The identity both rest on is
-checked against the direct O(k^3) Newton sum by :func:`morphism_check`.
+images multiply to 1 termwise, in O(k^2).  psi^-1 is unitriangular, so
+both map a failure of the images back to the terms through one helper,
+:func:`_image_failure`.  The identity both rest on is checked against
+the direct O(k^3) Newton sum by :func:`morphism_check`.
 
 Every check reports its first failure through one rule,
 :func:`_first_failure`: the first ``(index, expected, actual)`` whose
@@ -219,6 +221,20 @@ def _binomial(ts, s: int) -> list[RingElem]:
     return direct_product_oracle("hurwitz", ts, [int_scale(s**n, one) for n in range(len(ts))])
 
 
+def _image_failure(ts, want):
+    """The first failure of the terms ``ts`` against the psi^-1 images ``want``, mapped back to the terms, or None.
+
+    Let u be the sequence whose images are ``want``, and got those of
+    ``ts`` (:func:`_binomial`).  psi^-1 is lower triangular with ones on
+    its diagonal, so the first n where want_n != got_n is the first where
+    u_n != t_n, and u_n - t_n = want_n - got_n there.  The failure names
+    u_n = t_n + want_n - got_n as expected and t_n as actual.
+    :func:`product_check` (Newton) and :func:`inverse_check` map every
+    psi^-1 failure back through this one rule.
+    """
+    return _first_failure((n, t + w - g, t) for n, (t, w, g) in enumerate(zip(ts, want, _binomial(ts, 1))))
+
+
 def product_check(kind: str, a: LinRec, b: LinRec, c: LinRec) -> CheckReport:
     """Decide whether ``c`` is the ``kind`` product of ``a`` and ``b``.
 
@@ -230,11 +246,10 @@ def product_check(kind: str, a: LinRec, b: LinRec, c: LinRec) -> CheckReport:
     terms match the direct formula; that is the prefix this check reads.
     A Newton product is compared through psi^-1, which carries it to the
     Hadamard product of the images, in O(k^2) in place of the double
-    sum's O(k^3).  psi^-1 is lower triangular with ones on its diagonal,
-    so the images first differ where the terms do, and by as much: on
-    both routes a failure names the true term as expected and ``c``'s
-    as actual.  Unknown kinds and sequences over different rings are
-    refused before any term is read.
+    sum's O(k^3), and a failure of the images is mapped back to the
+    terms by :func:`_image_failure`: on both routes a failure names the
+    true term as expected and ``c``'s as actual.  Unknown kinds and
+    sequences over different rings are refused before any term is read.
     """
     if kind not in _ADDS_ORDERS:
         raise ValueError(f"unknown product kind {kind!r}")
@@ -242,11 +257,7 @@ def product_check(kind: str, a: LinRec, b: LinRec, c: LinRec) -> CheckReport:
     k = c.order + (a.order + b.order if _ADDS_ORDERS[kind] else a.order * b.order)
     ta, tb, tc = a.terms(k), b.terms(k), c.terms(k)
     if kind == "newton":
-        want = direct_product_oracle("hadamard", _binomial(ta, 1), _binomial(tb, 1))
-        failure = _first_failure(zip(range(k), want, _binomial(tc, 1)))
-        if failure is not None:
-            n, expected, actual = failure
-            failure = (n, tc[n] + expected - actual, tc[n])
+        failure = _image_failure(tc, direct_product_oracle("hadamard", _binomial(ta, 1), _binomial(tb, 1)))
     else:
         failure = _first_failure(zip(range(k), direct_product_oracle(kind, ta, tb), tc))
     return _report(f"product-{kind}", k, failure)
@@ -366,17 +377,17 @@ def inverse_check(a: LinRec, k: int) -> CheckReport:
     inverse b is the inverse iff d_n e_n = 1 for every n < k, and a has
     one iff every d_n is a unit.  Both images are the direct Hurwitz
     convolution with 1, 1, 1, ... (:func:`_binomial`), O(k^2) on ring
-    elements.  Raises :class:`NotInvertible` at the first d_n that is not
-    a unit, after the library's own refusal.  psi^-1 is lower triangular
-    with ones on its diagonal, so at the first n with e_n != d_n^-1 the
-    true inverse's term is b_n - e_n + d_n^-1: the failure names it as
-    expected and b_n as actual.
+    elements.  The library refuses first: k < 1 with its ``ValueError``,
+    and an a with no inverse with :class:`NotInvertible`.  Should it
+    return terms all the same, this check raises :class:`NotInvertible`
+    at the first d_n that is not a unit.  The wanted
+    images are the d_n^-1, and :func:`_image_failure` maps the first n
+    with e_n != d_n^-1 back to the terms: the failure names the true
+    inverse's term, b_n + d_n^-1 - e_n, as expected and b_n as actual.
     """
-    if k < 1:
-        raise ValueError("term count must be >= 1")
     b = newton_inverse(a, k)
-    d, e = _binomial(a.terms(k), 1), _binomial(b, 1)
+    d = _binomial(a.terms(k), 1)
     for n, d_n in enumerate(d):
         if not d_n.is_unit():
             raise NotInvertible(n, d_n)
-    return _report("newton-inverse", k, _first_failure((n, b[n] - e[n] + d[n].inv(), b[n]) for n in range(k)))
+    return _report("newton-inverse", k, _image_failure(b, [d_n.inv() for d_n in d]))
