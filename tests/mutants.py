@@ -68,8 +68,8 @@ MUTANTS = [
     Mutant(
         "inverse-divisors-untransformed",
         "linrec.py",
-        "ring, d = a.ring, binomial_transform(a)",
-        "ring, d = a.ring, a",
+        "d = _shifted(*_scaled_recurrence(a, lam, delta), lam, ring.modulus)",
+        "d = _shifted(*_scaled_recurrence(a, lam, delta), 0, ring.modulus)",
         [
             "tests/test_linrec.py::TestInvertibility::test_ones_over_z_fails_at_one",
             "tests/test_linrec.py::test_raw_value_inverse_matches_oracles[Zmod:10007]",
@@ -180,8 +180,8 @@ MUTANTS = [
     Mutant(
         "inverse-unroll-unchunked",
         "linrec.py",
-        "zs = chain.from_iterable(recurrence_chunks(*_scaled_recurrence(d, lam, delta), k, ring.modulus))",
-        "zs = recurrence_values(*_scaled_recurrence(d, lam, delta), k, ring.modulus)",
+        "zs = chain.from_iterable(recurrence_chunks(*d, k, ring.modulus))",
+        "zs = recurrence_values(*d, k, ring.modulus)",
         [
             "tests/test_linrec.py::TestNewtonInverse::test_unrolls_only_to_the_first_non_unit",
             "tests/test_cli.py::TestStream::test_invert_stops_at_the_first_non_unit",
@@ -360,12 +360,23 @@ MUTANTS = [
     Mutant(
         "product-check-newton-without-psi-inverse",
         "verify.py",
-        'want = direct_product_oracle("hadamard", _binomial(ta, 1), _binomial(tb, 1))\n'
-        "        failure = _first_failure(zip(range(k), want, _binomial(tc, 1)))",
-        'want = direct_product_oracle("hadamard", ta, tb)\n        failure = _first_failure(zip(range(k), want, tc))',
+        'failure = _image_failure(tc, direct_product_oracle("hadamard", _binomial(ta, 1), _binomial(tb, 1)))',
+        'failure = _first_failure(zip(range(k), direct_product_oracle("hadamard", ta, tb), tc))',
         [
             "tests/test_verify.py::TestProductCheck::test_reads_order_plus_d_terms_of_each_product[newton-12]",
             "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-newton]",
+        ],
+    ),
+    # verify._image_failure maps the first difference of psi^-1 images back
+    # to the terms: the true term is t + want - got
+    Mutant(
+        "image-failure-sign",
+        "verify.py",
+        "(n, t + w - g, t)",
+        "(n, t - w + g, t)",
+        [
+            "tests/test_verify.py::TestProductCheck::test_newton_fails_where_the_double_sum_does[Z]",
+            "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Q]",
         ],
     ),
     # inverse_check decides the Newton inverse through psi^-1: d = psi^-1 a
@@ -373,8 +384,8 @@ MUTANTS = [
     Mutant(
         "inverse-check-failure-unmapped",
         "verify.py",
-        "_first_failure((n, b[n] - e[n] + d[n].inv(), b[n]) for n in range(k))",
-        "_first_failure((n, d[n].inv(), e[n]) for n in range(k))",
+        "_image_failure(b, [d_n.inv() for d_n in d])",
+        "_first_failure(zip(range(k), [d_n.inv() for d_n in d], _binomial(b, 1)))",
         [
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Q]",
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t9]",
@@ -384,7 +395,7 @@ MUTANTS = [
         "inverse-check-units-of-e",
         "verify.py",
         "for n, d_n in enumerate(d):",
-        "for n, d_n in enumerate(e):",
+        "for n, d_n in enumerate(_binomial(b, 1)):",
         [
             "tests/test_verify.py::TestInverseCheck::test_an_inverse_claimed_where_none_exists_raises",
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t0]",
