@@ -14,8 +14,12 @@ First the named tests of the chosen mutants run once on the untouched
 ``src/`` is copied to a temporary directory of its own, the snippet
 (which must occur exactly once) is replaced there, and only that
 mutant's tests run, with ``PYTHONPATH`` at the copy and a report file of
-their own.  Each outcome is printed on one line, in catalogue order.
-The run exits 1 if a snippet no longer matches or no test is named, if a
+their own.  Every run writes its bytecode to one cache in the run's
+temporary directory (``PYTHONPYCACHEPREFIX``), so pytest, the test
+modules and the installed packages are compiled once per catalogue run;
+each copy of ``src/`` has a path of its own, so no mutant reads
+another's bytecode, and nothing is written in the tree.  Each outcome
+is printed on one line, in catalogue order.  The run exits 1 if a snippet no longer matches or no test is named, if a
 named test does not run or passes on its mutant, or if the control run
 fails.
 
@@ -32,6 +36,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 Mutant = namedtuple("Mutant", "name file snippet replacement tests")
@@ -462,11 +467,16 @@ def _failed(report: Path) -> dict:
     return out
 
 
-def _run(tests, src: Path, workdir: Path) -> dict:
-    """Run ``tests`` with ``src`` on ``PYTHONPATH``: ``_failed`` of the report, or {} if the run timed out."""
+def _run(tests, src: Path, workdir: Path, cache: Path) -> dict:
+    """Run ``tests`` with ``src`` on ``PYTHONPATH``: ``_failed`` of the report, or {} if the run timed out.
+
+    The run writes its bytecode under ``cache``, outside the tree, where
+    the other runs of the catalogue read it.
+    """
     report = workdir / "report.xml"
     report.unlink(missing_ok=True)
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(cache))
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=", f"--junitxml={report}", *tests]
     try:
         # a mutant can make a test run without end, as an inverse that never
@@ -479,7 +489,7 @@ def _run(tests, src: Path, workdir: Path) -> dict:
     return _failed(report) if report.exists() else {}
 
 
-def _try(m: Mutant, workdir: Path) -> tuple[bool, str]:
+def _try(m: Mutant, workdir: Path, cache: Path) -> tuple[bool, str]:
     """Apply ``m`` to a copy of ``src/`` made in ``workdir`` and run its tests there: (killed, its outcome line)."""
     copy = workdir / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
@@ -488,7 +498,7 @@ def _try(m: Mutant, workdir: Path) -> tuple[bool, str]:
     if text.count(m.snippet) != 1 or not m.tests:
         return False, f"{m.name}: the snippet occurs {text.count(m.snippet)} times in {m.file}, with {len(m.tests)} tests"
     target.write_text(text.replace(m.snippet, m.replacement))
-    results = _run(m.tests, copy, workdir)
+    results = _run(m.tests, copy, workdir, cache)
     survived = [t for t in m.tests if results.get(t) is False]
     not_run = [t for t in m.tests if t not in results]
     if survived or not_run:
@@ -505,14 +515,16 @@ def main(names) -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        cache = tmp / "pycache"
         named = sorted({t for m in chosen for t in m.tests})
-        control = _run(named, ROOT / "src", tmp)
+        control = _run(named, ROOT / "src", tmp, cache)
         for t in named:
             if control.get(t) is not False:
                 print(f"control: {t} did not pass on the untouched tree")
                 bad += 1
         with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chosen))) as pool:
-            for killed, line in pool.map(_try, chosen, [tmp / m.name for m in chosen]):  # in catalogue order
+            outcomes = pool.map(_try, chosen, [tmp / m.name for m in chosen], repeat(cache))
+            for killed, line in outcomes:  # in catalogue order
                 print(line, flush=True)
                 bad += not killed
     print(f"{len(chosen)} mutants, {bad} problems")
