@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from recseq import QQ, ZZ, LinRec, Poly, RingElem, RingSpec, Zmod, kernels, linrec
 
+# random_linrec(rng, ring, degree) draws as the selftest does: a monic
+# charpoly of that degree and as many initial values, each in [-5, 5] over
+# Z, a/b with |a| <= 4 and 1 <= b <= 4 over Q, and any residue over Z/m
+from recseq.selftest import _random_linrec as random_linrec  # noqa: F401
+
 RINGS = [ZZ, QQ, Zmod(10007), Zmod(12)]
 RING_IDS = [str(r) for r in RINGS]
 
@@ -54,21 +59,6 @@ def fib(ring: RingSpec) -> LinRec:
 
 def geometric(ring: RingSpec, base: int) -> LinRec:
     return LinRec(Poly.from_ints(ring, [-base, 1]), [ring.one])
-
-
-def random_linrec(rng, ring, degree):
-    # a monic charpoly of the given degree and as many initial values: each
-    # in [-5, 5] over Z, a/b with |a| <= 4 and 1 <= b <= 4 over Q, and any
-    # residue over Z/m
-    def elem():
-        if ring.kind == "Q":
-            return RingElem(ring, Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-        if ring.kind == "Z":
-            return ring.from_int(rng.randint(-5, 5))
-        return ring.from_int(rng.randrange(ring.modulus))
-
-    p = Poly(ring, [elem() for _ in range(degree)] + [ring.one])
-    return LinRec(p, [elem() for _ in range(degree)])
 
 
 def int_values(terms) -> list[int]:
