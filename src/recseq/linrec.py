@@ -485,9 +485,9 @@ def _unit_inverses(a: LinRec, k: int):
     1, so its scaled recurrence is a's (:func:`_scaled_recurrence`)
     shifted by lam (:func:`~recseq.polymat._shifted`), and the d_t are
     read chunk by chunk from its unroll, the integers delta lam^t d_t.
-    lam and delta are equal to a's: the coefficients of p(t - 1) and of
-    p(t) are integer combinations of each other, and so are the first N
-    terms of d and of a (B_1 and B_(-1)), so d's denominators are a's.
+    d's lam and delta are equal to a's: the coefficients of p(t - 1) and
+    of p(t) are integer combinations of each other, and so are the first
+    N terms of d and of a (B_1 and B_(-1)).
     Each d_t is divided and checked as it is reached, so a failure at
     index t unrolls O(t + ``kernels.CHUNK``) terms whatever ``k`` is, and
     makes no ring value past it.

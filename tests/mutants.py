@@ -19,9 +19,9 @@ temporary directory (``PYTHONPYCACHEPREFIX``), so pytest, the test
 modules and the installed packages are compiled once per catalogue run;
 each copy of ``src/`` has a path of its own, so no mutant reads
 another's bytecode, and nothing is written in the tree.  Each outcome
-is printed on one line, in catalogue order.  The run exits 1 if a snippet no longer matches or no test is named, if a
-named test does not run or passes on its mutant, or if the control run
-fails.
+is printed on one line, in catalogue order.  The run exits 1 if a
+snippet no longer matches or no test is named, if a named test does not
+run or passes on its mutant, or if the control run fails.
 
 Importing this module runs nothing.
 """
