@@ -369,7 +369,7 @@ def _cmd_verify(args) -> int:
     elif check in ("decomposition", "morphism"):
         a, b = (parse_sequence(_require(text, flag)) for text, flag in ((args.a, "-a"), (args.b, "-b")))
         if check == "decomposition":
-            report = verify.decomposition_check(a, b, args.count)
+            report = verify.decomposition_check(a, b)
         else:
             report = verify.morphism_check(args.map, [(a, b)], args.count)
     else:  # "inverse", the last of the choices argparse allows
@@ -455,9 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
          option("--check", choices=["recurrence", "ogf", "decomposition", "morphism", "inverse"], required=True),
          sequence(False), option("-a"), option("-b"), option("-p"),  # each check asks for those it reads
          option("--map", choices=["psi", "psi-inverse"], default="psi"),
-         count(1, DEFAULT_PREFIX, help="prefix length of the recurrence check on a sequence, and of decomposition, "
-               "morphism and inverse (default %(default)s); ogf reads --extra, and recurrence on raw terms checks "
-               "them all"),
+         count(1, DEFAULT_PREFIX, help="prefix length of the recurrence check on a sequence, and of morphism and "
+               "inverse (default %(default)s); decomposition reads the terms that decide it, ogf reads --extra, and "
+               "recurrence on raw terms checks them all"),
          option("--extra", type=_integer(1), default=50))
     # no --seed: selftest.DEFAULT_SEED
     verb("selftest", "run the full acceptance suite", _cmd_selftest, option("--seed", type=_integer(), default=None))

@@ -471,8 +471,10 @@ def newton_via_decomposition(a: LinRec, b: LinRec) -> LinRec:
     charpoly rule, :func:`~recseq.polymat.composed_product` between two
     Taylor shifts here and :func:`~recseq.polymat.composed_newton` there,
     and in the last step, a shift by -1 here and B_(-lam^2) of the
-    termwise products there.  The direct oracles of :mod:`recseq.verify`,
-    which share no code with either, remain the independent check.
+    termwise products there.  :func:`recseq.verify.decomposition_check`
+    decides this route on its 2 d1 d2 terms, for operands of orders d1
+    and d2, against the direct Newton formula of :mod:`recseq.verify`,
+    which shares no code with either route.
     """
     return hadamard_to_newton(hadamard(newton_to_hadamard(a), newton_to_hadamard(b)))
 

@@ -6,9 +6,10 @@ criterion, the algebra isomorphism, the composed-operation semiring laws,
 and the characteristic-polynomial round trip with its cross-checks (the
 power-sum composed operations against Berkowitz on the Kronecker
 matrices, Berkowitz against cofactor expansion, from
-:mod:`recseq.matrix_oracles`).  Criteria 1, 3 and 6
+:mod:`recseq.matrix_oracles`).  Criteria 1, 3, 4 and 6
 decide each constructed product with :func:`recseq.verify.product_check`,
-which reads the ``c.order + D`` terms that prove it.  Everything is
+which reads the ``c.order + D`` terms that prove it; criterion 4 through
+:func:`recseq.verify.decomposition_check`.  Everything is
 exact: the tolerance is zero throughout.  The pytest acceptance module
 runs the same functions one criterion per test.
 """
@@ -149,16 +150,13 @@ def criterion_3(seed: int) -> tuple[bool, str]:
 
 
 def criterion_4(seed: int) -> tuple[bool, str]:
-    """Newton product equals its Hurwitz/Hadamard decomposition termwise."""
-    groups = [
-        (_pairs(seed * 100 + 4, _MOD_RING, 100), 30),
-        (_pairs(seed * 100 + 41, QQ, 20, degrees=(1, 2)), 30),
-    ]
-    for pairs, prefix in groups:
+    """Newton decomposition: psi(psi^-1 a Hadamard psi^-1 b) is the Newton product (decomposition_check)."""
+    for pairs in (_pairs(seed * 100 + 4, _MOD_RING, 100), _pairs(seed * 100 + 41, QQ, 20, degrees=(1, 2))):
         for idx, (a, b) in enumerate(pairs):
-            if not decomposition_check(a, b, prefix).passed:
-                return False, f"pair {idx} over {a.ring}: decomposition mismatch"
-    return True, "100 pairs over Zmod:10007 and 20 over Q, 30-term prefixes"
+            report = decomposition_check(a, b)
+            if not report.passed:
+                return False, f"pair {idx} over {a.ring}: {report.to_text()}"
+    return True, "100 pairs over Zmod:10007 and 20 over Q, prefix c.order + D"
 
 
 def criterion_5(seed: int) -> tuple[bool, str]:

@@ -9,7 +9,9 @@ The library holds raw values inside :class:`~recseq.polymat.Poly` and
 elements, which it gets through ``coeffs``, ``initial`` and ``terms()``.
 In particular the convolutions here are written out again on purpose (no
 call into the sequence product constructors or the raw-value loops of
-:mod:`recseq.kernels`).
+:mod:`recseq.kernels`).  A check calls the library only for the value
+it checks: :func:`inverse_check` its Newton inverse, and
+:func:`decomposition_check` its Newton decomposition.
 
 The matrix oracles, which reach the composed operations through
 Kronecker matrices and resultants, live apart, in
@@ -17,11 +19,12 @@ Kronecker matrices and resultants, live apart, in
 
 Checks are exact, so a single nonzero coefficient or mismatched term is
 a hard failure.  Most are prefix-bounded evidence, not proofs;
-:func:`product_check` decides.  The true product satisfies a monic
-polynomial of known degree D, so the check reads the ``c.order + D``
-terms that prove a claimed product ``c``.  It reads a Newton product
-through psi^-1, the Hurwitz convolution with the ones sequence, which
-carries Newton products to Hadamard products.  :func:`inverse_check`
+:func:`product_check` decides, and so does :func:`decomposition_check`,
+which is product_check of the decomposition.  The true product
+satisfies a monic polynomial of known degree D, so the check reads the
+``c.order + D`` terms that prove a claimed product ``c``.  It reads a
+Newton product through psi^-1, the Hurwitz convolution with the ones
+sequence, which carries Newton products to Hadamard products.  :func:`inverse_check`
 reads the Newton inverse the same way: psi^-1 also sends the Newton
 identity to the ones sequence, so b inverts a on k terms iff their
 images multiply to 1 termwise, in O(k^2).  psi^-1 is unitriangular, so
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .linrec import LinRec, NotInvertible, newton, newton_inverse, newton_via_decomposition
+from .linrec import LinRec, NotInvertible, newton_inverse, newton_via_decomposition
 from .polymat import Poly, _require_charpoly_operand
 from .ring import RingElem, RingMismatch, RingSpec, _one_ring, binom, int_scale
 
@@ -349,23 +352,17 @@ def morphism_check(map_name: str, pairs, prefix: int) -> CheckReport:
     return morphism_laws(lambda ts: _binomial(ts, s), source_kind, target_kind, pairs, prefix, f"morphism-{map_name}")
 
 
-def decomposition_check(a: LinRec, b: LinRec, prefix: int) -> CheckReport:
-    """Compare the Newton product of ``a`` and ``b`` with its decomposition on ``prefix`` terms.
+def decomposition_check(a: LinRec, b: LinRec) -> CheckReport:
+    """Decide whether the decomposition of the Newton product of ``a`` and ``b`` is that product.
 
-    :func:`~recseq.linrec.newton` builds the product from the composed
-    Newton charpoly; :func:`~recseq.linrec.newton_via_decomposition`
-    reaches it through the two binomial transforms and a Hadamard
-    product.  Both routes shift roots with
-    :func:`~recseq.polymat._shifted`; they differ in the charpoly rule
-    and in the last step (see ``newton_via_decomposition``).  So this
-    check is not independent of the fast path: the direct oracles of
-    this module, such as :func:`direct_product_oracle`, are.  A failure
-    names the decomposition's term as expected and the direct product's
-    as actual.
+    :func:`~recseq.linrec.newton_via_decomposition` builds it as
+    psi(psi^-1 a Hadamard psi^-1 b), and :func:`product_check` decides it
+    on its ``c.order + D`` terms, 2 d1 d2 for operands of orders d1 and
+    d2, against the direct Newton formula read through psi^-1.  The
+    report is named ``newton-decomposition``; a failure names the true
+    Newton term as expected and the decomposition's as actual.
     """
-    direct = newton(a, b).terms(prefix)
-    composed = newton_via_decomposition(a, b).terms(prefix)
-    return _report("newton-decomposition", prefix, _first_failure(zip(range(prefix), composed, direct)))
+    return product_check("newton", a, b, newton_via_decomposition(a, b))._replace(name="newton-decomposition")
 
 
 def inverse_check(a: LinRec, k: int) -> CheckReport:
