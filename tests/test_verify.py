@@ -337,9 +337,10 @@ class TestDecompositionCheck:
 
     def test_corrupted_product_fails(self, monkeypatch):
         # the Hurwitz product of 1, 1, 1, ... with itself is 2^n, the Newton
-        # product 3^n: the decomposition's 3 is expected, the 2 is actual
-        monkeypatch.setattr(verify, "newton", hurwitz)
-        report = decomposition_check(ones(ZZ), ones(ZZ), 10)
+        # product 3^n: the true Newton term 3 is expected, the
+        # decomposition's 2 is actual
+        monkeypatch.setattr(verify, "newton_via_decomposition", hurwitz)
+        report = decomposition_check(ones(ZZ), ones(ZZ))
         assert not report.passed
         assert report.first_failure == (1, ZZ.from_int(3), ZZ.from_int(2))
 
