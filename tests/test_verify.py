@@ -23,6 +23,7 @@ from recseq import (
     hurwitz,
     newton,
     newton_inverse,
+    newton_via_decomposition,
     ones,
     seq_sum,
 )
@@ -343,6 +344,20 @@ class TestDecompositionCheck:
         report = decomposition_check(ones(ZZ), ones(ZZ))
         assert not report.passed
         assert report.first_failure == (1, ZZ.from_int(3), ZZ.from_int(2))
+
+    def test_impulse_past_thirty_terms_fails_there(self, monkeypatch):
+        # the decomposition plus 1 at index 40 alone, which a 30-term prefix
+        # never reads: the sum's order is 2 + 41 and D = 2, so the check
+        # reads 45 terms and fails at 40, on the true term plus 1
+        fib_q = LinRec(Poly.from_ints(QQ, [-1, -1, 1]), [QQ.zero, QQ.one])
+        impulse = LinRec(Poly.from_ints(QQ, [0] * 41 + [1]), [QQ.zero] * 40 + [QQ.one])
+        monkeypatch.setattr(
+            verify, "newton_via_decomposition", lambda a, b: seq_sum(newton_via_decomposition(a, b), impulse)
+        )
+        report = decomposition_check(fib_q, ones(QQ))
+        true = direct_product_oracle("newton", fib_q.terms(41), ones(QQ).terms(41))[40]
+        assert report.first_failure == (40, true, true + QQ.one)
+        assert report.checked_prefix == 45
 
 
 PINNED_INVERSE_TEXTS = {
