@@ -935,8 +935,8 @@ FORMAT = (["--format"], "format", False, "plain", ["plain", "structured"], None,
 SEQUENCE = (["-s", "--sequence"], "sequence", True, None, None, None, None)
 COUNT = (["-n", "--count"], "count", False, 10, None, None, ["7", "0"])
 PREFIX_HELP = (
-    "prefix length of the recurrence check on a sequence, and of decomposition, morphism and inverse "
-    "(default %(default)s); ogf reads --extra, and recurrence on raw terms checks them all"
+    "prefix length of the recurrence check on a sequence, and of morphism and inverse (default %(default)s); "
+    "decomposition reads the terms that decide it, ogf reads --extra, and recurrence on raw terms checks them all"
 )
 GRAMMAR = {
     "terms": ("_cmd_terms", {}, [HELP, SEQUENCE, COUNT, FORMAT]),
