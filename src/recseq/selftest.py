@@ -1,17 +1,19 @@
 """The acceptance suite behind ``recseq selftest``.
 
 Ten seeded, deterministic criteria exercising the closure laws, the
-resultant identity, the Newton decomposition and inverses, the rationality
-criterion, the algebra isomorphism, the composed-operation semiring laws,
-and the characteristic-polynomial round trip with its cross-checks (the
-power-sum composed operations against Berkowitz on the Kronecker
-matrices, Berkowitz against cofactor expansion, from
-:mod:`recseq.matrix_oracles`).  Criteria 1, 3, 4 and 6
-decide each constructed product with :func:`recseq.verify.product_check`,
-which reads the ``c.order + D`` terms that prove it; criterion 4 through
-:func:`recseq.verify.decomposition_check`.  Everything is
-exact: the tolerance is zero throughout.  The pytest acceptance module
-runs the same functions one criterion per test.
+resultant identity, the Newton decomposition and inverses, the
+rationality criterion, the algebra isomorphism, the composed-operation
+semiring laws, and the characteristic-polynomial round trip with its
+cross-checks (the power-sum composed operations against Berkowitz on the
+Kronecker matrices, Berkowitz against cofactor expansion, from
+:mod:`recseq.matrix_oracles`).  Criteria 1, 3, 4 and 6 decide each
+constructed product with :func:`recseq.verify.product_check`, which
+reads the ``c.order + D`` terms that prove it; criterion 4 through
+:func:`recseq.verify.decomposition_check`.  Criterion 7 decides the
+charpolys: each must annihilate the direct product, on the
+``c.order + D + 1`` terms that prove it.  Everything is exact: the
+tolerance is zero throughout.  The pytest acceptance module runs the
+same functions one criterion per test.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .polymat import Poly, composed_newton, composed_product, composed_sum
 from .ring import QQ, RingElem, RingSpec, ZZ, Zmod
 from .matrix_oracles import charpoly, charpoly_cofactor, companion, kron, kron_newton, kron_sum, resultant_shift
 from .verify import (
+    _ADDS_ORDERS,
     decomposition_check,
     direct_product_oracle,
     inverse_check,
@@ -90,7 +93,8 @@ def _pairs(seed: int, ring: RingSpec, count: int, degrees=(1, 2, 3)) -> list[tup
 
 # Each closure case once, keyed by its product kind: the seed offset of its
 # pairs, and the constructor whose products criteria 1, 3 and 6 decide
-# with product_check and criterion 7 checks by the rationality criterion.
+# with product_check, and whose charpolys criterion 7 checks on the direct
+# product by the rationality criterion.
 _CLOSURE_CASES = {
     "hurwitz": (1, hurwitz),
     "newton": (3, newton),
@@ -118,7 +122,9 @@ def _closure_run(seed: int, kind: str) -> tuple[bool, str]:
 def criterion_1(seed: int) -> tuple[bool, str]:
     """Hurwitz closure: the product recurring with the composed sum is the binomial convolution."""
     ok, detail = _closure_run(seed, "hurwitz")
-    return ok, detail + f" over {_MOD_RING}, degrees 1-3, prefix c.order + D"
+    if not ok:
+        return False, detail
+    return True, detail + f" over {_MOD_RING}, degrees 1-3, prefix c.order + D"
 
 
 def criterion_2(seed: int) -> tuple[bool, str]:
@@ -195,16 +201,22 @@ def criterion_6(seed: int) -> tuple[bool, str]:
 
 
 def criterion_7(seed: int) -> tuple[bool, str]:
-    """Rationality criterion on every product constructed in criteria 1, 3, 6."""
-    total = 0
-    for offset, constructor in _CLOSURE_CASES.values():
+    """Rationality criterion: the charpoly of each product of criteria 1, 3, 6 annihilates the direct product.
+
+    The direct product u satisfies a monic polynomial of degree D, and
+    so does p(E) u for c's charpoly p and the shift E; so the D + 1
+    o.g.f. coefficients read on ``c.order + D + 1`` terms of u decide
+    that p annihilates u.
+    """
+    for kind, (offset, constructor) in _CLOSURE_CASES.items():
         for idx, (a, b) in enumerate(_closure_pairs(seed, offset)):
             c = constructor(a, b)
-            report = ogf_poly_check(c, extra=50)
+            d = a.order + b.order if _ADDS_ORDERS[kind] else a.order * b.order
+            k = c.order + d + 1
+            report = ogf_poly_check(direct_product_oracle(kind, a.terms(k), b.terms(k)), extra=d, p=c.charpoly)
             if not report.passed:
-                return False, f"{constructor.__name__} pair {idx}: {report.to_text()}"
-            total += 1
-    return True, f"{total} constructed sequences, extra=50"
+                return False, f"{kind} pair {idx}: {report.to_text()}"
+    return True, f"{100 * len(_CLOSURE_CASES)} constructed charpolys on the direct products, extra=D"
 
 
 def criterion_8(seed: int) -> tuple[bool, str]:

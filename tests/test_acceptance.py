@@ -7,7 +7,7 @@ exact equality of ring elements, polynomials, or term prefixes.
 
 import pytest
 
-from recseq import selftest
+from recseq import hadamard, selftest
 
 _RESULTS = {}
 
@@ -28,3 +28,16 @@ def test_criterion(number, name, capsys):
 
 def test_every_criterion_ran():
     assert [number for number, _ in selftest.criteria()] == list(range(1, 11))
+
+
+def test_criteria_1_and_7_fail_on_a_wrong_hurwitz_product(monkeypatch):
+    # a Hurwitz constructor that returns the Hadamard product: its terms
+    # follow its own charpoly, but the direct Hurwitz product's do not;
+    # criterion 1 reports its failure alone, without its pass suffix
+    monkeypatch.setitem(selftest._CLOSURE_CASES, "hurwitz", (1, hadamard))
+    assert selftest.criterion_7(selftest.DEFAULT_SEED) == (
+        False, "hurwitz pair 0: check ogf: FAIL at index 2: expected 0, got 7210 (prefix=5)"
+    )
+    assert selftest.criterion_1(selftest.DEFAULT_SEED) == (
+        False, "pair 0: check product-hurwitz: FAIL at index 1: expected 8609, got 3994 (prefix=4)"
+    )
