@@ -372,6 +372,17 @@ MUTANTS = [
             "tests/test_linrec.py::test_products_match_the_oracle_in_canonical_form[Zmod:12-newton]",
         ],
     ),
+    # decomposition_check is product_check of the Newton decomposition
+    Mutant(
+        "decomposition-checks-another-kind",
+        "verify.py",
+        'product_check("newton", a, b, newton_via_decomposition',
+        'product_check("hadamard", a, b, newton_via_decomposition',
+        [
+            "tests/test_verify.py::TestDecompositionCheck::test_fibonacci_over_q_passes",
+            "tests/test_verify.py::TestDecompositionCheck::test_corrupted_product_fails",
+        ],
+    ),
     # verify._image_failure maps the first difference of psi^-1 images back
     # to the terms: the true term is t + want - got
     Mutant(
@@ -404,6 +415,17 @@ MUTANTS = [
         [
             "tests/test_verify.py::TestInverseCheck::test_an_inverse_claimed_where_none_exists_raises",
             "tests/test_verify.py::TestInverseCheck::test_wrong_formula_term_fails[Zmod:12-t0]",
+        ],
+    ),
+    # selftest criterion 7 checks each constructed charpoly on the direct
+    # product, not on the constructed sequence's own unroll
+    Mutant(
+        "criterion-7-reads-its-own-unroll",
+        "selftest.py",
+        "direct_product_oracle(kind, a.terms(k), b.terms(k))",
+        "constructor(a, b).terms(k)",
+        [
+            "tests/test_acceptance.py::test_criteria_1_and_7_fail_on_a_wrong_hurwitz_product",
         ],
     ),
     # verify checks a sequence on -p when it is given, on its charpoly otherwise
