@@ -24,13 +24,14 @@ which is product_check of the decomposition.  The true product
 satisfies a monic polynomial of known degree D, so the check reads the
 ``c.order + D`` terms that prove a claimed product ``c``.  It reads a
 Newton product through psi^-1, the Hurwitz convolution with the ones
-sequence, which carries Newton products to Hadamard products.  :func:`inverse_check`
-reads the Newton inverse the same way: psi^-1 also sends the Newton
-identity to the ones sequence, so b inverts a on k terms iff their
-images multiply to 1 termwise, in O(k^2).  psi^-1 is unitriangular, so
-both map a failure of the images back to the terms through one helper,
-:func:`_image_failure`.  The identity both rest on is checked against
-the direct O(k^3) Newton sum by :func:`morphism_check`.
+sequence, which carries Newton products to Hadamard products.
+:func:`inverse_check` reads the Newton inverse the same way: psi^-1
+also sends the Newton identity to the ones sequence, so b inverts a on
+k terms iff their images multiply to 1 termwise, in O(k^2).  psi^-1 is
+unitriangular, so both map a failure of the images back to the terms
+through one helper, :func:`_image_failure`.  The identity both rest on
+is checked against the direct O(k^3) Newton sum by
+:func:`morphism_check`.
 
 Every check reports its first failure through one rule,
 :func:`_first_failure`: the first ``(index, expected, actual)`` whose
